@@ -6,12 +6,12 @@ import hashlib
 import json
 import math
 import os
-import platform
 import resource
 import subprocess
 import sys
 import threading
 from contextlib import contextmanager
+from statistics import median
 from typing import Dict, List, Optional, Sequence
 
 #: BLAS/OpenMP thread-count variables pinned to 1 for the benchmark and
@@ -48,21 +48,6 @@ def tail_percentile(n: int) -> float:
     return float(max(50, min(p, int(TAIL_FULL_PERCENTILE))))
 
 
-def percentile(values: Sequence[float], p: float) -> float:
-    """Linear-interpolated percentile (NumPy's default method)."""
-    if not values:
-        raise ValueError("percentile of no values")
-    ordered = sorted(values)
-    rank = (len(ordered) - 1) * p / 100.0
-    lo = math.floor(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (rank - lo)
-
-
-def median(values: Sequence[float]) -> float:
-    return percentile(values, 50.0)
-
-
 def median_ms(seconds) -> float:
     """Median of durations in seconds, in ms; 0 when there are none."""
     seconds = list(seconds)
@@ -86,24 +71,31 @@ def end_to_end(
     attempted: int,
 ) -> Dict[str, dict]:
     """The six end-to-end metrics shared by every workload."""
+    import numpy as np
+
     ms = [value * 1e3 for value in latencies_s]
     tail = tail_percentile(len(ms))
     return {
         "setup_s": metric(median(setup_s), "s", len(setup_s)),
         "op_p50_ms": metric(median(ms), "ms", len(ms)),
-        "op_tail_ms": metric(percentile(ms, tail), "ms", len(ms), percentile=tail),
+        "op_tail_ms": metric(float(np.percentile(ms, tail)), "ms", len(ms), percentile=tail),
         "ops_per_s": metric(len(ms) / wall_s, "1/s", len(ms)),
         "peak_rss_mb": metric(peak_rss_mb, "MB"),
         "ops_ok_share": metric(ok / attempted if attempted else 0.0, "ratio", attempted),
     }
 
 
-def trace_overhead(ops) -> dict:
-    """Traced minus untraced median latency of interleaved ops (ms)."""
-    traced, untraced = ops.latencies(True), ops.latencies(False)
-    if not traced or not untraced:
-        return metric(0.0, "ms", 0)
-    return metric((median(traced) - median(untraced)) * 1e3, "ms", len(traced))
+def trace_overhead(*op_sets) -> dict:
+    """Tracing overhead of one op of the workload (ms): per set of
+    interleaved ops, the traced minus the untraced median latency, summed
+    over the sets (one set per kind of call the traced run times)."""
+    total, samples = 0.0, 0
+    for ops in op_sets:
+        traced, untraced = ops.latencies(True), ops.latencies(False)
+        if traced and untraced:
+            total += median(traced) - median(untraced)
+            samples += len(traced)
+    return metric(total * 1e3, "ms", samples)
 
 
 # ----------------------------------------------------------------------
@@ -193,16 +185,10 @@ def git_sha(root: str) -> Optional[str]:
 
 
 def provenance(root: str) -> dict:
-    import numpy as np
+    from repro.profiling.report import host_fingerprint
 
     return {
-        "host": {
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-        },
+        "host": host_fingerprint(),
         "blas": blas_config(),
         "git_sha": git_sha(root),
         "source_sha256": source_digest(root),

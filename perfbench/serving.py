@@ -24,7 +24,7 @@ import signal
 import subprocess
 import sys
 import time
-from contextlib import ExitStack, closing, contextmanager
+from contextlib import ExitStack, closing
 from dataclasses import replace
 from typing import Dict, List, Sequence, Tuple
 
@@ -342,23 +342,18 @@ def gemm_row_fill(shapes: Sequence[Tuple[int, int, int]], chunk: int) -> float:
     return real / padded if padded else 0.0
 
 
-@contextmanager
-def warmup_shapes():
-    """Collects ``(batch, steps, layers)`` of every warm-up pass while active."""
+def record_warmup_shapes(tracer: Tracer, shapes: List[Tuple[int, int, int]]) -> None:
+    """Appends ``(batch, steps, layers)`` of every warm-up pass to ``shapes``
+    while ``tracer``'s wrappers are installed."""
     from repro.nn.inference import LSTMStackInference
 
-    original = LSTMStackInference.__dict__["forward_sequence"]
-    shapes: List[Tuple[int, int, int]] = []
+    original = vars(LSTMStackInference)["forward_sequence"]
 
     def forward_sequence(stack, x, states=None):
         shapes.append((x.shape[0], x.shape[1], len(stack.stack.cells)))
         return original(stack, x, states)
 
-    LSTMStackInference.forward_sequence = forward_sequence
-    try:
-        yield shapes
-    finally:
-        LSTMStackInference.forward_sequence = original
+    tracer.patch(LSTMStackInference, "forward_sequence", forward_sequence)
 
 
 #: engine counters reported per op: (metric, FleetForecaster key, scale, unit)
@@ -452,15 +447,16 @@ def _wrap_gateway(tracer: Tracer) -> None:
 
 class ForecastLayers:
     """The forecast path behind HTTP, in-process on the same bodies:
-    gateway, scheduler, service, engine and the wire codecs."""
+    gateway, scheduler, service, engine and the wire codecs.  Every other
+    ``ForecastGateway.handle`` call runs with the layer wrappers on."""
 
     def __init__(self, fixture: Fixture, stack: ExitStack) -> None:
         self.fixture = fixture
         self.gateway, _ = _gateway(fixture)
         stack.enter_context(closing(self.gateway))
-        self.tracer = stack.enter_context(Tracer())
-        _wrap_gateway(self.tracer)
-        self.shapes = stack.enter_context(warmup_shapes())
+        self.shapes: List[Tuple[int, int, int]] = []
+        self.handles = Ops(install=self._install)
+        self.op_sets = (self.handles,)
         self.engine = self.gateway.service.load(MODEL).engine(self.gateway.config.mode)
         self.scheduler_before = self.gateway.scheduler_stats()
         self.encode: List[float] = []
@@ -468,31 +464,33 @@ class ForecastLayers:
         self.request_kb: List[float] = []
         self.response_kb: List[float] = []
         self.snapshots: List[Tuple[dict, dict]] = []
-        self.ok = self.attempted = 0
+
+    def _install(self, tracer: Tracer) -> None:
+        _wrap_gateway(tracer)
+        record_warmup_shapes(tracer, self.shapes)
 
     def run(self, seconds: float) -> None:
         from repro.serving import wire
 
-        first = self.attempted
+        first = self.handles.attempted
         started = time.perf_counter()
-        while time.perf_counter() - started < seconds or self.attempted == first:
-            k = self.attempted % BATCHES
-            self.tracer.op = self.attempted
-            self.attempted += 1
+        while time.perf_counter() - started < seconds or self.handles.attempted == first:
+            k = self.handles.attempted % BATCHES
             t0 = time.perf_counter()
             payload = wire.forecast_batch_to_wire(self.fixture.batches[k])
             t1 = time.perf_counter()
             wire.forecast_batch_from_wire(payload)
             t2 = time.perf_counter()
             before = engine_snapshot(self.engine)
-            status, document = self.gateway.handle("POST", "/v1/forecast", payload)
+            # looked up inside the op, so a traced op calls the wrapper
+            status, document = self.handles.call(lambda: self.gateway.handle("POST", "/v1/forecast", payload))
             self.snapshots.append((before, engine_snapshot(self.engine)))
             t3 = time.perf_counter()
             results = wire.results_from_wire(document)
             t4 = time.perf_counter()
             wire.results_to_wire(results)
             t5 = time.perf_counter()
-            self.ok += status == 200 and arrays_match(results, self.fixture.reference[k])
+            self.handles.ok += status == 200 and arrays_match(results, self.fixture.reference[k])
             self.encode.append((t1 - t0) + (t5 - t4))
             self.decode.append((t2 - t1) + (t4 - t3))
             self.request_kb.append(len(json.dumps(payload)) / 1e3)
@@ -502,14 +500,14 @@ class ForecastLayers:
     def metrics(self) -> Dict[str, dict]:
         from repro.nn.kernels import STABLE_CHUNK_ROWS
 
-        spans, n = self.tracer.spans, self.attempted
+        spans, n = self.handles.tracer.spans, len(self.handles.traced_ops())
         batches = _delta(self.scheduler_after, self.scheduler_before, "batches")
         requests = _delta(self.scheduler_after, self.scheduler_before, "requests")
         return {
-            "wire.encode_ms": report.metric(report.median_ms(self.encode), "ms", n),
-            "wire.decode_ms": report.metric(report.median_ms(self.decode), "ms", n),
-            "wire.request_kb": report.metric(report.median(self.request_kb), "kB", n),
-            "wire.response_kb": report.metric(report.median(self.response_kb), "kB", n),
+            "wire.encode_ms": report.metric(report.median_ms(self.encode), "ms", len(self.encode)),
+            "wire.decode_ms": report.metric(report.median_ms(self.decode), "ms", len(self.decode)),
+            "wire.request_kb": report.metric(report.median(self.request_kb), "kB", len(self.request_kb)),
+            "wire.response_kb": report.metric(report.median(self.response_kb), "kB", len(self.response_kb)),
             "gateway.handle_ms": report.metric(
                 report.median_ms(per_op_totals(spans, "gateway.handle").values()), "ms", n
             ),
@@ -535,90 +533,84 @@ class ForecastLayers:
 class RaceLayers:
     """The lap path behind HTTP, in-process on the same laps: a worker-mode
     gateway (handle, journal, worker pipe) and a ``RaceSession`` (session,
-    features, carry-mode engine), one race through each per round."""
+    features, carry-mode engine), one race through each per round.  Every
+    other lap of each runs with the layer wrappers on."""
 
     def __init__(self, fixture: Fixture, stack: ExitStack) -> None:
-        from repro.data.features import LiveFeatureBuilder
-        from repro.serving.sessions import RaceSession
-
         self.fixture = fixture
         self.laps = fixture.wire_laps()
         self.gateway, self.spawn = _gateway(fixture)
         stack.enter_context(closing(self.gateway))
-        self.tracer = stack.enter_context(Tracer())
-        _wrap_gateway(self.tracer)
-        # the gateway's sessions live in its (already forked) worker, so
-        # these spans come from the in-process session only
-        self.tracer.wrap(RaceSession, "observe_lap", "sessions.observe_lap")
-        self.tracer.wrap(LiveFeatureBuilder, "observe_lap", "features.observe_lap")
-        self.shapes = stack.enter_context(warmup_shapes())
+        self.shapes: List[Tuple[int, int, int]] = []
+        self.handles = Ops(install=_wrap_gateway)
+        self.observes = Ops(install=self._install_session)
+        self.op_sets = (self.handles, self.observes)
         self.engine = fixture.forecaster.fleet_engine(mode="carry", precision="float64")
         self.first_snapshot = engine_snapshot(self.engine)
         self.snapshots: List[Tuple[dict, dict]] = []
-        self.gateway_ops: List[int] = []
-        self.session_ops: List[int] = []
         self.emitting = 0
-        self.ok = self.attempted = 0
 
-    def _next_op(self, ops: List[int]) -> None:
-        self.tracer.op = self.attempted
-        ops.append(self.attempted)
-        self.attempted += 1
+    def _install_session(self, tracer: Tracer) -> None:
+        from repro.data.features import LiveFeatureBuilder
+        from repro.serving.sessions import RaceSession
+
+        # the gateway's sessions live in its (already forked) worker, so
+        # these spans come from the in-process session only
+        tracer.wrap(RaceSession, "observe_lap", "sessions.observe_lap")
+        tracer.wrap(LiveFeatureBuilder, "observe_lap", "features.observe_lap")
+        record_warmup_shapes(tracer, self.shapes)
 
     def _gateway_race(self) -> None:
         from repro.serving import wire
         from repro.serving.client import LiveSessionClient
 
-        self.tracer.op = -1  # open and close are not ops
+        # open and close are not ops
         _, opened = self.gateway.handle("POST", "/v1/sessions", self.fixture.open_document)
         sid = opened["session"]
         for i, (lap, records) in enumerate(self.laps):
-            self._next_op(self.gateway_ops)
             body = wire.envelope("session-lap", lap=lap, records=records)
             body["idempotency_key"] = f"{sid}-lap-{lap}"
-            status, document = self.gateway.handle("POST", f"/v1/sessions/{sid}/lap", body)
-            self.ok += status == 200 and emitted_match(
+            status, document = self.handles.call(
+                lambda: self.gateway.handle("POST", f"/v1/sessions/{sid}/lap", body)
+            )
+            self.handles.ok += status == 200 and emitted_match(
                 LiveSessionClient._decode_results(document), self.fixture.reference_laps[i]
             )
-        self.tracer.op = -1
         self.gateway.handle("DELETE", f"/v1/sessions/{sid}", {"drain": True})
 
     def _session_race(self) -> None:
         session = self.fixture.session()
         for i, (lap, records) in enumerate(self.laps):
-            self._next_op(self.session_ops)
             before = engine_snapshot(self.engine)
-            got = session.observe_lap(lap, records)
+            got = self.observes.call(lambda: session.observe_lap(lap, records))
             self.snapshots.append((before, engine_snapshot(self.engine)))
             self.emitting += bool(got)
-            self.ok += emitted_match(got, self.fixture.reference_laps[i])
+            self.observes.ok += emitted_match(got, self.fixture.reference_laps[i])
 
     def run(self, seconds: float) -> None:
-        first = self.attempted
+        first = self.handles.attempted
         started = time.perf_counter()
-        while time.perf_counter() - started < seconds or self.attempted == first:
+        while time.perf_counter() - started < seconds or self.handles.attempted == first:
             self._gateway_race()
             self._session_race()
 
     def metrics(self) -> Dict[str, dict]:
         from repro.nn.kernels import STABLE_CHUNK_ROWS
 
-        spans = self.tracer.spans
+        def per_op(ops, name):
+            totals = per_op_totals(ops.tracer.spans, name)
+            return [totals.get(op, 0.0) for op in ops.traced_ops()]
 
-        def per_op(name, ops):
-            totals = per_op_totals(spans, name)
-            return [totals.get(op, 0.0) for op in ops]
-
-        on_laps = [s for s in spans if s.op >= 0]
-        record = [s.duration for s in on_laps if s.name == "journal.record_lap"]
-        compact = [s.duration for s in on_laps if s.name == "journal.compact"]
-        gateway_self = self_time(on_laps, "gateway.handle", ("workers.apply_lap", "journal.record_lap"))
-        handle_ms = report.median_ms(per_op("gateway.handle", self.gateway_ops))
-        observe_ms = report.median_ms(per_op("sessions.observe_lap", self.session_ops))
+        spans = self.handles.tracer.spans
+        record = [s.duration for s in spans if s.name == "journal.record_lap"]
+        compact = [s.duration for s in spans if s.name == "journal.compact"]
+        gateway_self = self_time(spans, "gateway.handle", ("workers.apply_lap", "journal.record_lap"))
+        handle_ms = report.median_ms(per_op(self.handles, "gateway.handle"))
+        observe_ms = report.median_ms(per_op(self.observes, "sessions.observe_lap"))
         last = engine_snapshot(self.engine)
         hits = _delta(last, self.first_snapshot, "cache_hits")
         lookups = hits + _delta(last, self.first_snapshot, "cache_misses")
-        n_gw, n_s = len(self.gateway_ops), len(self.session_ops)
+        n_gw, n_s = len(self.handles.traced_ops()), len(self.observes.traced_ops())
         return {
             "gateway.handle_ms": report.metric(handle_ms, "ms", n_gw),
             "gateway.self_ms": report.metric(report.median_ms(gateway_self.values()), "ms", n_gw),
@@ -628,14 +620,16 @@ class RaceLayers:
             "workers.spawn_ms": report.metric(report.median_ms(self.spawn), "ms", len(self.spawn)),
             "sessions.observe_lap_ms": report.metric(observe_ms, "ms", n_s),
             "features.observe_lap_ms": report.metric(
-                report.median_ms(per_op("features.observe_lap", self.session_ops)), "ms", n_s
+                report.median_ms(per_op(self.observes, "features.observe_lap")), "ms", n_s
             ),
             **engine_metrics(self.snapshots),
             "engine.cache_hit_share": report.metric(hits / lookups if lookups else 0.0, "ratio", int(lookups)),
             "engine.gemm_row_fill": report.metric(
                 gemm_row_fill(self.shapes, STABLE_CHUNK_ROWS), "ratio", len(self.shapes)
             ),
-            "laps.emitting_share": report.metric(self.emitting / max(n_s, 1), "ratio", n_s),
+            "laps.emitting_share": report.metric(
+                self.emitting / max(self.observes.attempted, 1), "ratio", self.observes.attempted
+            ),
         }
 
 
@@ -671,9 +665,9 @@ def run(root: str, workload: str, seed: int, seconds: float, trace: bool, workdi
         metrics = report.end_to_end(ops.latencies(), wall, setup, rss, ok, attempted)
         return ok == attempted, attempted, attempted - ok, metrics
 
-    # traced run: blocks of the HTTP loop (every other client call traced)
-    # alternate with blocks of the same inputs through the layers behind it
-    # in-process, so both sides of every derived metric see the same host
+    # traced run: blocks of the HTTP loop alternate with blocks of the same
+    # inputs through the layers behind it in-process, so both sides of every
+    # derived metric see the same host; on both, every other call is traced
     ops = Ops(install=_wrap_client(workload))
     server = Server(root, workdir, workload, 0)
     with ExitStack() as stack:
@@ -691,9 +685,10 @@ def run(root: str, workload: str, seed: int, seconds: float, trace: bool, workdi
     metrics["http.overhead_ms"] = report.metric(
         roundtrip_ms - metrics["gateway.handle_ms"]["value"], "ms", len(roundtrips)
     )
-    metrics["trace.overhead_ms"] = report.trace_overhead(ops)
+    metrics["trace.overhead_ms"] = report.trace_overhead(ops, *layers.op_sets)
     metrics["setup.import_ms"] = report.metric(import_ms(root), "ms", IMPORT_PROBES)
     metrics["artifacts.load_ms"] = report.metric(load_ms(fixture), "ms", IMPORT_PROBES)
-    ok = warmup.ok + ops.ok + layers.ok
-    attempted = warmup.attempted + ops.attempted + layers.attempted
+    every = (warmup, ops, *layers.op_sets)
+    ok = sum(s.ok for s in every)
+    attempted = sum(s.attempted for s in every)
     return ok == attempted, attempted, attempted - ok, report.per_layer(metrics)

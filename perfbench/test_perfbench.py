@@ -6,7 +6,7 @@ import pytest
 from perfbench import report
 from perfbench.checks import arrays_match, emitted_match, param_digest
 from perfbench.serving import gemm_row_fill
-from perfbench.tracing import Span, Tracer, covered, self_time
+from perfbench.tracing import Ops, Span, Tracer, covered, self_time
 
 
 # ----------------------------------------------------------------------
@@ -43,12 +43,6 @@ def test_end_to_end_records_the_tail_percentile_and_sample_counts():
     assert metrics["ops_ok_share"]["value"] == pytest.approx(59 / 60)
 
 
-def test_percentile_matches_numpy():
-    values = [5.0, 1.0, 3.5, 9.0, 2.25, 7.0]
-    for p in (0, 10, 50, 83, 90, 100):
-        assert report.percentile(values, p) == pytest.approx(np.percentile(values, p))
-
-
 def test_per_layer_fills_unmeasured_metrics_and_rejects_unknown_ones():
     filled = report.per_layer({"trainer.fit_ms": report.metric(5.0, "ms", 3)})
     assert list(filled) == list(report.PER_LAYER)
@@ -58,6 +52,17 @@ def test_per_layer_fills_unmeasured_metrics_and_rejects_unknown_ones():
         report.per_layer({"not.a_metric": report.metric(1.0, "ms")})
     with pytest.raises(ValueError):
         report.per_layer({"trainer.fit_ms": report.metric(1.0, "s")})
+
+
+def test_trace_overhead_sums_traced_minus_untraced_medians_over_op_sets():
+    handles, observes = Ops(), Ops()
+    handles.records = [(0, 0.010, False), (1, 0.012, True), (2, 0.011, False), (3, 0.013, True)]
+    observes.records = [(0, 0.030, False), (1, 0.031, True)]
+    overhead = report.trace_overhead(handles, observes)
+    assert overhead["value"] == pytest.approx((0.0125 - 0.0105) * 1e3 + 1.0)
+    assert overhead["samples"] == 3
+    # a set without both kinds of op adds nothing
+    assert report.trace_overhead(Ops())["value"] == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -61,17 +61,21 @@ class Tracer:
             span.end = time.perf_counter()
             stack.pop()
 
+    def patch(self, owner, attribute: str, replacement) -> None:
+        """Set ``owner.attribute`` (a class or module attribute of its own)
+        to ``replacement`` until :meth:`restore`."""
+        self._patched.append((owner, attribute, vars(owner)[attribute]))
+        setattr(owner, attribute, replacement)
+
     def wrap(self, owner, attribute: str, name: str) -> None:
         """Replace ``owner.attribute`` by a recording wrapper until :meth:`restore`."""
-        original = owner.__dict__[attribute] if isinstance(owner, type) else getattr(owner, attribute)
-        target = original.__func__ if isinstance(original, staticmethod) else original
+        original = vars(owner)[attribute]
 
-        @functools.wraps(target)
+        @functools.wraps(original)
         def wrapper(*args, **kwargs):
-            return self.record(name, target, *args, **kwargs)
+            return self.record(name, original, *args, **kwargs)
 
-        setattr(owner, attribute, staticmethod(wrapper) if isinstance(original, staticmethod) else wrapper)
-        self._patched.append((owner, attribute, original))
+        self.patch(owner, attribute, wrapper)
 
     def restore(self) -> None:
         while self._patched:
