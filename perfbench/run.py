@@ -20,7 +20,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
-WORKLOADS = ("forecast-gateway", "live-race", "train-ranknet", "train-transformer")
+WORKLOADS = ("forecast-gateway", "live-race", "train")
 
 
 def _pin_blas_threads() -> None:
@@ -50,7 +50,7 @@ def main(argv=None) -> int:
 
     from perfbench import report
 
-    if args.workload.startswith("train-"):
+    if args.workload == "train":
         from perfbench import training as module
     else:
         from perfbench import serving as module

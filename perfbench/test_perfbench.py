@@ -6,6 +6,7 @@ import pytest
 from perfbench import report
 from perfbench.checks import arrays_match, emitted_match, param_digest
 from perfbench.serving import gemm_row_fill
+from perfbench.training import layer_metrics
 from perfbench.tracing import Ops, Span, Tracer, covered, self_time
 
 
@@ -108,6 +109,43 @@ def test_tracer_records_nesting_and_restores_the_original():
     assert outer.start <= inner.start <= inner.end <= outer.end
     own = self_time(tracer.spans, "outer", ("inner",))[7]
     assert own == pytest.approx(outer.duration - inner.duration)
+
+
+def test_training_layers_average_batches_of_both_models_per_op():
+    ops = Ops(install=lambda tracer: None)
+    ops.records = [(0, 1.0, False), (1, 0.020, True), (3, 0.040, True)]
+    spans = []
+
+    def span(name, start, end, op, parent=None):
+        spans.append(Span(name, start, end, op, parent))
+        return len(spans) - 1
+
+    for op, scale in ((1, 1e-3), (3, 2e-3)):
+        # two fits: a RankNet fit with a pit model, then a Transformer fit
+        fit = span("trainer.fit", 0, 6 * scale, op)
+        span("nn.loss_and_backward", 0, 1 * scale, op, fit)
+        span("nn.optimizer_step", 1 * scale, 1.5 * scale, op, fit)
+        pit = span("pit.fit", 6 * scale, 8 * scale, op)
+        for k in range(3):
+            span("nn.optimizer_step", (6 + k / 2) * scale, (6.25 + k / 2) * scale, op, pit)
+        fit = span("trainer.fit", 8 * scale, 16 * scale, op)
+        span("nn.loss_and_backward", 8 * scale, 13 * scale, op, fit)
+        span("nn.optimizer_step", 13 * scale, 13.5 * scale, op, fit)
+        span("attention.forward", 8 * scale, 10 * scale, op)
+    ops.tracer.spans = spans
+    metrics = layer_metrics(ops)
+    # per op: (1 + 5) / 2 batches = 3 units; units of 1 ms and 2 ms
+    assert metrics["nn.loss_and_backward_ms"]["value"] == pytest.approx(4.5)
+    assert metrics["nn.loss_and_backward_ms"]["samples"] == 4
+    # pit steps are not trainer steps
+    assert metrics["nn.optimizer_step_ms"]["value"] == pytest.approx(0.75)
+    assert metrics["nn.batches"]["value"] == 2
+    assert metrics["pit.steps"]["value"] == 3
+    assert metrics["trainer.fit_ms"]["value"] == pytest.approx(21.0)
+    # 14 units of Trainer.fit less 6 of batches and 1 of trainer steps
+    assert metrics["trainer.self_ms"]["value"] == pytest.approx(10.5)
+    # the op minus both Trainer.fit calls and pit.fit: 20-16 and 40-32 ms
+    assert metrics["forecaster.self_ms"]["value"] == pytest.approx(6.0)
 
 
 # ----------------------------------------------------------------------

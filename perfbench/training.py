@@ -1,12 +1,12 @@
-"""Training workloads: one seeded ``fit()`` per op, in-process.
+"""Training workload: two seeded ``fit()`` calls per op, in-process.
 
-``train-ranknet`` fits ``RankNetForecaster(variant="mlp")`` (windows, LSTM
-BPTT, Adam, and the PitModel MLP's small-batch steps); ``train-transformer``
-fits ``TransformerForecaster(variant="oracle")`` (attention, no PitModel).
-Both train one epoch on the same fixed simulated races under the same
-window budget.  Every op in a run repeats the identical fit, so op-to-op
-spread is the host's noise, not the inputs', and each op's parameter
-digest must equal the first op's.
+One ``train`` op fits ``RankNetForecaster(variant="mlp")`` (windows, LSTM
+BPTT, Adam, and the PitModel MLP's small-batch steps) and then
+``TransformerForecaster(variant="oracle")`` (attention, no PitModel), each
+for one epoch on the same fixed simulated races under the same window
+budget.  Every op in a run repeats the identical fits, so op-to-op spread
+is the host's noise, not the inputs', and each op's parameter digest must
+equal the first op's.
 """
 
 from __future__ import annotations
@@ -53,31 +53,31 @@ def build_series():
     return series
 
 
-def make_forecaster(workload: str, seed: int):
+def make_forecasters(seed: int):
+    """The op's two forecasters, keyed by the prefix of their parameters."""
     from repro.models import RankNetForecaster, TransformerForecaster
 
-    if workload == "train-ranknet":
-        return RankNetForecaster(variant="mlp", seed=seed, **FIT)
-    if workload == "train-transformer":
-        return TransformerForecaster(variant="oracle", seed=seed, **FIT)
-    raise ValueError(f"unknown training workload {workload!r}")
+    return {
+        "ranknet": RankNetForecaster(variant="mlp", seed=seed, **FIT),
+        "transformer": TransformerForecaster(variant="oracle", seed=seed, **FIT),
+    }
 
 
-def fitted_params(forecaster) -> Dict[str, object]:
-    arrays = {f"model/{k}": v for k, v in forecaster.model.state_dict().items()}
+def fitted_params(forecaster, prefix: str) -> Dict[str, object]:
+    arrays = {f"{prefix}/model/{k}": v for k, v in forecaster.model.state_dict().items()}
     if forecaster.pit_model is not None:
-        arrays.update({f"pit/{k}": v for k, v in forecaster.pit_model.net.state_dict().items()})
+        arrays.update({f"{prefix}/pit/{k}": v for k, v in forecaster.pit_model.net.state_dict().items()})
     return arrays
 
 
-def measure_setup(root: str, workload: str) -> List[float]:
+def measure_setup(root: str) -> List[float]:
     """Wall time of fresh interpreters importing and building the races."""
     env = report.subprocess_env(root)
     samples = []
     for attempt in range(SETUP_SPAWNS + 1):  # the first warms the page cache
         start = time.perf_counter()
         process = subprocess.Popen(
-            [sys.executable, "-m", "perfbench.training", "--probe", workload],
+            [sys.executable, "-m", "perfbench.training", "--probe"],
             cwd=root,
             env=env,
             stdout=subprocess.PIPE,
@@ -97,10 +97,12 @@ def measure_setup(root: str, workload: str) -> List[float]:
     return samples
 
 
-def _fit_once(workload: str, seed: int, series):
-    forecaster = make_forecaster(workload, seed)
-    forecaster.fit(series)
-    return param_digest(fitted_params(forecaster))
+def _fit_once(seed: int, series):
+    arrays = {}
+    for prefix, forecaster in make_forecasters(seed).items():
+        forecaster.fit(series)
+        arrays.update(fitted_params(forecaster, prefix))
+    return param_digest(arrays)
 
 
 def _loop(fit, seconds: float, reference: str, ops: Ops) -> float:
@@ -140,26 +142,35 @@ def _install_tracer(tracer: Tracer) -> None:
 
 
 def layer_metrics(ops: Ops) -> Dict[str, dict]:
-    """Per-layer metrics over the traced fits (per-op medians)."""
+    """Per-layer metrics over the traced ops (per-op medians).  An op runs
+    batches of two models, so the per-batch times are each op's mean."""
     spans = ops.tracer.spans
     traced = ops.traced_ops()
     n = len(traced)
 
-    def per_op(name):
-        totals = per_op_totals(spans, name)
+    def per_op(name, keep=lambda span: True):
+        totals = per_op_totals([s for s in spans if keep(s)], name)
         return [totals.get(op, 0.0) for op in traced]
 
-    def under(span, ancestor):
-        while span.parent is not None:
-            span = spans[span.parent]
-            if span.name == ancestor:
-                return True
-        return False
+    def under(ancestor):
+        def keep(span):
+            while span.parent is not None:
+                span = spans[span.parent]
+                if span.name == ancestor:
+                    return True
+            return False
 
-    steps = [s for s in spans if s.name == "nn.optimizer_step"]
-    trainer_steps = [s.duration for s in steps if under(s, "trainer.fit")]
-    pit_steps = [s for s in steps if under(s, "pit.fit")]
-    batches = [s.duration for s in spans if s.name == "nn.loss_and_backward"]
+        return keep
+
+    def count(name, keep=lambda span: True):
+        return [sum(1 for s in spans if s.op == op and s.name == name and keep(s)) for op in traced]
+
+    def per_batch_ms(totals, counts):
+        return report.median_ms(t / c for t, c in zip(totals, counts) if c)
+
+    batches = count("nn.loss_and_backward")
+    steps = count("nn.optimizer_step", under("trainer.fit"))
+    pit_steps = count("nn.optimizer_step", under("pit.fit"))
     trainer_self = self_time(spans, "trainer.fit", ("nn.loss_and_backward", "nn.optimizer_step"))
     children = [per_op(name) for name in ("trainer.fit", "pit.fit", "data.make_windows")]
     forecaster_self = [latency - sum(parts) for latency, *parts in zip(ops.latencies(True), *children)]
@@ -167,11 +178,15 @@ def layer_metrics(ops: Ops) -> Dict[str, dict]:
         "data.make_windows_ms": report.metric(report.median_ms(per_op("data.make_windows")), "ms", n),
         "trainer.fit_ms": report.metric(report.median_ms(per_op("trainer.fit")), "ms", n),
         "trainer.self_ms": report.metric(report.median_ms(trainer_self.values()), "ms", n),
-        "nn.loss_and_backward_ms": report.metric(report.median_ms(batches), "ms", len(batches)),
-        "nn.optimizer_step_ms": report.metric(report.median_ms(trainer_steps), "ms", len(trainer_steps)),
-        "nn.batches": report.metric(len(batches) / max(n, 1), "count", n),
+        "nn.loss_and_backward_ms": report.metric(
+            per_batch_ms(per_op("nn.loss_and_backward"), batches), "ms", sum(batches)
+        ),
+        "nn.optimizer_step_ms": report.metric(
+            per_batch_ms(per_op("nn.optimizer_step", under("trainer.fit")), steps), "ms", sum(steps)
+        ),
+        "nn.batches": report.metric(report.median(batches) if n else 0.0, "count", n),
         "pit.fit_ms": report.metric(report.median_ms(per_op("pit.fit")), "ms", n),
-        "pit.steps": report.metric(len(pit_steps) / max(n, 1), "count", n),
+        "pit.steps": report.metric(report.median(pit_steps) if n else 0.0, "count", n),
         "attention.forward_ms": report.metric(report.median_ms(per_op("attention.forward")), "ms", n),
         "attention.backward_ms": report.metric(report.median_ms(per_op("attention.backward")), "ms", n),
         "forecaster.self_ms": report.metric(report.median_ms(forecaster_self), "ms", n),
@@ -180,9 +195,9 @@ def layer_metrics(ops: Ops) -> Dict[str, dict]:
 
 def run(root: str, workload: str, seed: int, seconds: float, trace: bool, workdir: str):
     """One benchmark run; returns (correct, attempted, failed, metrics)."""
-    setup = None if trace else measure_setup(root, workload)
+    setup = None if trace else measure_setup(root)
     series = build_series()
-    fit = functools.partial(_fit_once, workload, seed, series)
+    fit = functools.partial(_fit_once, seed, series)
     # untimed warm-up: lazy imports and first-call allocations; its first
     # fit's digest is the reference every later fit must reproduce
     reference = fit()
@@ -202,16 +217,16 @@ def run(root: str, workload: str, seed: int, seconds: float, trace: bool, workdi
     return ok == attempted, attempted, attempted - ok, metrics
 
 
-def _probe(workload: str) -> int:
+def _probe() -> int:
     """Set-up probe: what a fresh process must do before its first fit."""
-    make_forecaster(workload, 0)
+    make_forecasters(0)
     build_series()
     print("ready", flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 3 and sys.argv[1] == "--probe":
-        sys.exit(_probe(sys.argv[2]))
-    print(f"usage: {os.path.basename(sys.argv[0])} --probe WORKLOAD", file=sys.stderr)
+    if sys.argv[1:] == ["--probe"]:
+        sys.exit(_probe())
+    print(f"usage: {os.path.basename(sys.argv[0])} --probe", file=sys.stderr)
     sys.exit(2)
