@@ -12,7 +12,7 @@ help:
 	@echo "  test-fast       pytest over tests/ only"
 	@echo "  lint            ruff check + format check"
 	@echo "  format          ruff format (in place)"
-	@echo "  bench           benchmark suite (pytest benchmarks/)"
+	@echo "  bench           benchmark suite (pytest benchmarks/), refreshes benchmarks/results/"
 	@echo "  bench-smoke     quick table5 experiment profile"
 	@echo "  bench-train     training-throughput profile"
 	@echo "  bench-decode    decode-throughput profile"
@@ -73,8 +73,10 @@ docs-check:
 	$(PYTHON) tools/check_links.py
 	$(PYTHON) -m repro.scenarios.runner benchmarks/scenarios/matrix.yaml --validate
 
+# the one pytest run that refreshes the tracked tables in benchmarks/results/
+# (a plain pytest session writes them to a temp dir)
 bench:
-	$(PYTHON) -m pytest benchmarks -q
+	REPRO_BENCH_DIR=benchmarks/results $(PYTHON) -m pytest benchmarks -q
 
 # chaos harness: run the real repro-serve subprocess under injected faults
 # and gate retry byte-identity, SIGKILL-and-recover journal replay, and

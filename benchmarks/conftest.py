@@ -11,19 +11,24 @@ training cost once.
 
 Each regenerated table is printed to the terminal (outside pytest's output
 capture, so it is visible in a plain ``pytest benchmarks/ --benchmark-only``
-run) and also written to ``benchmarks/results/<experiment>.txt``.
+run) and also written to ``<experiment>.txt`` by :func:`publish`, the one
+writer every benchmark uses.  It writes into ``REPRO_BENCH_DIR``, the same
+directory the ``BENCH_<name>.json`` sidecars resolve to.  A pytest session
+points that variable at a session temp dir unless it is already set, so the
+tier-1 run never rewrites the tracked files under ``benchmarks/results/``;
+``make bench`` sets it to ``benchmarks/results`` to refresh them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pathlib
 
 import pytest
 
 from repro.experiments import full_config, quick_config
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+from repro.profiling.report import bench_output_dir
 
 _ACTIVE_CAPSYS = None
 
@@ -50,27 +55,37 @@ def bench_config():
     return _bench_profile()
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _bench_results_dir(tmp_path_factory):
+    """Point ``REPRO_BENCH_DIR`` at a session temp dir unless already set."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not os.environ.get("REPRO_BENCH_DIR"):
+            patch.setenv("REPRO_BENCH_DIR", str(tmp_path_factory.mktemp("bench-results")))
+        yield
+
+
 @pytest.fixture(autouse=True)
 def _expose_capsys(capsys):
-    """Let ``run_and_print`` emit tables outside pytest's output capture."""
+    """Let :func:`publish` emit tables outside pytest's output capture."""
     global _ACTIVE_CAPSYS
     _ACTIVE_CAPSYS = capsys
     yield
     _ACTIVE_CAPSYS = None
 
 
-def run_and_print(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` once under pytest-benchmark, print and persist its table."""
-    result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-    text = result.to_text()
-    RESULTS_DIR.mkdir(exist_ok=True)
-    filename = result.experiment_id.lower().replace(" ", "").replace(".", "") + ".txt"
-    (RESULTS_DIR / filename).write_text(text + "\n", encoding="utf-8")
-    if _ACTIVE_CAPSYS is not None:
-        with _ACTIVE_CAPSYS.disabled():
-            print()
-            print(text)
-    else:  # pragma: no cover - plain invocation outside pytest
+def publish(filename, text):
+    """Write ``text`` to ``<REPRO_BENCH_DIR>/<filename>`` and print it."""
+    path = pathlib.Path(bench_output_dir()) / filename
+    path.write_text(text + "\n", encoding="utf-8")
+    with _ACTIVE_CAPSYS.disabled() if _ACTIVE_CAPSYS is not None else contextlib.nullcontext():
         print()
         print(text)
+    return path
+
+
+def run_and_print(benchmark, fn, *args, **kwargs):
+    """Run ``fn`` once under pytest-benchmark, then publish its table."""
+    result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+    filename = result.experiment_id.lower().replace(" ", "").replace(".", "") + ".txt"
+    publish(filename, result.to_text())
     return result

@@ -10,7 +10,7 @@ Monte-Carlo samples, 2-layer 40-unit LSTM):
 * **speedup** — the fused decode phase is no slower on the Table V shape
   and measurably faster on the decode-heavy shapes (the Fig. 9 long
   horizon and the strategy-sweep fan-out), with the measured breakdown
-  written to ``benchmarks/results/decode.txt``.
+  published as ``decode.txt`` (see ``conftest.publish``).
 
 The issue's headline target for this engine was a 3x decode speedup at the
 Table V shape.  Like the training engine's 4x target (see
@@ -25,15 +25,13 @@ but the Python overhead does not).  The gates below are set at conservative
 floors of the measured medians so they stay robust on noisy runners.
 """
 
-import pathlib
-
 import numpy as np
 
 from repro.models.deep.rankmodel import RankSeqModel
 from repro.profiling.decode import decode_breakdown
 from repro.serving import FleetForecaster, ForecastRequest, spawn_request_rngs
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+from conftest import publish
 
 N_CARS = 33
 N_SAMPLES = 100
@@ -126,10 +124,7 @@ def test_bench_decode_speedup(benchmark):
         "masked scatters, which grow with horizon and request count."
     )
     text = "\n".join(lines)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "decode.txt").write_text(text + "\n", encoding="utf-8")
-    print()
-    print(text)
+    publish("decode.txt", text)
 
     speedups = {
         (row["workload"], row["decode"]): row["speedup_vs_stepwise"] for row in rows

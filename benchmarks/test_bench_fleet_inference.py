@@ -17,7 +17,6 @@ the original, fleet-exact is ~16x faster.  The 5x gate is therefore
 conservative with respect to either baseline.
 """
 
-import pathlib
 import time
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from repro.models.deep.rankmodel import RankSeqModel
 from repro.serving import FleetForecaster, ForecastRequest, spawn_request_rngs
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+from conftest import publish
 
 N_CARS = 20
 N_SAMPLES = 100
@@ -124,10 +123,7 @@ def test_bench_fleet_inference(benchmark):
             f"{name:<14}{1e3 * wall:>10.1f}{n_forecasts / wall:>10.1f}{speedup:>9.2f}"
         )
     text = "\n".join(lines)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "fleet_inference.txt").write_text(text + "\n", encoding="utf-8")
-    print()
-    print(text)
+    publish("fleet_inference.txt", text)
 
     assert loop_s / exact_s >= MIN_SPEEDUP, (
         f"fleet-exact only {loop_s / exact_s:.1f}x faster than the per-car loop"

@@ -20,17 +20,15 @@ Measured medians on this host: float32 ~1.9-2.1x across all three
 workload shapes (the BLAS-bound GEMMs move half the bytes), int8 within
 noise of float32; parity max|Δrank| ~6e-6 (float32) and ~3e-2 (int8).
 The gates are conservative floors/ceilings of those numbers so they stay
-robust on noisy runners.  The breakdown is written to
-``benchmarks/results/precision.txt`` and the machine-readable sidecar to
-``benchmarks/results/BENCH_precision.json``.
+robust on noisy runners.  The breakdown is published as ``precision.txt``
+(see ``conftest.publish``) and the machine-readable sidecar is written to
+``BENCH_precision.json`` in the same directory.
 """
-
-import pathlib
 
 from repro.profiling.precision import precision_breakdown
 from repro.profiling.report import write_bench_json
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+from conftest import publish
 
 FIG9 = "fig9   33x100 h10"
 
@@ -79,10 +77,7 @@ def test_bench_precision_speedup_and_parity(benchmark):
         "weights themselves are rounded."
     )
     text = "\n".join(lines)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "precision.txt").write_text(text + "\n", encoding="utf-8")
-    print()
-    print(text)
+    publish("precision.txt", text)
     write_bench_json("precision", rows, extra={"decode": "fused"})
 
     by_key = {(row["workload"], row["precision"]): row for row in rows}

@@ -27,8 +27,9 @@ from repro.profiling.server import build_serving_fixture
 from repro.scenarios.runner import main as runner_main
 from repro.serving.server import ForecastServer, ServerConfig
 
+from conftest import publish
+
 REPO = pathlib.Path(__file__).resolve().parents[1]
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 # conservative floors of the measured medians (module docstring)
 MIN_SIM_RACES_PER_S = 1.0          # measured ~40
@@ -106,10 +107,7 @@ def test_bench_scenario_throughput_and_streaming():
         "equals the in-process ScenarioEngine run under the shared seed, gated in",
         "test_bench_runner_vs_gateway_byte_identity and tests/scenarios/.",
     ]
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "scenarios.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print()
-    print("\n".join(lines))
+    publish("scenarios.txt", "\n".join(lines))
 
     assert sim.races / sim.wall_s > MIN_SIM_RACES_PER_S, lines
     assert local.wall_s < MAX_MATRIX_WALL_S, lines

@@ -25,7 +25,6 @@ far above the measured medians so they only catch real regressions, not
 runner noise (PR 2/PR 3 precedent).
 """
 
-import pathlib
 import threading
 
 import numpy as np
@@ -40,7 +39,7 @@ from repro.profiling.server import (
 from repro.serving import ForecastClient, ForecastService
 from repro.serving.server import ForecastServer, ServerConfig
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+from conftest import publish
 
 # conservative floors/ceilings of the measured medians (module docstring)
 MAX_HTTP_OVERHEAD_MS_PER_REQUEST = 25.0   # measured ~1.4
@@ -144,10 +143,7 @@ def test_bench_gateway_overhead_floors():
         "overhead here; the in-process batched-vs-sequential ratio above is the",
         "throughput micro-batching recovers as the per-pass model cost grows.",
     ]
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "serving.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print()
-    print("\n".join(lines))
+    publish("serving.txt", "\n".join(lines))
 
     overhead = http_sequential.ms_per_request - direct_sequential.ms_per_request
     assert overhead < MAX_HTTP_OVERHEAD_MS_PER_REQUEST, (overhead, lines)
@@ -173,12 +169,7 @@ def test_bench_cross_model_isolation_in_worker_mode():
         "Cross-model isolation (worker mode: RankNet sweep on A vs single-request",
         "DeepAR forecasts on B; 1-core host)",
     ] + [f"{key:<24}{value:.4f}" for key, value in isolation.items()]
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "serving-isolation.txt").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8"
-    )
-    print()
-    print("\n".join(lines))
+    publish("serving-isolation.txt", "\n".join(lines))
 
     assert isolation["probes_during_sweep"] >= 1, isolation
     assert isolation["blocking_ratio"] < MAX_ISOLATION_BLOCKING_RATIO, isolation

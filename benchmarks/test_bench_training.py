@@ -22,10 +22,9 @@ reachable at this configuration: at batch 64 the stepwise loop is already
 BLAS-bound (the per-step GEMMs run at the same GFLOP/s as the fused ones),
 so fusing eliminates the Python/ufunc dispatch overhead — a 1.3-2.9x win —
 but cannot reduce the dominant GEMM and tanh work both paths share.  The
-per-pass numbers are recorded in ``results/training.txt``.
+per-pass numbers are published as ``training.txt`` (see ``conftest.publish``).
 """
 
-import pathlib
 import time
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from repro.models.deep.rankmodel import RankSeqModel
 from repro.profiling.training import synthetic_batches
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+from conftest import publish
 
 N_BATCHES = 4
 BATCH_SIZE = 64
@@ -143,10 +142,7 @@ def test_bench_training_fused_vs_stepwise(benchmark):
             f"{name:<16}{1e3 * wall:>10.1f}{instances / wall:>12.1f}{speedup:>9.2f}"
         )
     text = "\n".join(lines)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "training.txt").write_text(text + "\n", encoding="utf-8")
-    print()
-    print(text)
+    publish("training.txt", text)
 
     assert train_speedup >= MIN_TRAIN_SPEEDUP, (
         f"fused training only {train_speedup:.2f}x faster than stepwise"

@@ -131,9 +131,11 @@ def softplus_grad(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    """Row-stable softmax in one output allocation; ``x`` is not modified."""
+    out = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
+    return out
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -92,31 +92,37 @@ class MultiHeadAttention(Module):
         k = self._split_heads(self.k_proj.forward(key))
         v = self._split_heads(self.v_proj.forward(value))
         scale = 1.0 / np.sqrt(self.d_head)
-        scores = np.einsum("bhqd,bhkd->bhqk", q, k) * scale
+        # batched BLAS matmuls over (B, h); scale and mask land in place on
+        # the one score-sized array the contraction allocates
+        scores = q @ k.swapaxes(-1, -2)
+        scores *= scale
         if mask is not None:
-            scores = scores + mask[None, None, :, :]
+            scores += mask
         attn = softmax(scores, axis=-1)
-        context = np.einsum("bhqk,bhkd->bhqd", attn, v)
+        context = attn @ v
         merged = self._merge_heads(context)
         out = self.out_proj.forward(merged)
-        self._cache.append((q, k, v, attn, scale))
+        self._cache.append((q, k, v, attn, context, scale))
         return out
 
     def backward(self, grad_out: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Returns ``(d_query, d_key, d_value)``."""
         if not self._cache:
             raise RuntimeError("backward called more times than forward")
-        q, k, v, attn, scale = self._cache.pop()
+        q, k, v, attn, context, scale = self._cache.pop()
         d_merged = self.out_proj.backward(grad_out)
         b, tq, _ = d_merged.shape
         d_context = d_merged.reshape(b, tq, self.num_heads, self.d_head).transpose(0, 2, 1, 3)
-        d_attn = np.einsum("bhqd,bhkd->bhqk", d_context, v)
-        d_v = np.einsum("bhqk,bhqd->bhkd", attn, d_context)
-        # softmax backward (per row over the key axis)
-        d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=-1, keepdims=True))
-        d_scores = d_scores * scale
-        d_q = np.einsum("bhqk,bhkd->bhqd", d_scores, k)
-        d_k = np.einsum("bhqk,bhqd->bhkd", d_scores, q)
+        d_v = attn.swapaxes(-1, -2) @ d_context
+        # softmax backward in place on d_attn: attn * (d_attn - rowsum(d_attn * attn)).
+        # The row sum equals rowsum(d_context * context) (context = attn @ v),
+        # which is head-sized, so no second score-sized array is needed.
+        d_scores = d_context @ v.swapaxes(-1, -2)
+        d_scores -= np.sum(d_context * context, axis=-1, keepdims=True)
+        d_scores *= attn
+        d_scores *= scale
+        d_q = d_scores @ k
+        d_k = d_scores.swapaxes(-1, -2) @ q
         d_query = self.q_proj.backward(self._merge_heads(d_q))
         d_key = self.k_proj.backward(self._merge_heads(d_k))
         d_value = self.v_proj.backward(self._merge_heads(d_v))

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import activations as act
+from repro.nn import causal_mask
+
+from reference.attention import reference_softmax
 
 
 def test_sigmoid_matches_closed_form_and_is_stable():
@@ -32,6 +35,20 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
     p = act.softmax(x, axis=-1)
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-12)
     np.testing.assert_allclose(act.softmax(x + 100.0, axis=-1), p, rtol=1e-9)
+
+
+@pytest.mark.parametrize("axis", [-1, 0, 2])
+def test_softmax_is_bitwise_the_three_temporary_formula_and_keeps_its_input(axis):
+    rng = np.random.default_rng(3)
+    # attention-shaped scores with causal -1e9 mask entries; the first query
+    # row of every head sees a single key, the last row sees all of them
+    scores = rng.normal(size=(4, 8, 29, 29)) * 5 + causal_mask(29)
+    scores[0, 0, 5] = -1e9  # a fully masked row
+    before = scores.copy()
+    p = act.softmax(scores, axis=axis)
+    np.testing.assert_array_equal(p, reference_softmax(before, axis=axis))
+    np.testing.assert_array_equal(scores, before)
+    assert not np.shares_memory(p, scores)
 
 
 def test_log_softmax_consistent_with_softmax():

@@ -151,6 +151,52 @@ def test_decoder_layer_returns_memory_gradient():
     assert not np.allclose(dmem, 0.0)
 
 
+def clear_caches(module):
+    """Drop every forward cache in ``module`` and its sub-modules."""
+    if hasattr(module, "clear_cache"):
+        module.clear_cache()
+    for _, child in module._children():
+        clear_caches(child)
+
+
+def test_mha_causal_mask_gradients_match_numeric():
+    rng = np.random.default_rng(7)
+    mha = MultiHeadAttention(8, 2, rng=rng)
+    x = rng.normal(size=(2, 5, 8))
+    w = rng.normal(size=(2, 5, 8))
+    mask = causal_mask(5)
+    mha.forward(x, x, x, mask=mask)
+    dq, dk, dv = mha.backward(w)
+
+    def loss():
+        y = mha.forward(x, x, x, mask=mask)
+        mha.clear_cache()
+        return float(np.sum(w * y))
+
+    assert relative_error(dq + dk + dv, numerical_gradient(loss, x)) < TOL
+    for proj in (mha.q_proj, mha.k_proj, mha.v_proj, mha.out_proj):
+        assert relative_error(proj.weight.grad, numerical_gradient(loss, proj.weight.data)) < TOL, proj.weight.name
+
+
+def test_decoder_layer_gradients_match_numeric():
+    rng = np.random.default_rng(8)
+    dec = TransformerDecoderLayer(8, 2, 16, rng=rng)
+    dec.eval()
+    x = rng.normal(size=(2, 3, 8))
+    mem = rng.normal(size=(2, 5, 8))
+    w = rng.normal(size=(2, 3, 8))
+    dec.forward(x, mem, self_mask=causal_mask(3))
+    dx, dmem = dec.backward(w)
+
+    def loss():
+        y = dec.forward(x, mem, self_mask=causal_mask(3))
+        clear_caches(dec)
+        return float(np.sum(w * y))
+
+    assert relative_error(dx, numerical_gradient(loss, x)) < 5e-4
+    assert relative_error(dmem, numerical_gradient(loss, mem)) < 5e-4
+
+
 def test_decoder_causal_mask_respects_order():
     rng = np.random.default_rng(6)
     dec = TransformerDecoderLayer(8, 2, 16, rng=rng)

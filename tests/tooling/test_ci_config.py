@@ -49,6 +49,12 @@ def test_test_job_runs_tier1_on_python_matrix():
     assert any(TIER1 in line for line in job_run_lines(job))
 
 
+def test_test_job_checks_tier1_left_tracked_files_unchanged():
+    lines = job_run_lines(load_workflow()["jobs"]["tests"])
+    tier1 = next(i for i, line in enumerate(lines) if TIER1 in line)
+    assert lines[tier1 + 1].strip() == "git diff --exit-code"
+
+
 def test_lint_job_runs_ruff_check_and_format():
     lines = job_run_lines(load_workflow()["jobs"]["lint"])
     assert any(line.startswith("ruff check") for line in lines)
