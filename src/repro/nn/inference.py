@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .activations import sigmoid, softplus
+from .activations import sigmoid, sigmoid_dense, softplus
 from .distributions import GaussianOutput
 from .gru import StackedGRU
 from .kernels import STABLE_CHUNK_ROWS, stable_matmul
@@ -136,9 +136,12 @@ class LSTMStackInference:
 
         Layer-major: each layer's input projections for all ``T`` steps run
         as one fused :func:`stable_matmul`, so only the recurrent product
-        remains per-step.  Because every row of a ``stable_matmul`` result
-        depends only on that row, the outputs are **bitwise identical** to
-        stepping the sequence through :meth:`step` one lap at a time.
+        remains per-step, and each step's gates take one
+        :func:`sigmoid_dense` pass.  Because every row of a ``stable_matmul``
+        result depends only on that row, and ``sigmoid_dense`` equals the
+        masked :func:`sigmoid` bit for bit, the outputs are **bitwise
+        identical** to stepping the sequence through :meth:`step` one lap at
+        a time.
         Returns the top-layer hidden sequence and the final states.
         """
         h_seq = working_array(x, dtype=self.dtype)
@@ -152,16 +155,20 @@ class LSTMStackInference:
                 h_seq.reshape(batch * steps, h_seq.shape[-1]), cell.w_x.data, dtype=self.dtype
             ).reshape(batch, steps, 4 * hd)
             out = working_empty((batch, steps, hd), dtype=self.dtype)
+            scratch = tuple(working_empty((batch, 4 * hd), dtype=self.dtype) for _ in range(2))
             for t in range(steps):
                 gates = (
                     x_proj[:, t, :]
                     + stable_matmul(h, cell.w_h.data, dtype=self.dtype)
                     + cell.bias.data
                 )
-                i = sigmoid(gates[:, 0 * hd : 1 * hd])
-                f = sigmoid(gates[:, 1 * hd : 2 * hd])
                 g = np.tanh(gates[:, 2 * hd : 3 * hd])
-                o = sigmoid(gates[:, 3 * hd : 4 * hd])
+                # one dense pass over all four gates; the g columns it
+                # overwrites were read above
+                sigmoid_dense(gates, out=gates, scratch=scratch)
+                i = gates[:, 0 * hd : 1 * hd]
+                f = gates[:, 1 * hd : 2 * hd]
+                o = gates[:, 3 * hd : 4 * hd]
                 c = f * c + i * g
                 h = o * np.tanh(c)
                 out[:, t, :] = h
@@ -225,14 +232,16 @@ class GRUStackInference:
                 batch, steps, hd
             )
             out = working_empty((batch, steps, hd), dtype=self.dtype)
+            scratch = tuple(working_empty((batch, 2 * hd), dtype=self.dtype) for _ in range(2))
             for t in range(steps):
                 gates = (
                     gates_x[:, t, :]
                     + stable_matmul(h, cell.w_h_gates.data, dtype=self.dtype)
                     + cell.b_gates.data
                 )
-                r = sigmoid(gates[:, :hd])
-                u = sigmoid(gates[:, hd:])
+                sigmoid_dense(gates, out=gates, scratch=scratch)
+                r = gates[:, :hd]
+                u = gates[:, hd:]
                 h_proj = stable_matmul(h, cell.w_h_cand.data, dtype=self.dtype)
                 n = np.tanh(cand_x[:, t, :] + r * h_proj + cell.b_cand.data)
                 h = (1.0 - u) * n + u * h

@@ -22,16 +22,15 @@ STABLE_CHUNK_ROWS = 256
 def stable_matmul(
     x: np.ndarray,
     w: np.ndarray,
-    chunk: int = STABLE_CHUNK_ROWS,
     out: np.ndarray | None = None,
     dtype: np.dtype | type | None = None,
 ) -> np.ndarray:
     """``x @ w`` with batch-size-invariant per-row results.
 
-    The rows of ``x`` are processed in blocks of exactly ``chunk`` rows (the
-    final partial block is zero-padded), so the value computed for one row
-    depends only on that row and ``w`` — not on how many other rows happen
-    to share the batch.
+    The rows of ``x`` are processed in blocks of exactly
+    :data:`STABLE_CHUNK_ROWS` rows (the final partial block is zero-padded),
+    so the value computed for one row depends only on that row and ``w`` —
+    not on how many other rows happen to share the batch.
 
     ``out`` (optional, ``(n, w.shape[1])`` C-contiguous, compute dtype)
     receives the result without allocating: full blocks are written by
@@ -52,13 +51,13 @@ def stable_matmul(
     n = x.shape[0]
     if out is None:
         out = np.empty((n, w.shape[1]), dtype=dtype)
-    for start in range(0, n, chunk):
-        block = x[start : start + chunk]
+    for start in range(0, n, STABLE_CHUNK_ROWS):
+        block = x[start : start + STABLE_CHUNK_ROWS]
         rows = block.shape[0]
-        if rows == chunk:
-            np.matmul(block, w, out=out[start : start + chunk])
+        if rows == STABLE_CHUNK_ROWS:
+            np.matmul(block, w, out=out[start : start + STABLE_CHUNK_ROWS])
         else:
-            padded = np.zeros((chunk, x.shape[1]), dtype=dtype)
+            padded = np.zeros((STABLE_CHUNK_ROWS, x.shape[1]), dtype=dtype)
             padded[:rows] = block
             out[start : start + rows] = (padded @ w)[:rows]
     return out

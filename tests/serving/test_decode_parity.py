@@ -12,6 +12,7 @@ import pytest
 from repro.models.deep.rankmodel import RankSeqModel
 from repro.nn.activations import sigmoid, sigmoid_dense
 from repro.nn.inference import recurrent_inference
+from repro.nn.precision import compute_dtype, convert_module
 from repro.serving import FleetForecaster, ForecastRequest, spawn_request_rngs
 
 N_COV = 3
@@ -130,7 +131,12 @@ def test_sigmoid_dense_bitwise_matches_masked_sigmoid():
 
 @pytest.mark.parametrize("backbone", ["lstm", "gru"])
 def test_decode_sequence_matches_inference_step_loop(backbone):
-    """The fused ``step_decode`` kernels replay the serving ``step`` bitwise."""
+    """The fused ``step_decode`` kernels replay the serving ``step`` bitwise.
+
+    float64 runs through ``decode_sequence``.  float32 and int8, which the
+    float64-only stepwise decode reference cannot check, run through
+    ``begin_decode``/``step_decode`` at the served model's width.
+    """
     model = make_model(backbone)
     stack = model.lstm
     stepper = recurrent_inference(stack)
@@ -147,6 +153,46 @@ def test_decode_sequence_matches_inference_step_loop(backbone):
     packed_ref = stack.export_state(states)
     packed_fused = stack.export_state(fused_states)
     np.testing.assert_array_equal(packed_fused, packed_ref)
+
+    wide = make_model(backbone, hidden_dim=40)
+    x = rng.normal(size=(33, 5, 1 + N_COV))
+    for precision in ("float64", "float32", "int8"):
+        dtype = compute_dtype(precision)
+        stack = convert_module(wide.lstm, precision)
+        stepper = recurrent_inference(stack, dtype=dtype)
+        states = stepper.zero_state(33)
+        ctxs = stack.begin_decode(states, dtype=dtype)
+        for t in range(x.shape[1]):
+            expected, states = stepper.step(x[:, t, :], states)
+            got = stack.step_decode(np.ascontiguousarray(x[:, t, :], dtype=dtype), ctxs)
+            assert got.dtype == dtype
+            assert got.tobytes() == expected.tobytes(), precision
+        final = [(ctx.h, ctx.c) if backbone == "lstm" else ctx.h for ctx in ctxs]
+        packed = stack.export_state(final).tobytes()
+        assert packed == stack.export_state(states).tobytes(), precision
+
+
+@pytest.mark.parametrize("batch", [1, 8, 33])
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("backbone", ["lstm", "gru"])
+def test_warmup_forward_sequence_matches_inference_step_loop(backbone, precision, batch):
+    """The warm-up's ``forward_sequence`` (dense sigmoid) replays ``step``
+    (masked sigmoid) byte for byte, at the served model's width."""
+    model = make_model(backbone, hidden_dim=40)
+    dtype = compute_dtype(precision)
+    stack = convert_module(model.lstm, precision)
+    stepper = recurrent_inference(stack, dtype=dtype)
+    x = np.random.default_rng(batch).normal(size=(batch, 29, 1 + N_COV))
+
+    states = stepper.zero_state(batch)
+    outputs = np.empty((batch, 29, stack.hidden_dim), dtype=dtype)
+    for t in range(x.shape[1]):
+        outputs[:, t, :], states = stepper.step(x[:, t, :], states)
+
+    fused_out, fused_states = stepper.forward_sequence(x)
+    assert fused_out.dtype == dtype
+    assert fused_out.tobytes() == outputs.tobytes()
+    assert stack.export_state(fused_states).tobytes() == stack.export_state(states).tobytes()
 
 
 def test_decode_contexts_do_not_mutate_the_caller_states():
