@@ -4,10 +4,10 @@
 (:class:`~repro.models.deep.rankmodel.RankSeqModel`-style recurrent models,
 or :class:`~repro.models.deep.transformer.TransformerSeqModel`) over many
 forecast requests at once.  The model is duck-typed: a recurrent backbone
-exposes ``lstm`` (a ``StackedLSTM`` or ``StackedGRU``), a Gaussian head
-(either a fused multi-dimension ``head`` or a per-dimension ``heads``
-list), ``target_dim`` and ``num_covariates``; a Transformer backbone
-exposes ``_encode`` / ``_decode`` instead of ``lstm``.
+exposes ``lstm`` (a ``StackedLSTM`` or ``StackedGRU``), a fused
+multi-dimension Gaussian ``head``, ``target_dim`` and ``num_covariates``;
+a Transformer backbone exposes ``_encode`` / ``_decode`` instead of
+``lstm``.
 
 Batching strategy
 -----------------
@@ -39,13 +39,16 @@ The Monte-Carlo decode loop runs on a fused, allocation-free path
   lap loop and reshaped to replay the stepwise (step, dim, request) draw
   order byte-identically, replacing the nested per-dim/per-request
   sampling loops with one vectorised ``mu + sigma * noise[h]`` per step;
-* **fused decode steps** — the recurrent stack advances through
-  ``step_decode`` (:mod:`repro.nn.recurrent` / :mod:`repro.nn.gru`):
+* **first lap once per request** — all samples of a request enter lap 1
+  with the same state, target and covariates, so lap 1 steps one row per
+  request and only the head's ``(mu, sigma)`` is repeated over the samples;
+* **fused decode steps** — from lap 2 on, the recurrent stack advances
+  through ``step_decode`` (:mod:`repro.nn.recurrent` / :mod:`repro.nn.gru`):
   permuted contiguous gate blocks, one dense sigmoid pass, and
   preallocated gate/state/input buffers reused across the horizon;
-* **hoisted covariates** — the future-covariate rows are expanded once
-  into a ``(horizon, total, C)`` tensor instead of an ``np.repeat`` per
-  lap.
+* **hoisted covariates** — the later laps' future-covariate rows are
+  expanded once into a ``(horizon - 1, total, C)`` tensor instead of an
+  ``np.repeat`` per lap.
 
 The original per-lap loop is retained as ``decode="stepwise"`` — it is
 the reference the fused path is gated byte-identical against
@@ -290,18 +293,11 @@ class _RecurrentBackend:
         # shares the training parameters by reference, exactly as before
         self.stack_module = convert_module(self.model.lstm, engine.precision)
         self.stack = recurrent_inference(self.stack_module, dtype=self.dtype)
-        # fused multi-dim head (RankSeqModel) or per-dimension head list
-        if hasattr(self.model, "head"):
-            self.head = head_inference(
-                convert_module(self.model.head, engine.precision), dtype=self.dtype
-            )
-            self.heads = None
-        else:
-            self.head = None
-            self.heads = [
-                head_inference(convert_module(head, engine.precision), dtype=self.dtype)
-                for head in self.model.heads
-            ]
+        if not hasattr(self.model, "head"):
+            raise TypeError(f"recurrent backbone {type(self.model).__name__} has no fused .head")
+        self.head = head_inference(
+            convert_module(self.model.head, engine.precision), dtype=self.dtype
+        )
 
     # -- validation ----------------------------------------------------
     def validate(self, request: ForecastRequest) -> None:
@@ -487,8 +483,9 @@ class _RecurrentBackend:
         horizon = requests[0].horizon
         total = int(counts.sum())
 
-        states = tile_states(slice_states(slot_states, owner_index), counts)
-        z_prev = np.repeat(slot_z_last[owner_index], counts, axis=0)
+        # one row per request (a shared warm-up slot's requests may differ in covariates)
+        states = slice_states(slot_states, owner_index)
+        z_prev = slot_z_last[owner_index]
         scale0_rows = np.repeat(scales[owner_index][:, 0], counts)
         future = np.stack([request.future_covariates for request in requests])
         rngs = [
@@ -502,7 +499,8 @@ class _RecurrentBackend:
             )
         else:
             samples = self._decode_stepwise(
-                requests, counts, offsets, horizon, total, states, z_prev,
+                requests, counts, offsets, horizon, total,
+                tile_states(states, counts), np.repeat(z_prev, counts, axis=0),
                 scale0_rows, future, rngs,
             )
         self.engine._stats["decode_steps"] += horizon
@@ -565,10 +563,12 @@ class _RecurrentBackend:
     ) -> np.ndarray:
         """Fused allocation-free Monte-Carlo decode (block RNG + step_decode).
 
-        Byte-identical to :meth:`_decode_stepwise`: the recurrent kernels,
-        the head projections, and the RNG consumption all replay the
-        stepwise path's arithmetic bit for bit (gated in
-        ``benchmarks/test_bench_decode.py``).
+        ``states``/``z_prev`` hold one row per request: lap 1 steps them
+        through ``step`` and repeats its ``(mu, sigma)`` over the samples;
+        laps 2..H run on all ``total`` rows through ``step_decode``.
+        Byte-identical to :meth:`_decode_stepwise` (``step`` equals
+        ``step_decode`` bit for bit, ``stable_matmul`` rows are batch-size
+        invariant; gated in ``benchmarks/test_bench_decode.py``).
         """
         target_dim = self.model.target_dim
         dtype = self.dtype
@@ -578,37 +578,42 @@ class _RecurrentBackend:
             # noise is always drawn float64 so every tier consumes the RNG
             # streams identically; only the arithmetic downcasts
             noise = noise.astype(dtype)
-        # future covariates expanded once: (horizon, total, C), contiguous
-        # per-step slices — replaces one np.repeat per lap
-        cov_all = np.ascontiguousarray(
-            np.repeat(future, counts, axis=0).transpose(1, 0, 2), dtype=dtype
-        )
-        ctxs = self.stack_module.begin_decode(states, dtype=dtype)
-        x_buf = working_empty((total, target_dim + cov_all.shape[2]), dtype=dtype)
-        z = np.ascontiguousarray(z_prev, dtype=dtype)
         samples = np.empty((total, horizon), dtype=np.float64)
-        for h in range(horizon):
-            x_buf[:, :target_dim] = z
-            x_buf[:, target_dim:] = cov_all[h]
-            h_t = self.stack_module.step_decode(x_buf, ctxs)
+        z = working_empty((total, target_dim), dtype=dtype)
+
+        def mu_sigma(h_t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             if guarded:
                 assert_dtype(h_t, dtype, "decode hidden state")
-            if self.head is not None:
-                mu_all, sigma_all = self.head(h_t)  # one (H, 2D) GEMM for all dims
-                if guarded:
-                    assert_dtype(mu_all, dtype, "head mu")
-                    assert_dtype(sigma_all, dtype, "head sigma")
-                np.multiply(sigma_all, noise[h], out=z)
-                z += mu_all
-            else:
-                for d, head in enumerate(self.heads):
-                    mu, sigma = head(h_t)
-                    if guarded:
-                        assert_dtype(mu, dtype, "head mu")
-                        assert_dtype(sigma, dtype, "head sigma")
-                    z[:, d] = mu + sigma * noise[h, :, d]
+            mu_all, sigma_all = self.head(h_t)  # one (H, 2D) GEMM for all dims
+            if guarded:
+                assert_dtype(mu_all, dtype, "head mu")
+                assert_dtype(sigma_all, dtype, "head sigma")
+            return mu_all, sigma_all
+
+        def draw(h: int, mu_all: np.ndarray, sigma_all: np.ndarray) -> None:
+            np.multiply(sigma_all, noise[h], out=z)
+            np.add(z, mu_all, out=z)
             # samples stay float64 on every tier (the result contract)
             np.multiply(z[:, 0], scale0_rows, out=samples[:, h])
+
+        x_first = np.concatenate([z_prev, future[:, 0, :]], axis=1)
+        h_t, states = self.stack.step(x_first, states)  # casts to the tier
+        mu, sigma = mu_sigma(h_t)
+        draw(0, np.repeat(mu, counts, axis=0), np.repeat(sigma, counts, axis=0))
+        if horizon == 1:
+            return samples
+
+        # later laps' covariates expanded once: (horizon - 1, total, C),
+        # contiguous per-step slices — replaces one np.repeat per lap
+        cov_all = np.ascontiguousarray(
+            np.repeat(future[:, 1:, :], counts, axis=0).transpose(1, 0, 2), dtype=dtype
+        )
+        ctxs = self.stack_module.begin_decode(tile_states(states, counts), dtype=dtype)
+        x_buf = working_empty((total, x_first.shape[1]), dtype=dtype)
+        for h in range(1, horizon):
+            x_buf[:, :target_dim] = z
+            x_buf[:, target_dim:] = cov_all[h - 1]
+            draw(h, *mu_sigma(self.stack_module.step_decode(x_buf, ctxs)))
         return samples
 
     def _decode_stepwise(
@@ -637,25 +642,15 @@ class _RecurrentBackend:
             x_t = np.concatenate([z_prev, cov_rows], axis=1)
             h_t, states = self.stack.step(x_t, states)
             z_next = np.empty((total, target_dim))
-            if self.head is not None:
-                mu_all, sigma_all = self.head(h_t)  # one (H, 2D) GEMM for all dims
-                # dim-major draw order (all requests for dim 0, then dim 1,
-                # ...) matches the per-dim head path exactly, including when
-                # several requests share one RNG stream
-                for d in range(target_dim):
-                    for i in range(len(requests)):
-                        rows = slice(offsets[i], offsets[i + 1])
-                        z_next[rows, d] = mu_all[rows, d] + sigma_all[
-                            rows, d
-                        ] * rngs[i].standard_normal(int(counts[i]))
-            else:
-                for d, head in enumerate(self.heads):
-                    mu, sigma = head(h_t)
-                    for i in range(len(requests)):
-                        rows = slice(offsets[i], offsets[i + 1])
-                        z_next[rows, d] = mu[rows] + sigma[rows] * rngs[i].standard_normal(
-                            int(counts[i])
-                        )
+            mu_all, sigma_all = self.head(h_t)  # one (H, 2D) GEMM for all dims
+            # dim-major draw order: all requests for dim 0, then dim 1, ...
+            # (several requests may share one RNG stream)
+            for d in range(target_dim):
+                for i in range(len(requests)):
+                    rows = slice(offsets[i], offsets[i + 1])
+                    z_next[rows, d] = mu_all[rows, d] + sigma_all[
+                        rows, d
+                    ] * rngs[i].standard_normal(int(counts[i]))
             samples[:, h] = z_next[:, 0] * scale0_rows
             z_prev = z_next
         return samples

@@ -194,6 +194,41 @@ def test_carry_mode_recomputes_after_large_gap():
     assert entry is not None and entry.origin == 50
 
 
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("backbone", ["lstm", "gru"])
+def test_carry_decode_does_not_write_into_cached_state(backbone, precision):
+    """The decode steps the request-level states of a reused cache entry;
+    it must step copies, never the cached ``packed_state`` itself."""
+    model = make_model(backbone)
+    targets, covs = make_histories(3)
+    future = np.zeros((3, N_COV))
+    engine = FleetForecaster(model, mode="carry", precision=precision)
+
+    def submit(seed):
+        streams = spawn_request_rngs(np.random.default_rng(seed), 3)
+        return engine.submit([
+            ForecastRequest(t[-12:], c[-12:], future, n_samples=4, rng=s,
+                            key=car, origin=19)
+            for car, (t, c, s) in enumerate(zip(targets, covs, streams))
+        ])
+
+    submit(1)
+    cached = {car: engine.cache.get(car).packed_state.tobytes() for car in range(3)}
+    hits = engine.stats["cache_hits"]
+    first = submit(2)  # same origin: the delta == 0 reuse path
+    assert engine.stats["cache_hits"] == hits + 3
+    assert {car: engine.cache.get(car).packed_state.tobytes() for car in range(3)} == cached
+    for a, b in zip(first, submit(2)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_recurrent_backbone_without_fused_head_is_rejected():
+    model = make_model()
+    del model.head
+    with pytest.raises(TypeError, match="head"):
+        FleetForecaster(model)
+
+
 def test_invalid_requests_are_rejected():
     model = make_model()
     engine = FleetForecaster(model)
