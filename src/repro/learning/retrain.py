@@ -186,10 +186,9 @@ class RetrainJob:
 
         train_series = self.window.train_series()
         if fine_tune:
-            # mirror DeepForecasterBase.fine_tune: drop carried warm-up
-            # states, re-target the field, then assemble the loaders
-            for engine in forecaster._fleet_engines.values():
-                engine.reset_cache()
+            # mirror DeepForecasterBase.fine_tune: drop the engines built
+            # on the old weights, re-target the field, then the loaders
+            forecaster._drop_fleet_engines()
             if train_series:
                 forecaster.record_field_size(train_series)
             _, train_loader = forecaster._make_batches(train_series, shuffle=True)
@@ -206,7 +205,7 @@ class RetrainJob:
             forecaster.model = forecaster._build_model(
                 forecaster.feature_spec.num_covariates
             )
-            forecaster._fleet_engines = {}
+            forecaster._drop_fleet_engines()
             forecaster.record_field_size(train_series)
             optimizer = Adam(forecaster.model.parameters(), lr=forecaster.lr)
             lr_patience = 10

@@ -150,9 +150,7 @@ class DeepForecasterBase(RankForecaster):
         if val_series:
             _, val_loader = self._make_batches(val_series, shuffle=False)
         self.model = self._build_model(self.feature_spec.num_covariates)
-        # engines are bound to the (replaced) model instance; consumers must
-        # resolve them through fleet_engine() rather than holding references
-        self._fleet_engines = {}
+        self._drop_fleet_engines()
         self.record_field_size(train_series)
         trainer = Trainer(
             self.model,
@@ -212,8 +210,22 @@ class DeepForecasterBase(RankForecaster):
             {key[len(prefix) :]: value for key, value in arrays.items() if key.startswith(prefix)}
         )
         restore_rng(self.rng, state["rng"])
-        self._fleet_engines = {}
+        self._drop_fleet_engines()
         self.model.eval()
+
+    def _drop_fleet_engines(self) -> None:
+        """Forget every fleet engine built on the current weights.
+
+        Engines are bound to one model instance and weight state: a
+        low-precision replica is converted when its engine is built, and a
+        carry-mode cache holds states computed under the old weights.
+        Consumers therefore resolve engines through :meth:`fleet_engine`,
+        which builds a fresh one on next use.  The model's own
+        single-model engines (``RankSeqModel.fleet_engine``) go too.
+        """
+        self._fleet_engines = {}
+        if hasattr(self.model, "_fleet_engines"):
+            self.model._fleet_engines = {}
 
     def fine_tune(
         self,
@@ -231,9 +243,8 @@ class DeepForecasterBase(RankForecaster):
         """
         if self.model is None:
             raise RuntimeError(f"{self.name} must be fit before fine-tuning")
-        # carried warm-up states predate the new weights
-        for engine in self._fleet_engines.values():
-            engine.reset_cache()
+        # carried warm-up states and converted replicas predate the new weights
+        self._drop_fleet_engines()
         # the model now targets the new event's field
         if train_series:
             self.record_field_size(train_series)
@@ -320,13 +331,13 @@ class DeepForecasterBase(RankForecaster):
         """The batch scheduler all fleet forecasts of this model go through.
 
         One engine is kept per ``(mode, precision)`` replica and bound to
-        the current ``self.model``: re-fitting drops them (a fresh engine
-        is built on next use) and :meth:`fine_tune` resets their carried
-        warm-up states, so consumers should resolve the engine through
-        this method on every use instead of holding on to the returned
-        instance across re-training.  Low-precision replicas convert the
-        weights lazily on first use (see :mod:`repro.nn.precision`); the
-        float64 replica shares the training weights directly.
+        the current ``self.model``: re-fitting and :meth:`fine_tune` drop
+        them (a fresh engine is built on next use), so consumers should
+        resolve the engine through this method on every use instead of
+        holding on to the returned instance across re-training.
+        Low-precision replicas convert the weights when their engine is
+        built (see :mod:`repro.nn.precision`); the float64 replica shares
+        the training weights directly.
         """
         if self.model is None:
             raise RuntimeError(f"{self.name} must be fit before forecasting")

@@ -27,37 +27,43 @@ from . import initializers as init
 from .activations import sigmoid, sigmoid_dense
 from .kernels import stable_matmul
 from .module import Module, Parameter
-from .recurrent import _sigmoid_inplace
+from .precision import RowWorkspace
+from .recurrent import _load_rows, _sigmoid_inplace
 
 __all__ = ["GRUCell", "GRUDecodeContext", "StackedGRU"]
 
 
 class GRUDecodeContext:
-    """Preallocated buffers for one GRU cell's allocation-free decode loop.
+    """Reusable workspace for one GRU cell's decode loop.
 
     The GRU's fused gate matrices are already laid out ``[reset, update]``
     — both sigmoid gates contiguous — so unlike the LSTM no column
-    permutation (and no weight copy) is needed; the context only owns the
-    running hidden state and the per-step scratch tensors.
+    permutation (and no weight copy) is needed: :meth:`GRUCell.step_decode`
+    reads the cell's current weights directly.  The context owns the
+    running hidden state and the per-step scratch tensors; like
+    :class:`~repro.nn.recurrent.LSTMDecodeContext`, :meth:`load` starts a
+    session on the leading rows of those buffers, and the row attributes
+    are ``[:rows]`` views valid until the next :meth:`load`.
     """
 
-    __slots__ = ("h", "gates", "hw", "h_proj", "n", "t1", "t2", "sg_scratch", "dtype")
+    __slots__ = ("dtype", "_rows", "h", "gates", "hw", "h_proj", "n", "t1", "t2", "sg_scratch")
 
-    def __init__(self, cell: "GRUCell", h0: np.ndarray, dtype=np.float64) -> None:
+    def __init__(self, cell: "GRUCell", dtype=np.float64) -> None:
         self.dtype = np.dtype(dtype)
-        self.h = np.array(h0, dtype=self.dtype, copy=True, order="C")
-        batch = self.h.shape[0]
         hd = cell.hidden_dim
-        self.gates = np.empty((batch, 2 * hd), dtype=self.dtype)
-        self.hw = np.empty((batch, 2 * hd), dtype=self.dtype)
-        self.h_proj = np.empty((batch, hd), dtype=self.dtype)
-        self.n = np.empty((batch, hd), dtype=self.dtype)
-        self.t1 = np.empty((batch, hd), dtype=self.dtype)
-        self.t2 = np.empty((batch, hd), dtype=self.dtype)
-        self.sg_scratch = (
-            np.empty((batch, 2 * hd), dtype=self.dtype),
-            np.empty((batch, 2 * hd), dtype=self.dtype),
+        # h, gates, hw, h_proj, n, t1, t2 and the two sigmoid scratch blocks
+        self._rows = RowWorkspace(
+            (hd, 2 * hd, 2 * hd, hd, hd, hd, hd, 2 * hd, 2 * hd), dtype=self.dtype
         )
+
+    def load(self, h0: np.ndarray, rows: Optional[np.ndarray] = None) -> "GRUDecodeContext":
+        """Start a session from ``h0`` (its rows ``rows``, if given)."""
+        n = len(h0) if rows is None else len(rows)
+        (self.h, self.gates, self.hw, self.h_proj, self.n,
+         self.t1, self.t2, sg_a, sg_b) = self._rows.take(n)
+        self.sg_scratch = (sg_a, sg_b)
+        _load_rows(self.h, h0, rows)
+        return self
 
 
 class GRUCell(Module):
@@ -155,8 +161,9 @@ class GRUCell(Module):
 
     # fused decode path -------------------------------------------------
     def begin_decode(self, h0: np.ndarray, dtype=np.float64) -> GRUDecodeContext:
-        """Open an allocation-free decode session starting from ``h0``."""
-        return GRUDecodeContext(self, h0, dtype=dtype)
+        """Allocate a decode context and load ``h0`` into it (see
+        :meth:`repro.nn.recurrent.LSTMCell.begin_decode`)."""
+        return GRUDecodeContext(self, dtype=dtype).load(h0)
 
     def step_decode(self, x: np.ndarray, ctx: GRUDecodeContext) -> np.ndarray:
         """One decode step, byte-identical to the serving ``step`` kernel.
@@ -430,13 +437,17 @@ class StackedGRU(Module):
     # ------------------------------------------------------------------
     # fused decode path (mirrors ``StackedLSTM``)
     # ------------------------------------------------------------------
+    def decode_contexts(self, dtype=np.float64) -> List[GRUDecodeContext]:
+        """Empty per-layer decode contexts, to be reused across sessions."""
+        return [GRUDecodeContext(cell, dtype=dtype) for cell in self.cells]
+
     def begin_decode(
         self, states: Sequence[np.ndarray], dtype=np.float64
     ) -> List[GRUDecodeContext]:
-        """Per-layer decode contexts starting from ``states`` (copied in)."""
+        """Allocate per-layer decode contexts and load ``states`` into them."""
         if len(states) != self.num_layers:
             raise ValueError(f"expected {self.num_layers} states, got {len(states)}")
-        return [cell.begin_decode(h, dtype=dtype) for cell, h in zip(self.cells, states)]
+        return [ctx.load(h) for ctx, h in zip(self.decode_contexts(dtype), states)]
 
     def step_decode(
         self, x: np.ndarray, ctxs: Sequence[GRUDecodeContext]

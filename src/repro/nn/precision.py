@@ -39,6 +39,7 @@ __all__ = [
     "working_array",
     "working_empty",
     "working_zeros",
+    "RowWorkspace",
     "assert_dtype",
     "quantize_int8",
     "dequantize_int8",
@@ -92,6 +93,30 @@ def working_empty(shape, dtype=np.float64) -> np.ndarray:
 def working_zeros(shape, dtype=np.float64) -> np.ndarray:
     """Zeroed compute buffer under the active compute dtype."""
     return np.zeros(shape, dtype=dtype)
+
+
+class RowWorkspace:
+    """Owned ``(rows, width)`` compute buffers, handed out as leading-row views.
+
+    :meth:`take` reuses the buffers while they hold enough rows and
+    reallocates them at exactly the requested row count otherwise, so a
+    long-lived owner grows to its high-water row count and then stops
+    allocating — and first-touching — fresh memory.  The views stay valid
+    until the next :meth:`take`; results that outlive it must be copied.
+    """
+
+    __slots__ = ("widths", "dtype", "_buffers")
+
+    def __init__(self, widths: Tuple[int, ...], dtype=np.float64) -> None:
+        self.widths = tuple(int(w) for w in widths)
+        self.dtype = np.dtype(dtype)
+        self._buffers: Tuple[np.ndarray, ...] = ()
+
+    def take(self, rows: int) -> Tuple[np.ndarray, ...]:
+        """One C-contiguous ``(rows, width)`` view per width, in order."""
+        if not self._buffers or self._buffers[0].shape[0] < rows:
+            self._buffers = tuple(working_empty((rows, w), self.dtype) for w in self.widths)
+        return tuple(buf[:rows] for buf in self._buffers)
 
 
 def assert_dtype(array: np.ndarray, dtype, label: str = "array") -> np.ndarray:

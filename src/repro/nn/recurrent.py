@@ -25,6 +25,7 @@ from . import initializers as init
 from .activations import sigmoid, sigmoid_dense
 from .kernels import stable_matmul
 from .module import Module, Parameter
+from .precision import RowWorkspace
 
 __all__ = ["LSTMState", "LSTMCell", "LSTMDecodeContext", "StackedLSTM"]
 
@@ -32,37 +33,69 @@ __all__ = ["LSTMState", "LSTMCell", "LSTMDecodeContext", "StackedLSTM"]
 LSTMState = Tuple[np.ndarray, np.ndarray]
 
 
-class LSTMDecodeContext:
-    """Preallocated buffers + permuted weight copies for one cell's decode loop.
+def _load_rows(dst: np.ndarray, src: np.ndarray, rows: Optional[np.ndarray]) -> None:
+    """Copy ``src`` — or its rows ``rows``, gathered — into ``dst``.
 
-    Built by :meth:`LSTMCell.begin_decode` and consumed by
-    :meth:`LSTMCell.step_decode`; holds the ``[i, f, o, g]``-permuted weight
-    copies (sigmoid gates contiguous), the running ``(h, c)`` state, and
-    every per-step scratch tensor, so advancing the decode by one lap
-    allocates nothing.
+    The gather runs ``np.take`` with ``mode="clip"``: the default
+    ``mode="raise"`` buffers ``out`` in a temporary as large as ``dst``,
+    which is exactly the fresh memory a reused decode context avoids.
+    """
+    if rows is None:
+        dst[...] = src
+    else:
+        np.take(src, rows, axis=0, out=dst, mode="clip")
+
+
+class LSTMDecodeContext:
+    """Reusable workspace for one cell's decode loop.
+
+    Holds the ``[i, f, o, g]``-permuted weight copies (sigmoid gates
+    contiguous), the running ``(h, c)`` state and every per-step scratch
+    tensor.  :meth:`load` starts a decode session on the leading rows of
+    the owned buffers (growing them only past their high-water row count),
+    and :meth:`LSTMCell.step_decode` advances it without allocating, so a
+    long-lived context — the serving engine keeps one per layer — touches
+    no fresh memory per session either.  ``h``/``c`` and the scratch
+    attributes are ``[:rows]`` views, valid until the next :meth:`load`.
     """
 
-    __slots__ = ("w_x", "w_h", "bias", "h", "c", "gates", "hw", "ig", "tanh_c", "sg_scratch", "dtype")
+    __slots__ = (
+        "cell", "dtype", "w_x", "w_h", "bias", "_rows",
+        "h", "c", "gates", "hw", "ig", "tanh_c", "sg_scratch",
+    )
 
-    def __init__(self, cell: "LSTMCell", state: LSTMState, dtype=np.float64) -> None:
+    def __init__(self, cell: "LSTMCell", dtype=np.float64) -> None:
+        self.cell = cell
         self.dtype = np.dtype(dtype)
-        perm = cell._gate_perm
-        self.w_x = np.ascontiguousarray(cell.w_x.data[:, perm], dtype=self.dtype)
-        self.w_h = np.ascontiguousarray(cell.w_h.data[:, perm], dtype=self.dtype)
-        self.bias = np.ascontiguousarray(cell.bias.data[perm], dtype=self.dtype)
-        h0, c0 = state
-        self.h = np.array(h0, dtype=self.dtype, copy=True, order="C")
-        self.c = np.array(c0, dtype=self.dtype, copy=True, order="C")
-        batch = self.h.shape[0]
         hd = cell.hidden_dim
-        self.gates = np.empty((batch, 4 * hd), dtype=self.dtype)
-        self.hw = np.empty((batch, 4 * hd), dtype=self.dtype)
-        self.ig = np.empty((batch, hd), dtype=self.dtype)
-        self.tanh_c = np.empty((batch, hd), dtype=self.dtype)
-        self.sg_scratch = (
-            np.empty((batch, 3 * hd), dtype=self.dtype),
-            np.empty((batch, 3 * hd), dtype=self.dtype),
+        self.w_x = np.empty((cell.input_dim, 4 * hd), dtype=self.dtype)
+        self.w_h = np.empty((hd, 4 * hd), dtype=self.dtype)
+        self.bias = np.empty(4 * hd, dtype=self.dtype)
+        # h, c, gates, hw, ig, tanh_c and the two sigmoid scratch blocks
+        self._rows = RowWorkspace(
+            (hd, hd, 4 * hd, 4 * hd, hd, hd, 3 * hd, 3 * hd), dtype=self.dtype
         )
+
+    def load(self, state: LSTMState, rows: Optional[np.ndarray] = None) -> "LSTMDecodeContext":
+        """Start a session from ``state`` (its rows ``rows``, if given).
+
+        Re-reads the cell's current weights into the permuted copies — a
+        float64 context shares the training parameters, so in-place weight
+        updates are always picked up — and writes the initial ``(h, c)``
+        into the leading rows of the state buffers.
+        """
+        cell = self.cell
+        perm = cell._gate_perm
+        np.take(cell.w_x.data, perm, axis=1, out=self.w_x, mode="clip")
+        np.take(cell.w_h.data, perm, axis=1, out=self.w_h, mode="clip")
+        np.take(cell.bias.data, perm, out=self.bias, mode="clip")
+        h0, c0 = state
+        n = len(h0) if rows is None else len(rows)
+        self.h, self.c, self.gates, self.hw, self.ig, self.tanh_c, sg_a, sg_b = self._rows.take(n)
+        self.sg_scratch = (sg_a, sg_b)
+        _load_rows(self.h, h0, rows)
+        _load_rows(self.c, c0, rows)
+        return self
 
 
 def _sigmoid_inplace(a: np.ndarray) -> None:
@@ -206,15 +239,15 @@ class LSTMCell(Module):
 
     # fused decode path -------------------------------------------------
     def begin_decode(self, state: LSTMState, dtype=np.float64) -> LSTMDecodeContext:
-        """Open an allocation-free decode session starting from ``state``.
+        """Allocate a decode context and load ``state`` into it.
 
-        Copies the initial ``(h, c)`` into context-owned buffers and builds
-        the ``[i, f, o, g]``-permuted weight copies, so every subsequent
-        :meth:`step_decode` runs without allocating.  The copies are tiny
-        and rebuilt per session, so weight updates are always picked up.
+        The context owns the initial ``(h, c)`` copy and the permuted
+        weight copies, so every subsequent :meth:`step_decode` runs without
+        allocating; callers running many sessions keep one context and
+        :meth:`LSTMDecodeContext.load` each session into it instead.
         ``dtype`` selects the compute precision of the whole session.
         """
-        return LSTMDecodeContext(self, state, dtype=dtype)
+        return LSTMDecodeContext(self, dtype=dtype).load(state)
 
     def step_decode(self, x: np.ndarray, ctx: LSTMDecodeContext) -> np.ndarray:
         """One decode step, byte-identical to the serving ``step`` kernel.
@@ -605,13 +638,17 @@ class StackedLSTM(Module):
     # ------------------------------------------------------------------
     # fused decode path (used by the serving engine's Monte-Carlo loop)
     # ------------------------------------------------------------------
+    def decode_contexts(self, dtype=np.float64) -> List[LSTMDecodeContext]:
+        """Empty per-layer decode contexts, to be reused across sessions."""
+        return [LSTMDecodeContext(cell, dtype=dtype) for cell in self.cells]
+
     def begin_decode(
         self, states: Sequence[LSTMState], dtype=np.float64
     ) -> List[LSTMDecodeContext]:
-        """Per-layer decode contexts starting from ``states`` (copied in)."""
+        """Allocate per-layer decode contexts and load ``states`` into them."""
         if len(states) != self.num_layers:
             raise ValueError(f"expected {self.num_layers} states, got {len(states)}")
-        return [cell.begin_decode(state, dtype=dtype) for cell, state in zip(self.cells, states)]
+        return [ctx.load(state) for ctx, state in zip(self.decode_contexts(dtype), states)]
 
     def step_decode(
         self, x: np.ndarray, ctxs: Sequence[LSTMDecodeContext]

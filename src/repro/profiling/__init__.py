@@ -7,7 +7,7 @@ from .batchscaling import (
     measure_cpu_training_speed,
 )
 from .breakdown import BreakdownEntry, cpu_kernel_shares, hybrid_breakdown, offload_fraction_for_batch
-from .decode import DECODE_WORKLOADS, DecodeMeasurement, decode_breakdown
+from .decode import DECODE_WORKLOADS, DecodeMeasurement, decode_breakdown, steady_state_faults
 from .precision import PrecisionMeasurement, precision_breakdown
 from .report import bench_output_dir, host_fingerprint, write_bench_json
 from .devices import DEVICES, DeviceModel, TABLE8_SPECS
@@ -41,6 +41,7 @@ __all__ = [
     "DECODE_WORKLOADS",
     "DecodeMeasurement",
     "decode_breakdown",
+    "steady_state_faults",
     "PrecisionMeasurement",
     "precision_breakdown",
     "bench_output_dir",

@@ -21,6 +21,13 @@ dominated by the (shared) recurrent GEMMs and dense transcendentals, so
 the fused gain is modest there and grows with horizon and request count —
 see the measured table for the split.
 
+:func:`steady_state_faults` counts the minor page faults
+(``resource.getrusage``) per submit of one long-lived carry-mode engine at
+the ``live-race`` serving shape.  The fused engine keeps its decode
+workspace between submits, so once warm it should fault on almost
+nothing; a change that brings back per-submit scratch shows up there
+first.
+
 Run as a module (``python -m repro.profiling.decode``) to print the table;
 the ``bench-decode`` Makefile target and the CI bench-smoke job do exactly
 that.
@@ -37,7 +44,12 @@ from ..models.deep.rankmodel import RankSeqModel
 from ..serving.engine import FleetForecaster
 from ..serving.requests import ForecastRequest, spawn_request_rngs
 
-__all__ = ["DecodeMeasurement", "decode_breakdown", "DECODE_WORKLOADS"]
+try:
+    import resource
+except ImportError:  # pragma: no cover - not available on Windows
+    resource = None
+
+__all__ = ["DecodeMeasurement", "decode_breakdown", "steady_state_faults", "DECODE_WORKLOADS"]
 
 #: (label, n_requests, n_samples, horizon) — the profiled workload shapes
 DECODE_WORKLOADS: Tuple[Tuple[str, int, int, int], ...] = (
@@ -81,6 +93,18 @@ def _build_workload(n_requests: int, horizon: int, encoder_length: int,
     return targets, covariates
 
 
+def _lap_requests(targets, covariates, origin, encoder_length, future, n_samples, streams):
+    """One request per car at ``origin``, keyed by car for carry mode."""
+    window = slice(origin + 1 - encoder_length, origin + 1)
+    return [
+        ForecastRequest(
+            targets[c][window], covariates[c][window], future,
+            n_samples=n_samples, rng=streams[c], key=c, origin=origin,
+        )
+        for c in range(len(targets))
+    ]
+
+
 def decode_breakdown(
     encoder_length: int = 60,
     hidden_dim: int = 40,
@@ -96,8 +120,11 @@ def decode_breakdown(
 
     Each (workload, decode) pair is timed ``repeats`` times interleaved and
     the median is reported, so slow-host noise cancels out of the ratios.
-    The warm-up column is the same work for both engines (it runs on the
-    shared ``forward_sequence`` path) and is excluded from the speedup.
+    One engine per decode mode serves every repeat after one untimed run,
+    as a server's long-lived engine does, so the fused rows time a warm
+    decode workspace.  The warm-up column is the same work for both
+    engines (it runs on the shared ``forward_sequence`` path) and is
+    excluded from the speedup.
     """
     measurements: List[DecodeMeasurement] = []
     for label, n_requests, n_samples, horizon in workloads or DECODE_WORKLOADS:
@@ -115,31 +142,27 @@ def decode_breakdown(
         )
         origins = [encoder_length + i for i in range(n_origins)]
         future = np.zeros((horizon, num_covariates))
+        engines = {
+            decode: FleetForecaster(model, mode="exact", decode=decode)
+            for decode in ("stepwise", "fused")
+        }
 
         def run(decode: str) -> Tuple[float, float]:
-            engine = FleetForecaster(model, mode="exact", decode=decode)
+            engine = engines[decode]
+            engine.reset_timings()
             streams = spawn_request_rngs(
                 np.random.default_rng(seed + 1), n_requests * n_origins
             )
             for j, origin in enumerate(origins):
-                engine.submit(
-                    [
-                        ForecastRequest(
-                            targets[c][origin + 1 - encoder_length : origin + 1],
-                            covariates[c][origin + 1 - encoder_length : origin + 1],
-                            future,
-                            n_samples=n_samples,
-                            rng=streams[j * n_requests + c],
-                            key=c,
-                            origin=origin,
-                        )
-                        for c in range(n_requests)
-                    ]
-                )
+                engine.submit(_lap_requests(
+                    targets, covariates, origin, encoder_length, future, n_samples,
+                    streams[j * n_requests : (j + 1) * n_requests],
+                ))
             timings = engine.timings
             return timings["warmup_s"], timings["decode_s"]
 
-        run("fused")  # warm the BLAS pools / allocator once
+        for decode in engines:  # warm the BLAS pools and each engine's workspace
+            run(decode)
         samples: Dict[str, List[Tuple[float, float]]] = {"stepwise": [], "fused": []}
         for _ in range(repeats):
             samples["stepwise"].append(run("stepwise"))
@@ -168,6 +191,45 @@ def decode_breakdown(
     return measurements
 
 
+def steady_state_faults(
+    backbone: str = "lstm", warm_laps: int = 3, laps: int = 8, seed: int = 0
+) -> Optional[float]:
+    """Median minor page faults per submit of one warm carry-mode engine.
+
+    Runs the ``live-race`` serving shape (33 cars x 50 samples, 2x40
+    backbone, encoder 30, horizon 2): one long-lived engine forecasts one
+    lap per submit with the origin advancing lap by lap, as a live session
+    does.  After ``warm_laps`` uncounted laps the engine's decode workspace
+    has reached its high-water row count, so the remaining faults are what
+    every further lap pays.  ``None`` where the ``resource`` module is
+    unavailable.
+    """
+    if resource is None:
+        return None
+    n_cars, n_samples, horizon, encoder_length, num_covariates = 33, 50, 2, 30, 9
+    model = RankSeqModel(
+        num_covariates=num_covariates, hidden_dim=40, num_layers=2,
+        encoder_length=encoder_length, decoder_length=horizon, rng=seed, backbone=backbone,
+    )
+    n_origins = warm_laps + laps
+    targets, covariates = _build_workload(
+        n_cars, horizon, encoder_length, num_covariates, n_origins, seed
+    )
+    future = np.zeros((horizon, num_covariates))
+    engine = FleetForecaster(model, mode="carry")
+    streams = spawn_request_rngs(np.random.default_rng(seed + 1), n_cars * n_origins)
+    faults: List[int] = []
+    for j in range(n_origins):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        engine.submit(_lap_requests(
+            targets, covariates, encoder_length + j, encoder_length, future, n_samples,
+            streams[j * n_cars : (j + 1) * n_cars],
+        ))
+        if j >= warm_laps:
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return float(np.median(faults))
+
+
 def _main() -> None:  # pragma: no cover - exercised by the CI bench smoke job
     from .report import write_bench_json
 
@@ -182,6 +244,11 @@ def _main() -> None:  # pragma: no cover - exercised by the CI bench smoke job
             f"{row['workload']:<20}{row['decode']:<10}{row['warmup_ms']:>11.1f}"
             f"{row['decode_ms']:>11.1f}{row['speedup_vs_stepwise']:>9.2f}"
         )
+    live = steady_state_faults()
+    print(
+        "live-race 33x50 h2 carry: minor faults per steady-state submit = "
+        + ("n/a (no resource module)" if live is None else f"{live:.0f}")
+    )
     print(f"wrote {write_bench_json('decode', rows)}")
 
 

@@ -44,8 +44,15 @@ The Monte-Carlo decode loop runs on a fused, allocation-free path
   request and only the head's ``(mu, sigma)`` is repeated over the samples;
 * **fused decode steps** — from lap 2 on, the recurrent stack advances
   through ``step_decode`` (:mod:`repro.nn.recurrent` / :mod:`repro.nn.gru`):
-  permuted contiguous gate blocks, one dense sigmoid pass, and
-  preallocated gate/state/input buffers reused across the horizon;
+  permuted contiguous gate blocks and one dense sigmoid pass;
+* **a workspace that outlives the submit** — the engine owns one decode
+  context per layer plus the sampled-target and step-input rows, grown to
+  the largest decode batch so far (see ``max_batch_rows``).  Each submit runs
+  on leading-row views of them and gathers every request's lap-1 state
+  straight into its sample rows, so a steady stream of submits stops
+  allocating — and page-faulting on — megabytes of fresh scratch per call.
+  Weights are re-read into the workspace on every submit; the returned
+  sample arrays are always freshly allocated, never workspace views;
 * **hoisted covariates** — the later laps' future-covariate rows are
   expanded once into a ``(horizon - 1, total, C)`` tensor instead of an
   ``np.repeat`` per lap.
@@ -53,6 +60,11 @@ The Monte-Carlo decode loop runs on a fused, allocation-free path
 The original per-lap loop is retained as ``decode="stepwise"`` — it is
 the reference the fused path is gated byte-identical against
 (``benchmarks/test_bench_decode.py``, ``tests/serving/test_decode_parity``).
+
+One engine runs one :meth:`FleetForecaster.submit` at a time, since every
+submit shares the workspace: an overlapping call from another thread
+raises ``RuntimeError`` instead of racing on the buffers (the gateway
+already serialises engine work per model).
 
 Because every recurrent matmul goes through
 :func:`repro.nn.inference.stable_matmul`, results are independent of batch
@@ -62,6 +74,7 @@ byte-identical to submitting each request on its own.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -76,11 +89,11 @@ from ..nn.inference import (
 )
 from ..nn.precision import (
     DEFAULT_PRECISION,
+    RowWorkspace,
     assert_dtype,
     compute_dtype,
     convert_module,
     normalize_precision,
-    working_empty,
 )
 from .cache import CachedWarmup, WarmupStateCache
 from .requests import ForecastRequest
@@ -136,7 +149,9 @@ class FleetForecaster:
     max_batch_rows:
         Upper bound on the flattened ``sum(n_samples)`` rows per decode
         batch; larger groups are split (results are unaffected — the
-        kernels are batch-size invariant).
+        kernels are batch-size invariant).  It also bounds the rows of the
+        decode workspace the engine keeps between submits, except that a
+        single request with more samples is decoded whole.
     decode:
         ``"fused"`` (default) runs the block-RNG, allocation-free decode
         engine; ``"stepwise"`` runs the retained per-lap reference loop.
@@ -155,8 +170,9 @@ class FleetForecaster:
         ``benchmarks/test_bench_precision.py``), not byte identity.
         Returned sample arrays are always float64 — the tier changes the
         arithmetic, not the wire/result dtype.  The replica's weights are
-        snapshotted at construction; refitting the model requires a fresh
-        engine (the deep forecasters rebuild their engine caches on fit).
+        snapshotted at construction; changing the weights requires a fresh
+        engine (the deep forecasters drop their engines on ``fit`` and
+        ``fine_tune``).
     """
 
     def __init__(
@@ -209,6 +225,7 @@ class FleetForecaster:
             "decode_steps": 0,
         }
         self._timings: Dict[str, float] = {"warmup_s": 0.0, "decode_s": 0.0}
+        self._submit_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def submit(self, requests: Sequence[ForecastRequest]) -> List[np.ndarray]:
@@ -216,8 +233,21 @@ class FleetForecaster:
 
         Samples are trajectories of the first target dimension on the
         original scale (same contract as ``forecast_samples``), in the
-        order the requests were submitted.
+        order the requests were submitted.  Raises ``RuntimeError`` when
+        another thread is inside ``submit`` on this engine (the decode
+        workspace is shared by every submit).
         """
+        if not self._submit_lock.acquire(blocking=False):
+            raise RuntimeError(
+                "FleetForecaster.submit is already running on this engine; "
+                "one engine serves one submit at a time"
+            )
+        try:
+            return self._submit(requests)
+        finally:
+            self._submit_lock.release()
+
+    def _submit(self, requests: Sequence[ForecastRequest]) -> List[np.ndarray]:
         requests = list(requests)
         if not requests:
             return []
@@ -297,6 +327,13 @@ class _RecurrentBackend:
             raise TypeError(f"recurrent backbone {type(self.model).__name__} has no fused .head")
         self.head = head_inference(
             convert_module(self.model.head, engine.precision), dtype=self.dtype
+        )
+        # the fused decode's workspace, reused by every submit: per-layer
+        # contexts plus the sampled-target and step-input rows
+        self.ctxs = self.stack_module.decode_contexts(dtype=self.dtype)
+        target_dim = self.model.target_dim
+        self.io_rows = RowWorkspace(
+            (target_dim, target_dim + self.model.num_covariates), dtype=self.dtype
         )
 
     # -- validation ----------------------------------------------------
@@ -579,7 +616,7 @@ class _RecurrentBackend:
             # streams identically; only the arithmetic downcasts
             noise = noise.astype(dtype)
         samples = np.empty((total, horizon), dtype=np.float64)
-        z = working_empty((total, target_dim), dtype=dtype)
+        z, x_buf = self.io_rows.take(total)
 
         def mu_sigma(h_t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             if guarded:
@@ -608,12 +645,14 @@ class _RecurrentBackend:
         cov_all = np.ascontiguousarray(
             np.repeat(future[:, 1:, :], counts, axis=0).transpose(1, 0, 2), dtype=dtype
         )
-        ctxs = self.stack_module.begin_decode(tile_states(states, counts), dtype=dtype)
-        x_buf = working_empty((total, x_first.shape[1]), dtype=dtype)
+        # each request's lap-1 state goes straight into its sample rows
+        row_owner = np.repeat(np.arange(len(counts)), counts)
+        for ctx, state in zip(self.ctxs, states):
+            ctx.load(state, rows=row_owner)
         for h in range(1, horizon):
             x_buf[:, :target_dim] = z
             x_buf[:, target_dim:] = cov_all[h - 1]
-            draw(h, *mu_sigma(self.stack_module.step_decode(x_buf, ctxs)))
+            draw(h, *mu_sigma(self.stack_module.step_decode(x_buf, self.ctxs)))
         return samples
 
     def _decode_stepwise(

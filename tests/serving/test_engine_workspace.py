@@ -1,0 +1,170 @@
+"""The fleet engine's decode workspace: reuse across submits and its hazards.
+
+A fused engine keeps one decode workspace (per-layer contexts plus the
+sampled-target and step-input rows) for its whole life.  These tests pin
+the contract that makes the reuse safe: returned samples are fresh arrays,
+weights are re-read on every submit, one submit runs at a time, and deep
+forecasters drop engines whose weights went stale.
+"""
+
+import sys
+import threading
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.data import build_race_features
+from repro.models import DeepARForecaster
+from repro.models.deep.rankmodel import RankSeqModel
+from repro.profiling.decode import steady_state_faults
+from repro.serving import FleetForecaster, ForecastRequest, spawn_request_rngs
+from repro.simulation import RaceSimulator, track_for_year
+
+N_COV = 3
+PRECISIONS = ("float64", "float32", "int8")
+
+
+def make_model(backbone):
+    return RankSeqModel(num_covariates=N_COV, hidden_dim=8, num_layers=2,
+                        encoder_length=12, decoder_length=3, rng=0, backbone=backbone)
+
+
+def make_requests(n_cars, n_samples, seed, horizon=3):
+    rng = np.random.default_rng(100)
+    streams = spawn_request_rngs(np.random.default_rng(seed), n_cars)
+    future = np.zeros((horizon, N_COV))
+    return [
+        ForecastRequest(np.clip(10 + np.cumsum(rng.normal(0, 1, 12)), 1, 33),
+                        rng.normal(size=(12, N_COV)), future,
+                        n_samples=n_samples, rng=stream)
+        for stream in streams
+    ]
+
+
+def workspace_buffers(engine):
+    backend = engine._backend
+    owners = [ctx._rows for ctx in backend.ctxs] + [backend.io_rows]
+    return [buf for owner in owners for buf in owner._buffers]
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("backbone", ["lstm", "gru"])
+def test_held_samples_survive_larger_and_smaller_submits(backbone, precision):
+    engine = FleetForecaster(make_model(backbone), precision=precision)
+    # the first round grows the workspace past submit A's rows; the second
+    # runs every submit on the already-grown buffers
+    for _ in range(2):
+        held = engine.submit(make_requests(3, n_samples=5, seed=1))
+        held_bytes = [a.tobytes() for a in held]
+        engine.submit(make_requests(6, n_samples=9, seed=2))
+        engine.submit(make_requests(2, n_samples=4, seed=3))
+        buffers = workspace_buffers(engine)
+        assert buffers and buffers[0].shape[0] == 6 * 9  # high-water row count
+        for samples, before in zip(held, held_bytes):
+            assert samples.tobytes() == before
+            assert not any(np.shares_memory(samples, buf) for buf in buffers)
+
+
+@pytest.mark.parametrize("backbone", ["lstm", "gru"])
+def test_float64_engine_follows_in_place_weight_updates(backbone):
+    model = make_model(backbone)
+    engine = FleetForecaster(model)
+    engine.submit(make_requests(3, n_samples=5, seed=1))  # fills the workspace
+    for param in model.parameters():
+        param.data *= 1.05  # in place, as an optimiser step does
+    reused = engine.submit(make_requests(3, n_samples=5, seed=4))
+    fresh = FleetForecaster(model).submit(make_requests(3, n_samples=5, seed=4))
+    for a, b in zip(reused, fresh):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_overlapping_submit_raises_instead_of_sharing_the_workspace():
+    engine = FleetForecaster(make_model("lstm"))
+    inside = threading.Barrier(2, timeout=10)
+    release = threading.Event()
+    run_group = engine._backend.run_group
+
+    def held_run_group(requests):
+        inside.wait()  # the first submit is now holding the engine
+        release.wait(timeout=10)
+        return run_group(requests)
+
+    engine._backend.run_group = held_run_group
+    results = []
+    first = threading.Thread(
+        target=lambda: results.append(engine.submit(make_requests(2, 4, seed=1)))
+    )
+    first.start()
+    try:
+        inside.wait()
+        with pytest.raises(RuntimeError, match="one submit at a time"):
+            engine.submit(make_requests(2, 4, seed=2))
+    finally:
+        release.set()
+        first.join(timeout=10)
+    assert not first.is_alive()
+    assert len(results) == 1 and len(results[0]) == 2
+    engine._backend.run_group = run_group
+    assert len(engine.submit(make_requests(2, 4, seed=3))) == 2  # lock released
+
+
+def test_concurrent_submits_either_run_whole_or_are_refused():
+    engine = FleetForecaster(make_model("lstm"))
+    expected = [a.tobytes() for a in engine.submit(make_requests(4, 6, seed=1))]
+    outcomes = []
+
+    def hammer():
+        for _ in range(20):
+            try:
+                got = engine.submit(make_requests(4, 6, seed=1))
+            except RuntimeError:
+                outcomes.append("refused")
+            else:
+                outcomes.append([a.tobytes() for a in got] == expected)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(outcomes) == 80 and False not in outcomes
+
+
+def test_fine_tune_drops_engines_so_every_tier_serves_the_new_weights():
+    track = replace(track_for_year("Indy500", 2018), total_laps=60, num_cars=8)
+    series = build_race_features(RaceSimulator(track, event="Indy500", year=2019, seed=3).run())
+    forecaster = DeepARForecaster(
+        seed=5, encoder_length=12, decoder_length=2, hidden_dim=8, num_layers=1,
+        epochs=1, batch_size=32, max_train_windows=200,
+    ).fit(series[:4])
+
+    def request(seed):
+        return forecaster._fleet_request(
+            series[0], 20, forecaster._future_covariates(series[0], 20, 2), 16,
+            np.random.default_rng(seed), key=("car", 0),
+        )
+
+    for precision in PRECISIONS:  # build (and convert) every tier's replica
+        forecaster.fleet_engine(precision=precision).submit([request(1)])
+        forecaster.model.fleet_engine(precision=precision).submit([request(1)])
+    forecaster.fine_tune(series[4:6], epochs=1, lr=1e-2)
+    for precision in PRECISIONS:
+        for engine in (forecaster.fleet_engine(precision=precision),
+                       forecaster.model.fleet_engine(precision=precision)):
+            fresh = FleetForecaster(forecaster.model, mode=engine.mode, precision=precision)
+            got = engine.submit([request(2)])[0]
+            assert got.tobytes() == fresh.submit([request(2)])[0].tobytes(), precision
+
+
+def test_live_race_submits_stop_faulting_once_the_workspace_is_warm():
+    pytest.importorskip("resource")
+    # the live-race shape: 33 cars x 50 samples, 2x40 LSTM, carry, horizon 2;
+    # ~4,500 faults per submit when every submit allocated fresh scratch
+    assert steady_state_faults() <= 200
