@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: help test test-fast lint format bench-smoke bench bench-train bench-decode bench-precision bench-serve bench-scenarios bench-learn bench-chaos chaos chaos-workers scenarios docs-check smoke-artifacts smoke-serve smoke-learn clean
+.PHONY: help test test-fast lint format bench-smoke bench bench-train bench-decode bench-precision bench-serve bench-scenarios bench-learn bench-pairs bench-chaos chaos chaos-workers scenarios docs-check smoke-artifacts smoke-serve smoke-learn clean
 
 help:
 	@echo "Targets:"
@@ -20,6 +20,8 @@ help:
 	@echo "  bench-serve     serving-gateway overhead/isolation benchmark"
 	@echo "  bench-scenarios scenario-engine throughput profile"
 	@echo "  bench-learn     continuous-learning loop stage timings"
+	@echo "  bench-pairs     alternated perfbench runs of PARENT and this tree, judged by bench_compare"
+	@echo "                  (PARENT=<parent checkout> WORKLOAD=forecast-gateway PAIRS=5 SECONDS=10)"
 	@echo "  chaos           serving chaos gates: retries, SIGKILL+journal recovery, overload"
 	@echo "  chaos-workers   worker-pool chaos gates: replica kill failover, hang detection"
 	@echo "  scenarios       validate the shipped what-if workload matrix"
@@ -62,6 +64,29 @@ bench-scenarios:
 
 bench-learn:
 	$(PYTHON) -m repro.profiling.learning
+
+# A/B of this tree against PARENT (a checkout of the parent commit): per
+# seed 1..PAIRS, one perfbench run of each side, the side that runs first
+# alternating by seed, each from its own source tree (PYTHONPATH cleared);
+# the last stdout line of every run goes to parent.jsonl / change.jsonl in
+# a temp dir outside the tree, then tools/bench_compare.py judges the pairs
+PAIRS ?= 5
+SECONDS ?= 10
+WORKLOAD ?= forecast-gateway
+
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "bench-pairs: set PARENT=<checkout of the parent commit>" >&2; exit 2; }
+	@out=$$(mktemp -d); echo "bench-pairs: runs in $$out"; \
+	for seed in $$(seq 1 $(PAIRS)); do \
+		if [ $$((seed % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi; \
+		for side in $$order; do \
+			if [ $$side = parent ]; then root="$(PARENT)"; else root="$(CURDIR)"; fi; \
+			PYTHONPATH= $(PYTHON) "$$root/perfbench/run.py" --workload $(WORKLOAD) \
+				--seed $$seed --seconds $(SECONDS) > "$$out/run.txt" || exit 1; \
+			tail -n 1 "$$out/run.txt" >> "$$out/$$side.jsonl"; \
+		done; \
+	done; \
+	$(PYTHON) tools/bench_compare.py "$$out/parent.jsonl" "$$out/change.jsonl"
 
 # run the shipped what-if workload matrix in-process (results under
 # benchmarks/results/scenarios/); forecast scoring needs --store

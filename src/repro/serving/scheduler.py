@@ -4,9 +4,20 @@ The fleet engine's throughput comes from batching: one recurrent step
 advances every Monte-Carlo trajectory of every request in a group.  A
 process boundary would forfeit that — each HTTP connection would submit a
 one-request batch.  The :class:`MicroBatchScheduler` restores it: requests
-arriving from *concurrent* connections are collected for a short window
+arriving from *concurrent* connections are collected for a short hold
 (or until a batch fills) and submitted to the service as one mixed-model
 batch, so simultaneous clients share per-model engine passes.
+
+The hold adapts (the adaptive batching of Clipper, Crankshaw et al.,
+NSDI 2017): it starts at ``window``, halves after every flush whose
+batch came from a single call, and snaps to 0 once below ``window / 64``
+— a lone client stops paying for a wait nobody joins.  A flush that
+coalesced two or more calls puts the hold back to ``window``, and so
+does a call enqueued while the engine runs: a lone closed-loop client
+never does that (it is waiting for its own result), so it is the sign of
+a second caller.  Without it, two alternating clients at hold 0 would
+each be flushed alone while the other's batch runs, forever.  At hold 0
+the worker flushes as soon as it wakes.
 
 Correctness rests on the engine's batch invariance: every request carries
 its own RNG stream (the wire protocol requires it) and all recurrent
@@ -23,6 +34,7 @@ outcomes (:meth:`MicroBatchScheduler.submit_settled`).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -62,12 +74,16 @@ class MicroBatchScheduler:
         scheduler's worker thread only, so the service itself never sees
         concurrent submits.
     window:
-        Seconds to hold a batch open after its first request arrives,
-        waiting for other clients to join.  ``0.0`` still coalesces
-        whatever has accumulated by the time the worker wakes.
+        Ceiling, in seconds, of the adaptive hold: how long a batch stays
+        open after its first request arrives, waiting for other clients
+        to join (module docstring).  ``0.0`` still coalesces whatever has
+        accumulated by the time the worker wakes.
     max_batch:
         Flush immediately once this many requests are pending.
     """
+
+    #: :attr:`stats` keys that are gauges (aggregate by max); the rest count
+    GAUGES = ("max_batch_requests", "hold_us")
 
     def __init__(
         self,
@@ -75,16 +91,18 @@ class MicroBatchScheduler:
         window: float = 0.005,
         max_batch: int = 64,
     ) -> None:
-        if window < 0:
-            raise ValueError("window must be >= 0 seconds")
+        if not (math.isfinite(window) and window >= 0):
+            raise ValueError(f"window must be a finite number >= 0 seconds, got {window!r}")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.submit_fn = submit_fn
         self.window = float(window)
         self.max_batch = int(max_batch)
+        self._hold = self.window
         self._cond = threading.Condition()
         self._pending: List[_Pending] = []
         self._opened_at: Optional[float] = None
+        self._running = False  # a taken batch is in submit_fn
         self._closed = False
         self._call_counter = 0
         self._stats: Dict[str, int] = {
@@ -94,6 +112,8 @@ class MicroBatchScheduler:
             "max_batch_requests": 0,
             "flush_full": 0,
             "flush_window": 0,
+            "flush_immediate": 0,
+            "flush_close": 0,
             "isolated_retries": 0,
         }
         self._worker = threading.Thread(
@@ -137,6 +157,8 @@ class MicroBatchScheduler:
                 raise RuntimeError("scheduler is closed")
             self._call_counter += 1
             entries = [_Pending(request, self._call_counter) for request in requests]
+            if self._running:
+                self._hold = self.window  # queued behind an engine pass
             if not self._pending:
                 self._opened_at = time.monotonic()
             self._pending.extend(entries)
@@ -157,26 +179,43 @@ class MicroBatchScheduler:
     # worker side
     # ------------------------------------------------------------------
     def _take_batch(self) -> Optional[List[_Pending]]:
-        """Block until a batch is due (window elapsed / full / closing)."""
+        """Block until a batch is due (hold elapsed / full / closing)."""
         with self._cond:
             while True:
                 if self._pending:
                     if len(self._pending) >= self.max_batch:
-                        self._stats["flush_full"] += 1
-                        break
-                    elapsed = time.monotonic() - (self._opened_at or 0.0)
-                    remaining = self.window - elapsed
-                    if remaining <= 0 or self._closed:
-                        self._stats["flush_window"] += 1
-                        break
-                    self._cond.wait(timeout=remaining)
-                elif self._closed:
+                        reason = "flush_full"
+                    elif self._closed:
+                        reason = "flush_close"
+                    elif self._hold == 0:
+                        reason = "flush_immediate"
+                    else:
+                        remaining = self._hold - (time.monotonic() - self._opened_at)
+                        if remaining > 0:
+                            self._cond.wait(timeout=remaining)
+                            continue
+                        reason = "flush_window"
+                    break
+                if self._closed:
                     return None
-                else:
-                    self._cond.wait()
+                self._cond.wait()
             batch = self._pending[: self.max_batch]
             del self._pending[: self.max_batch]
             self._opened_at = time.monotonic() if self._pending else None
+            coalesced = len({entry.call_id for entry in batch}) > 1
+            if coalesced:
+                self._hold = self.window
+            else:
+                self._hold /= 2
+                if self._hold < self.window / 64:
+                    self._hold = 0.0
+            self._stats[reason] += 1
+            self._stats["batches"] += 1
+            self._stats["coalesced_batches"] += coalesced
+            self._stats["max_batch_requests"] = max(
+                self._stats["max_batch_requests"], len(batch)
+            )
+            self._running = True
             return batch
 
     def _run(self) -> None:
@@ -184,12 +223,6 @@ class MicroBatchScheduler:
             batch = self._take_batch()
             if batch is None:
                 return
-            self._stats["batches"] += 1
-            self._stats["max_batch_requests"] = max(
-                self._stats["max_batch_requests"], len(batch)
-            )
-            if len({entry.call_id for entry in batch}) > 1:
-                self._stats["coalesced_batches"] += 1
             # snapshot every request's RNG state: a failing batch may have
             # consumed some streams before raising (the per-model engine
             # passes run sequentially), and a retry must replay the exact
@@ -201,30 +234,38 @@ class MicroBatchScheduler:
                 for entry in batch
             ]
             try:
-                results = self.submit_fn([entry.request for entry in batch])
+                outcomes = self.submit_fn([entry.request for entry in batch])
             except Exception:
                 # the coalesced batch failed as a whole — isolate: one bad
                 # request (unknown model, a shape mismatch) must not poison
                 # its batch-mates; restoring the snapshots keeps the retried
                 # results bitwise equal to direct submission
-                self._stats["isolated_retries"] += len(batch)
+                with self._cond:
+                    self._stats["isolated_retries"] += len(batch)
                 for entry, state in zip(batch, rng_states):
                     if state is not None:
                         entry.request.request.rng.bit_generator.state = state
+                outcomes = []
                 for entry in batch:
                     try:
-                        entry.settle(result=self.submit_fn([entry.request])[0])
+                        outcomes.append(self.submit_fn([entry.request])[0])
                     except Exception as exc:
-                        entry.settle(error=exc)
-            else:
-                for entry, samples in zip(batch, results):
-                    entry.settle(result=samples)
+                        outcomes.append(exc)
+            # before settling: a caller's next call, made on its own
+            # result, must not look like one queued behind this pass
+            with self._cond:
+                self._running = False
+            for entry, outcome in zip(batch, outcomes):
+                if isinstance(outcome, Exception):
+                    entry.settle(error=outcome)
+                else:
+                    entry.settle(result=outcome)
 
     # ------------------------------------------------------------------
     @property
     def stats(self) -> Dict[str, int]:
         with self._cond:
-            return dict(self._stats)
+            return dict(self._stats, hold_us=round(self._hold * 1e6))
 
     def close(self, timeout: float = 5.0) -> None:
         """Flush what is pending, stop the worker, reject further submits."""

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import signal
@@ -97,7 +98,7 @@ CONFIG_KEYS = {
     "mode": "fleet engine warm-up mode for /v1/forecast: exact|carry (default exact)",
     "verify": "checksum artifacts on load (default true)",
     "preload": "model names to load at startup (default [])",
-    "batch_window_ms": "micro-batch collection window in milliseconds (default 5.0)",
+    "batch_window_ms": "ceiling in ms of the adaptive micro-batch hold, shrunk while no caller joins (default 5.0)",
     "max_batch": "micro-batch flush size (default 64)",
     "max_sessions": "max concurrently open live sessions (default 32)",
     "max_inflight": "admission bound on concurrently admitted work requests (default 32)",
@@ -115,6 +116,14 @@ CONFIG_KEYS = {
     "heartbeat_interval_s": "worker heartbeat ping period in seconds (default 0.25)",
     "heartbeat_timeout_s": "missed-heartbeat deadline before a worker counts as hung (default 2.0)",
 }
+
+
+def _finite(name: str, value) -> float:
+    """``float(value)``, refusing NaN and infinities (JSON parses both)."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 @dataclass
@@ -154,28 +163,28 @@ class ServerConfig:
         self.mode = str(self.mode)
         self.verify = bool(self.verify)
         self.preload = [str(name) for name in self.preload]
-        self.batch_window_ms = float(self.batch_window_ms)
+        self.batch_window_ms = _finite("batch_window_ms", self.batch_window_ms)
         self.max_batch = int(self.max_batch)
         self.max_sessions = int(self.max_sessions)
         self.max_inflight = int(self.max_inflight)
         if self.request_deadline_ms is not None:
-            self.request_deadline_ms = float(self.request_deadline_ms)
+            self.request_deadline_ms = _finite("request_deadline_ms", self.request_deadline_ms)
             if self.request_deadline_ms <= 0:
                 raise ValueError("request_deadline_ms must be > 0 when set")
         self.breaker_threshold = int(self.breaker_threshold)
-        self.breaker_cooldown_s = float(self.breaker_cooldown_s)
+        self.breaker_cooldown_s = _finite("breaker_cooldown_s", self.breaker_cooldown_s)
         self.journal = bool(self.journal)
         if self.journal_compact_laps is not None:
             self.journal_compact_laps = int(self.journal_compact_laps)
             if self.journal_compact_laps < 1:
                 raise ValueError("journal_compact_laps must be >= 1 when set")
-        self.drain_grace_s = float(self.drain_grace_s)
+        self.drain_grace_s = _finite("drain_grace_s", self.drain_grace_s)
         self.workers = bool(self.workers)
         self.worker_queue = int(self.worker_queue)
         self.worker_restart_budget = int(self.worker_restart_budget)
-        self.worker_backoff_s = float(self.worker_backoff_s)
-        self.heartbeat_interval_s = float(self.heartbeat_interval_s)
-        self.heartbeat_timeout_s = float(self.heartbeat_timeout_s)
+        self.worker_backoff_s = _finite("worker_backoff_s", self.worker_backoff_s)
+        self.heartbeat_interval_s = _finite("heartbeat_interval_s", self.heartbeat_interval_s)
+        self.heartbeat_timeout_s = _finite("heartbeat_timeout_s", self.heartbeat_timeout_s)
         if self.worker_queue < 1:
             raise ValueError("worker_queue must be >= 1")
         if self.worker_restart_budget < 1:
@@ -347,13 +356,17 @@ class ForecastGateway:
             return scheduler
 
     def scheduler_stats(self) -> Dict[str, int]:
-        """Micro-batch counters summed over the per-model schedulers."""
+        """Micro-batch stats over the per-model schedulers: counters are
+        summed, ``MicroBatchScheduler.GAUGES`` take the max."""
         with self._meta_lock:
             schedulers = list(self._schedulers.values())
         totals: Dict[str, int] = {}
         for scheduler in schedulers:
             for key, value in scheduler.stats.items():
-                totals[key] = totals.get(key, 0) + value
+                if key in MicroBatchScheduler.GAUGES:
+                    totals[key] = max(totals.get(key, 0), value)
+                else:
+                    totals[key] = totals.get(key, 0) + value
         return totals
 
     def submit_settled(self, requests):
@@ -694,6 +707,7 @@ class ForecastGateway:
             workers=workers,
             worker_pool=worker_pool,
             idempotency=self.idempotency.stats,
+            scheduler=self.scheduler_stats(),
             sessions_recovered=self.sessions_recovered,
             recovery_errors=list(self.recovery_errors),
         )

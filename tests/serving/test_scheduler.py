@@ -2,6 +2,7 @@
 
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -174,3 +175,116 @@ def test_parameter_validation(store):
         MicroBatchScheduler(service.submit, window=-1.0)
     with pytest.raises(ValueError):
         MicroBatchScheduler(service.submit, max_batch=0)
+    # NaN would spin the worker on zero-length waits, inf would kill it
+    for window in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="window"):
+            MicroBatchScheduler(service.submit, window=window)
+
+
+# ----------------------------------------------------------------------
+# adaptive hold (no engine: a stub submit_fn keeps these fast and exact)
+# ----------------------------------------------------------------------
+WINDOW = 0.0064  # 6400 us: halving is exact down to window / 64 = 100 us
+
+
+def _stub(n=1):
+    return [SimpleNamespace(request=SimpleNamespace(rng=None)) for _ in range(n)]
+
+
+def _echo(requests):
+    return [np.zeros(1) for _ in requests]
+
+
+def test_lone_caller_halves_the_hold_down_to_zero():
+    with MicroBatchScheduler(_echo, window=WINDOW) as scheduler:
+        assert scheduler.stats["hold_us"] == 6400  # a new scheduler starts at the ceiling
+        holds = []
+        for _ in range(8):
+            scheduler.submit(_stub())
+            holds.append(scheduler.stats["hold_us"])
+        stats = scheduler.stats
+    # halves per one-caller flush; snaps to 0 once below window / 64
+    assert holds == [3200, 1600, 800, 400, 200, 100, 0, 0]
+    assert stats["flush_window"] == 7  # every flush but the last was held
+    assert stats["flush_immediate"] == 1
+    assert stats["coalesced_batches"] == 0
+
+
+def test_coalesced_batch_restores_the_ceiling():
+    entered, release = threading.Event(), threading.Event()
+    blocking = {"on": False}
+
+    def submit_fn(requests):
+        if blocking["on"]:
+            blocking["on"] = False
+            entered.set()
+            release.wait(timeout=30)
+        return _echo(requests)
+
+    with MicroBatchScheduler(submit_fn, window=WINDOW) as scheduler:
+        while scheduler.stats["hold_us"] > 0:
+            scheduler.submit(_stub())
+        blocking["on"] = True
+        first = scheduler.enqueue(_stub())  # flushed at once, then blocks the worker
+        assert entered.wait(timeout=30)
+        held = scheduler.stats["flush_window"]
+        # two more calls arrive while the engine runs: they share the next batch
+        joined = scheduler.enqueue(_stub(2)) + scheduler.enqueue(_stub())
+        release.set()
+        outcomes = scheduler.collect(first + joined)
+        stats = scheduler.stats
+    assert all(isinstance(outcome, np.ndarray) for outcome in outcomes)
+    assert stats["coalesced_batches"] == 1
+    assert stats["max_batch_requests"] == 3
+    assert stats["flush_immediate"] == 1  # the lone batch
+    assert stats["flush_window"] == held + 1  # the coalesced one, held at the ceiling
+    assert stats["hold_us"] == 6400  # back at the ceiling
+
+
+def test_caller_queued_behind_an_engine_pass_restores_the_ceiling():
+    # two alternating closed-loop callers A and B: B enqueues while A's lone
+    # batch runs, so A's next call must join B's batch rather than the two
+    # taking turns with one-call batches at hold 0
+    window = 0.32  # halving is exact down to window / 64 = 5000 us
+    entered, release = threading.Event(), threading.Event()
+    blocking = {"on": False}
+    batches = []
+
+    def submit_fn(requests):
+        batches.append(len(requests))
+        if blocking["on"]:
+            blocking["on"] = False
+            entered.set()
+            release.wait(timeout=30)
+        return _echo(requests)
+
+    # max_batch=2: the shared batch flushes as soon as A joins B
+    with MicroBatchScheduler(submit_fn, window=window, max_batch=2) as scheduler:
+        while scheduler.stats["hold_us"] > 0:
+            scheduler.submit(_stub())
+        blocking["on"] = True
+        del batches[:]
+        a_first = scheduler.enqueue(_stub())  # A alone, flushed at once
+        assert entered.wait(timeout=30)
+        b = scheduler.enqueue(_stub())  # B, queued behind A's pass
+        assert scheduler.stats["hold_us"] == 320000
+        release.set()
+        assert isinstance(scheduler.collect(a_first)[0], np.ndarray)
+        a_next = scheduler.enqueue(_stub())  # A again, on its own result
+        outcomes = scheduler.collect(b + a_next)
+        stats = scheduler.stats
+    assert all(isinstance(outcome, np.ndarray) for outcome in outcomes)
+    assert batches == [1, 2]
+    assert stats["coalesced_batches"] == 1
+    assert stats["flush_full"] == 1
+    assert stats["hold_us"] == 320000
+
+
+def test_close_flushes_a_held_batch_as_a_close_flush():
+    scheduler = MicroBatchScheduler(_echo, window=60.0)
+    entries = scheduler.enqueue(_stub(2))
+    scheduler.close()
+    assert all(isinstance(outcome, np.ndarray) for outcome in scheduler.collect(entries))
+    stats = scheduler.stats
+    assert stats["flush_close"] == 1
+    assert stats["flush_window"] == stats["flush_immediate"] == stats["flush_full"] == 0

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from repro.artifacts import ArtifactStore
 from repro.data import build_race_features
 from repro.models import CurRankForecaster, DeepARForecaster, RankNetForecaster
 from repro.serving import ForecastClient, ForecastService, ServerError
-from repro.serving.server import ForecastServer, ServerConfig
+from repro.serving.server import ForecastGateway, ForecastServer, ServerConfig
 from repro.simulation import LiveRaceForecaster, RaceSimulator, track_for_year
 from repro.strategy import PitStrategyOptimizer
 
@@ -154,6 +155,47 @@ def test_concurrent_clients_through_the_scheduler_stay_byte_identical(
     for client_id in range(4):
         for got, expected in zip(results[client_id], reference[client_id]):
             np.testing.assert_array_equal(got, expected)
+
+
+def test_scheduler_stats_sum_counters_but_take_the_max_of_gauges(store_root, tiny_series):
+    series = tiny_series[0]
+    gateway = ForecastGateway(ServerConfig(store=store_root, capacity=3, batch_window_ms=2.0))
+    try:
+        deepar = gateway.service.load("deepar").forecaster
+        oracle = gateway.service.load("oracle").forecaster
+        gateway.submit_settled([_named(deepar, series, 20, s) for s in range(3)])
+        gateway.submit_settled([_named(deepar, series, 21, 3)])
+        gateway.submit_settled([_named(oracle, series, 20, s, model="oracle") for s in range(2)])
+        per_model = {name: s.stats for name, s in gateway._schedulers.items()}
+        stats = gateway.scheduler_stats()
+    finally:
+        gateway.close()
+    assert [per_model[m]["max_batch_requests"] for m in ("deepar", "oracle")] == [3, 2]
+    assert [per_model[m]["hold_us"] for m in ("deepar", "oracle")] == [500, 1000]
+    assert stats["max_batch_requests"] == 3
+    assert stats["hold_us"] == 1000
+    assert stats["requests"] == 6 and stats["batches"] == 3
+
+
+def test_lone_forecast_stops_paying_the_window_once_the_hold_decays(store_root, tiny_series):
+    series = tiny_series[0]
+    config = ServerConfig(store=store_root, port=0, preload=["deepar"], batch_window_ms=500.0)
+    with ForecastServer(config) as running:
+        client = ForecastClient(port=running.port)
+        forecaster = running.gateway.service.load("deepar").forecaster
+        assert client.health()["scheduler"] == {}  # no forecast yet, no scheduler
+        for seed in range(10):  # 500 ms halves to 0 after 7 lone flushes
+            client.forecast([_named(forecaster, series, 20, seed)])
+            if client.health()["scheduler"]["hold_us"] == 0:
+                break
+        started = time.perf_counter()
+        client.forecast([_named(forecaster, series, 20, 99)])
+        elapsed = time.perf_counter() - started
+        scheduler = client.health()["scheduler"]
+    assert elapsed < 0.25, elapsed
+    assert scheduler["hold_us"] == 0
+    assert scheduler["flush_window"] == 7
+    assert scheduler["flush_immediate"] == 1
 
 
 def test_per_request_errors_do_not_poison_the_batch(client, server, tiny_series):
@@ -345,3 +387,25 @@ def test_config_file_with_bad_json_or_negative_window(tmp_path):
         ServerConfig.from_file(str(path))
     with pytest.raises(ValueError, match="batch_window_ms"):
         ServerConfig.from_dict({"store": "x", "batch_window_ms": -1})
+    path.write_text('{"store": "x", "batch_window_ms": NaN}')  # valid to json.load
+    with pytest.raises(ValueError, match="batch_window_ms must be a finite number"):
+        ServerConfig.from_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "batch_window_ms",
+        "request_deadline_ms",
+        "breaker_cooldown_s",
+        "drain_grace_s",
+        "worker_backoff_s",
+        "heartbeat_interval_s",
+        "heartbeat_timeout_s",
+    ],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_non_finite_durations(field, value):
+    # json.load parses NaN / Infinity, and both slip past a ``< 0`` check
+    with pytest.raises(ValueError, match=field):
+        ServerConfig.from_dict({"store": "x", field: value})
