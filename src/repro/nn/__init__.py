@@ -41,12 +41,9 @@ from .gradcheck import check_parameter_gradients, numerical_gradient, relative_e
 from .gru import GRUCell, StackedGRU
 from .inference import (
     GaussianHeadInference,
-    GRUStackInference,
-    LSTMStackInference,
     MultiGaussianHeadInference,
-    concat_states,
+    StackInference,
     head_inference,
-    recurrent_inference,
     slice_states,
     stable_matmul,
     tile_states,
@@ -102,12 +99,9 @@ __all__ = [
     "GRUCell",
     "StackedGRU",
     "GaussianHeadInference",
-    "GRUStackInference",
-    "LSTMStackInference",
     "MultiGaussianHeadInference",
-    "concat_states",
+    "StackInference",
     "head_inference",
-    "recurrent_inference",
     "slice_states",
     "stable_matmul",
     "tile_states",

@@ -13,8 +13,9 @@ and exposes the same step / step-backward API as
 :class:`repro.nn.recurrent.LSTMCell`, so the two backbones are
 interchangeable inside unrolled models.  Like the LSTM, the GRU also
 provides the fused full-sequence ``forward_sequence`` /
-``backward_sequence`` path used by teacher-forced training and the
-serving warm-up (see :mod:`repro.nn.recurrent`).
+``backward_sequence`` path used by teacher-forced training, and the
+``step_decode`` / ``sequence_decode`` inference kernel the serving engine
+runs (see :mod:`repro.nn.recurrent`).
 """
 
 from __future__ import annotations
@@ -34,19 +35,23 @@ __all__ = ["GRUCell", "GRUDecodeContext", "StackedGRU"]
 
 
 class GRUDecodeContext:
-    """Reusable workspace for one GRU cell's decode loop.
+    """Reusable workspace for one GRU cell's inference kernel.
 
     The GRU's fused gate matrices are already laid out ``[reset, update]``
     — both sigmoid gates contiguous — so unlike the LSTM no column
     permutation (and no weight copy) is needed: :meth:`GRUCell.step_decode`
     reads the cell's current weights directly.  The context owns the
-    running hidden state and the per-step scratch tensors; like
+    running hidden state, the per-step scratch tensors and the
+    ``(B*T)``-row buffers of :meth:`GRUCell.sequence_decode`; like
     :class:`~repro.nn.recurrent.LSTMDecodeContext`, :meth:`load` starts a
-    session on the leading rows of those buffers, and the row attributes
-    are ``[:rows]`` views valid until the next :meth:`load`.
+    session on the leading rows of those buffers, the row attributes are
+    ``[:rows]`` views valid until the next :meth:`load`, and :meth:`state`
+    copies the state out.
     """
 
-    __slots__ = ("dtype", "_rows", "h", "gates", "hw", "h_proj", "n", "t1", "t2", "sg_scratch")
+    __slots__ = (
+        "dtype", "_rows", "_seq_rows", "h", "gates", "hw", "h_proj", "n", "t1", "t2", "sg_scratch",
+    )
 
     def __init__(self, cell: "GRUCell", dtype=np.float64) -> None:
         self.dtype = np.dtype(dtype)
@@ -55,6 +60,8 @@ class GRUDecodeContext:
         self._rows = RowWorkspace(
             (hd, 2 * hd, 2 * hd, hd, hd, hd, hd, 2 * hd, 2 * hd), dtype=self.dtype
         )
+        # sequence_decode's gate and candidate input projections and outputs
+        self._seq_rows = RowWorkspace((2 * hd, hd, hd), dtype=self.dtype)
 
     def load(self, h0: np.ndarray, rows: Optional[np.ndarray] = None) -> "GRUDecodeContext":
         """Start a session from ``h0`` (its rows ``rows``, if given)."""
@@ -64,6 +71,10 @@ class GRUDecodeContext:
         self.sg_scratch = (sg_a, sg_b)
         _load_rows(self.h, h0, rows)
         return self
+
+    def state(self) -> np.ndarray:
+        """A fresh copy of the running hidden state."""
+        return self.h.copy()
 
 
 class GRUCell(Module):
@@ -159,32 +170,55 @@ class GRUCell(Module):
         self._cache.clear()
         self._seq_cache.clear()
 
-    # fused decode path -------------------------------------------------
-    def begin_decode(self, h0: np.ndarray, dtype=np.float64) -> GRUDecodeContext:
-        """Allocate a decode context and load ``h0`` into it (see
-        :meth:`repro.nn.recurrent.LSTMCell.begin_decode`)."""
-        return GRUDecodeContext(self, dtype=dtype).load(h0)
-
+    # inference kernel --------------------------------------------------
     def step_decode(self, x: np.ndarray, ctx: GRUDecodeContext) -> np.ndarray:
-        """One decode step, byte-identical to the serving ``step`` kernel.
+        """One inference step on the session loaded into ``ctx``.
 
-        Same ``stable_matmul`` products and operand order as
-        :class:`repro.nn.inference.GRUStackInference.step`, with both
-        sigmoid gates evaluated by a single :func:`sigmoid_dense` pass over
-        the contiguous ``[r, u]`` block and every intermediate written into
-        the context buffers.  The returned hidden state is a view of the
-        context's ``h`` buffer (valid until the next step).
+        Byte-identical to the masked-sigmoid reference step
+        (``tests/reference/recurrent.py``): the same ``stable_matmul``
+        products and operand order, with both sigmoid gates evaluated by a
+        single :func:`sigmoid_dense` pass over the contiguous ``[r, u]``
+        block and every intermediate written into the context buffers.  The
+        returned hidden state is a view of the context's ``h`` buffer (valid
+        until the next step).
         """
+        stable_matmul(x, self.w_x_gates.data, out=ctx.gates)
+        stable_matmul(x, self.w_x_cand.data, out=ctx.n)
+        return self._decode_tail(ctx)
+
+    def sequence_decode(self, x: np.ndarray, ctx: GRUDecodeContext) -> np.ndarray:
+        """Run a known ``(B, T, input_dim)`` sequence from the loaded state.
+
+        Both input projections of all ``T`` steps run as one
+        ``stable_matmul`` each; every step then copies its rows into
+        ``ctx.gates``/``ctx.n`` and runs :meth:`step_decode`'s recurrent
+        tail (see :meth:`repro.nn.recurrent.LSTMCell.sequence_decode`).
+        """
+        batch, steps, width = x.shape
+        flat = x.reshape(batch * steps, width)
+        proj_gates, proj_cand, out = ctx._seq_rows.take(batch * steps)
+        stable_matmul(flat, self.w_x_gates.data, out=proj_gates)
+        stable_matmul(flat, self.w_x_cand.data, out=proj_cand)
+        proj_gates, proj_cand, out = (
+            a.reshape(batch, steps, a.shape[1]) for a in (proj_gates, proj_cand, out)
+        )
+        for t in range(steps):
+            ctx.gates[...] = proj_gates[:, t]
+            ctx.n[...] = proj_cand[:, t]
+            out[:, t] = self._decode_tail(ctx)
+        return out
+
+    def _decode_tail(self, ctx: GRUDecodeContext) -> np.ndarray:
+        """The recurrent half of a step, given the gate and candidate input
+        projections in ``ctx.gates`` and ``ctx.n``; updates ``h`` in place."""
         hd = self.hidden_dim
         gates = ctx.gates
-        stable_matmul(x, self.w_x_gates.data, out=gates)
         stable_matmul(ctx.h, self.w_h_gates.data, out=ctx.hw)
         gates += ctx.hw
         gates += self.b_gates.data
         sigmoid_dense(gates, out=gates, scratch=ctx.sg_scratch)
         stable_matmul(ctx.h, self.w_h_cand.data, out=ctx.h_proj)
         # n = tanh(x @ w_x_cand + r * h_proj + b_cand) — identical order
-        stable_matmul(x, self.w_x_cand.data, out=ctx.n)
         np.multiply(gates[:, :hd], ctx.h_proj, out=ctx.t1)
         ctx.n += ctx.t1
         ctx.n += self.b_cand.data
@@ -357,10 +391,9 @@ class GRUCell(Module):
 class StackedGRU(Module):
     """A stack of GRU layers with the same step API as :class:`StackedLSTM`.
 
-    States are per-layer hidden vectors (no cell state); to stay drop-in
-    compatible with code written for the LSTM stack, ``step`` accepts and
-    returns a list of ``(h, h)`` pairs when ``lstm_compatible_states`` is
-    enabled.
+    States are per-layer hidden vectors (no cell state): ``step`` and the
+    sequence paths take and return a list of ``(B, H)`` arrays where the
+    LSTM stack uses ``(h, c)`` pairs.
     """
 
     def __init__(
@@ -433,52 +466,6 @@ class StackedGRU(Module):
         if packed.shape[2] != self.hidden_dim:
             raise ValueError(f"hidden dim mismatch: {packed.shape[2]} != {self.hidden_dim}")
         return [packed[layer].copy() for layer in range(self.num_layers)]
-
-    # ------------------------------------------------------------------
-    # fused decode path (mirrors ``StackedLSTM``)
-    # ------------------------------------------------------------------
-    def decode_contexts(self, dtype=np.float64) -> List[GRUDecodeContext]:
-        """Empty per-layer decode contexts, to be reused across sessions."""
-        return [GRUDecodeContext(cell, dtype=dtype) for cell in self.cells]
-
-    def begin_decode(
-        self, states: Sequence[np.ndarray], dtype=np.float64
-    ) -> List[GRUDecodeContext]:
-        """Allocate per-layer decode contexts and load ``states`` into them."""
-        if len(states) != self.num_layers:
-            raise ValueError(f"expected {self.num_layers} states, got {len(states)}")
-        return [ctx.load(h) for ctx, h in zip(self.decode_contexts(dtype), states)]
-
-    def step_decode(
-        self, x: np.ndarray, ctxs: Sequence[GRUDecodeContext]
-    ) -> np.ndarray:
-        """Advance the whole stack by one decode step (allocation-free).
-
-        Byte-identical to ``GRUStackInference.step``; the returned hidden
-        state is a view of the last context's buffer.
-        """
-        h = x
-        for cell, ctx in zip(self.cells, ctxs):
-            h = cell.step_decode(h, ctx)
-        return h
-
-    def decode_sequence(
-        self, x: np.ndarray, states: Optional[Sequence[np.ndarray]] = None
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Run a known ``(B, T, input_dim)`` input through the decode kernels.
-
-        Byte-identical to stepping ``GRUStackInference.step`` one lap at a
-        time; returns the top-layer outputs and final per-layer states.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        batch, steps, _ = x.shape
-        if states is None:
-            states = self.zero_state(batch)
-        ctxs = self.begin_decode(states)
-        outputs = np.empty((batch, steps, self.hidden_dim), dtype=np.float64)
-        for t in range(steps):
-            outputs[:, t, :] = self.step_decode(x[:, t, :], ctxs)
-        return outputs, [ctx.h.copy() for ctx in ctxs]
 
     # ------------------------------------------------------------------
     # fused full-sequence path (mirrors ``StackedLSTM``)

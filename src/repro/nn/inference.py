@@ -1,11 +1,13 @@
 """Inference-only kernels for the fleet-batched forecasting engine.
 
-Training uses the caching ``step``/``step_backward`` machinery of the
-recurrent stacks; Monte-Carlo forecasting needs neither gradients nor
-caches, so the serving engine runs on the fused, cache-free kernels in this
-module instead.  They read the *same* parameters as the training modules —
-no weights are copied — and add one crucial property the raw BLAS path does
-not have: **batch-size invariance**.
+Training runs the recurrent stacks' caching ``forward_sequence`` /
+``backward_sequence`` path; Monte-Carlo forecasting needs neither gradients
+nor caches, so the serving engine drives the cells' cache-free
+``step_decode`` / ``sequence_decode`` kernel through :class:`StackInference`
+and projects with the head kernels in this module instead.  They read the
+*same* parameters as the training modules — no weights are copied beyond
+the LSTM's per-session gate permutation — and add one crucial property the
+raw BLAS path does not have: **batch-size invariance**.
 
 BLAS GEMM picks different blocking (and therefore different floating-point
 summation orders) for different numbers of rows, so ``(x @ W)[i]`` is not
@@ -24,25 +26,22 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .activations import sigmoid, sigmoid_dense, softplus
+from .activations import softplus
 from .distributions import GaussianOutput
-from .gru import StackedGRU
+from .gru import GRUDecodeContext, StackedGRU
 from .kernels import STABLE_CHUNK_ROWS, stable_matmul
 from .layers import MultiGaussianOutput
-from .precision import working_array, working_empty
-from .recurrent import StackedLSTM
+from .precision import working_array
+from .recurrent import LSTMDecodeContext, StackedLSTM
 
 __all__ = [
     "STABLE_CHUNK_ROWS",
     "stable_matmul",
     "tile_states",
     "slice_states",
-    "concat_states",
-    "LSTMStackInference",
-    "GRUStackInference",
+    "StackInference",
     "GaussianHeadInference",
     "MultiGaussianHeadInference",
-    "recurrent_inference",
     "head_inference",
 ]
 
@@ -69,195 +68,100 @@ def slice_states(states: Sequence[_State], index) -> List[_State]:
     return [_map_state(s, lambda a: np.ascontiguousarray(a[index])) for s in states]
 
 
-def concat_states(states_list: Sequence[Sequence[_State]]) -> List[_State]:
-    """Concatenate the batch dimension of several compatible state lists."""
-    if not states_list:
-        raise ValueError("need at least one state list to concatenate")
-    num_layers = len(states_list[0])
-    out: List[_State] = []
-    for layer in range(num_layers):
-        parts = [states[layer] for states in states_list]
-        if isinstance(parts[0], tuple):
-            out.append(
-                tuple(np.concatenate([p[i] for p in parts], axis=0) for i in range(len(parts[0])))
-            )
-        else:
-            out.append(np.concatenate(parts, axis=0))
-    return out
-
-
 # ----------------------------------------------------------------------
-# cache-free recurrent stacks
+# the recurrent stack driver
 # ----------------------------------------------------------------------
-class LSTMStackInference:
-    """Cache-free, dropout-free forward stepping over a :class:`StackedLSTM`.
+class StackInference:
+    """Cache-free, dropout-free inference over a :class:`StackedLSTM` or
+    :class:`StackedGRU`, on one reusable decode context per layer.
 
-    Shares the stack's parameters by reference; safe to use concurrently
-    with training as long as steps and weight updates do not interleave.
+    Every entry point runs the cells' ``step_decode`` kernel (its
+    ``sequence_decode`` form for a known input sequence), so the warm-up,
+    the first decode lap and the later laps share one implementation:
 
-    ``dtype`` is the compute precision (default: the float64 reference).
-    A non-default dtype expects a stack whose parameters were converted to
-    that dtype (:func:`repro.nn.precision.convert_module`) so no kernel
-    silently upcasts.
+    * :meth:`forward_sequence` — teacher forcing over a known sequence;
+    * :meth:`step` — one allocating step from caller-held states;
+    * :meth:`load` then :meth:`step_decode` — an allocation-free session.
+
+    The contexts live as long as the driver, so a long-lived driver stops
+    allocating once its buffers reach their high-water row counts.
+    Returned states are always fresh arrays, never context views.  The
+    driver shares the stack's parameters by reference.  ``dtype`` is the
+    compute precision (default: the float64 reference); a non-default dtype
+    expects a stack converted to it
+    (:func:`repro.nn.precision.convert_module`) so no kernel silently
+    upcasts.
     """
 
-    def __init__(self, stack: StackedLSTM, dtype=np.float64) -> None:
+    def __init__(self, stack, dtype=np.float64) -> None:
+        if isinstance(stack, StackedLSTM):
+            context = LSTMDecodeContext
+        elif isinstance(stack, StackedGRU):
+            context = GRUDecodeContext
+        else:
+            raise TypeError(f"unsupported recurrent stack: {type(stack).__name__}")
         self.stack = stack
         self.dtype = np.dtype(dtype)
+        self.ctxs = [context(cell, dtype=self.dtype) for cell in stack.cells]
 
-    def zero_state(self, batch_size: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    def zero_state(self, batch_size: int) -> List[_State]:
         return self.stack.zero_state(batch_size, dtype=self.dtype)
 
-    def step(self, x: np.ndarray, states: Sequence[Tuple[np.ndarray, np.ndarray]]):
-        h = working_array(x, dtype=self.dtype)
-        new_states: List[Tuple[np.ndarray, np.ndarray]] = []
-        for cell, (h_prev, c_prev) in zip(self.stack.cells, states):
-            gates = (
-                stable_matmul(h, cell.w_x.data, dtype=self.dtype)
-                + stable_matmul(h_prev, cell.w_h.data, dtype=self.dtype)
-                + cell.bias.data
-            )
-            hd = cell.hidden_dim
-            i = sigmoid(gates[:, 0 * hd : 1 * hd])
-            f = sigmoid(gates[:, 1 * hd : 2 * hd])
-            g = np.tanh(gates[:, 2 * hd : 3 * hd])
-            o = sigmoid(gates[:, 3 * hd : 4 * hd])
-            c = f * c_prev + i * g
-            h = o * np.tanh(c)
-            new_states.append((h, c))
-        return h, new_states
+    def load(self, states: Sequence[_State], rows: Optional[np.ndarray] = None) -> None:
+        """Start a session from per-layer ``states`` (their rows ``rows``, if
+        given), re-reading the stack's current weights."""
+        if len(states) != len(self.ctxs):
+            raise ValueError(f"expected {len(self.ctxs)} states, got {len(states)}")
+        for ctx, state in zip(self.ctxs, states):
+            ctx.load(state, rows)
+
+    def states(self) -> List[_State]:
+        """Fresh copies of every layer's running state."""
+        return [ctx.state() for ctx in self.ctxs]
+
+    def step_decode(self, x: np.ndarray) -> np.ndarray:
+        """Advance the loaded session one step without allocating.
+
+        Returns the top-layer hidden state as a view of the last context's
+        buffer, valid until the next step.
+        """
+        h = x
+        for cell, ctx in zip(self.stack.cells, self.ctxs):
+            h = cell.step_decode(h, ctx)
+        return h
+
+    def step(self, x: np.ndarray, states: Sequence[_State]) -> Tuple[np.ndarray, List[_State]]:
+        """One step from ``states``; returns the top-layer hidden state and
+        the new per-layer states, all fresh arrays."""
+        self.load(states)
+        self.step_decode(x)
+        new_states = self.states()
+        top = new_states[-1]
+        return (top[0] if isinstance(top, tuple) else top), new_states
 
     def forward_sequence(
-        self,
-        x: np.ndarray,
-        states: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
-    ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
-        """Fused teacher-forced pass over ``(B, T, input_dim)``.
+        self, x: np.ndarray, states: Optional[Sequence[_State]] = None
+    ) -> Tuple[np.ndarray, List[_State]]:
+        """Teacher-forced pass over ``(B, T, input_dim)`` from ``states``
+        (zeros if omitted).
 
         Layer-major: each layer's input projections for all ``T`` steps run
-        as one fused :func:`stable_matmul`, so only the recurrent product
-        remains per-step, and each step's gates take one
-        :func:`sigmoid_dense` pass.  Because every row of a ``stable_matmul``
-        result depends only on that row, and ``sigmoid_dense`` equals the
-        masked :func:`sigmoid` bit for bit, the outputs are **bitwise
-        identical** to stepping the sequence through :meth:`step` one lap at
-        a time.
-        Returns the top-layer hidden sequence and the final states.
+        as one :func:`stable_matmul`, then the recurrent tail of
+        ``step_decode`` runs per step, so the result is bitwise identical to
+        ``T`` calls of :meth:`step`.  Returns the top-layer hidden sequence —
+        a view of the driver's buffers, valid until the next call — and
+        fresh final states.
         """
-        h_seq = working_array(x, dtype=self.dtype)
-        batch, steps, _ = h_seq.shape
-        if states is None:
-            states = self.zero_state(batch)
-        new_states: List[Tuple[np.ndarray, np.ndarray]] = []
-        for cell, (h, c) in zip(self.stack.cells, states):
-            hd = cell.hidden_dim
-            x_proj = stable_matmul(
-                h_seq.reshape(batch * steps, h_seq.shape[-1]), cell.w_x.data, dtype=self.dtype
-            ).reshape(batch, steps, 4 * hd)
-            out = working_empty((batch, steps, hd), dtype=self.dtype)
-            scratch = tuple(working_empty((batch, 4 * hd), dtype=self.dtype) for _ in range(2))
-            for t in range(steps):
-                gates = (
-                    x_proj[:, t, :]
-                    + stable_matmul(h, cell.w_h.data, dtype=self.dtype)
-                    + cell.bias.data
-                )
-                g = np.tanh(gates[:, 2 * hd : 3 * hd])
-                # one dense pass over all four gates; the g columns it
-                # overwrites were read above
-                sigmoid_dense(gates, out=gates, scratch=scratch)
-                i = gates[:, 0 * hd : 1 * hd]
-                f = gates[:, 1 * hd : 2 * hd]
-                o = gates[:, 3 * hd : 4 * hd]
-                c = f * c + i * g
-                h = o * np.tanh(c)
-                out[:, t, :] = h
-            new_states.append((h, c))
-            h_seq = out
-        return h_seq, new_states
+        h_seq = working_array(x, dtype=self.dtype, contiguous=True)
+        self.load(self.zero_state(len(h_seq)) if states is None else states)
+        for cell, ctx in zip(self.stack.cells, self.ctxs):
+            h_seq = cell.sequence_decode(h_seq, ctx)
+        return h_seq, self.states()
 
 
-class GRUStackInference:
-    """Cache-free forward stepping over a :class:`StackedGRU`.
-
-    ``dtype`` selects the compute precision, exactly as in
-    :class:`LSTMStackInference`.
-    """
-
-    def __init__(self, stack: StackedGRU, dtype=np.float64) -> None:
-        self.stack = stack
-        self.dtype = np.dtype(dtype)
-
-    def zero_state(self, batch_size: int) -> List[np.ndarray]:
-        return self.stack.zero_state(batch_size, dtype=self.dtype)
-
-    def step(self, x: np.ndarray, states: Sequence[np.ndarray]):
-        h = working_array(x, dtype=self.dtype)
-        new_states: List[np.ndarray] = []
-        for cell, h_prev in zip(self.stack.cells, states):
-            gates = (
-                stable_matmul(h, cell.w_x_gates.data, dtype=self.dtype)
-                + stable_matmul(h_prev, cell.w_h_gates.data, dtype=self.dtype)
-                + cell.b_gates.data
-            )
-            hd = cell.hidden_dim
-            r = sigmoid(gates[:, :hd])
-            u = sigmoid(gates[:, hd:])
-            h_proj = stable_matmul(h_prev, cell.w_h_cand.data, dtype=self.dtype)
-            n = np.tanh(
-                stable_matmul(h, cell.w_x_cand.data, dtype=self.dtype)
-                + r * h_proj
-                + cell.b_cand.data
-            )
-            h = (1.0 - u) * n + u * h_prev
-            new_states.append(h)
-        return h, new_states
-
-    def forward_sequence(
-        self, x: np.ndarray, states: Optional[Sequence[np.ndarray]] = None
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Fused teacher-forced pass (see ``LSTMStackInference.forward_sequence``)."""
-        h_seq = working_array(x, dtype=self.dtype)
-        batch, steps, _ = h_seq.shape
-        if states is None:
-            states = self.zero_state(batch)
-        new_states: List[np.ndarray] = []
-        for cell, h in zip(self.stack.cells, states):
-            hd = cell.hidden_dim
-            flat = h_seq.reshape(batch * steps, h_seq.shape[-1])
-            gates_x = stable_matmul(flat, cell.w_x_gates.data, dtype=self.dtype).reshape(
-                batch, steps, 2 * hd
-            )
-            cand_x = stable_matmul(flat, cell.w_x_cand.data, dtype=self.dtype).reshape(
-                batch, steps, hd
-            )
-            out = working_empty((batch, steps, hd), dtype=self.dtype)
-            scratch = tuple(working_empty((batch, 2 * hd), dtype=self.dtype) for _ in range(2))
-            for t in range(steps):
-                gates = (
-                    gates_x[:, t, :]
-                    + stable_matmul(h, cell.w_h_gates.data, dtype=self.dtype)
-                    + cell.b_gates.data
-                )
-                sigmoid_dense(gates, out=gates, scratch=scratch)
-                r = gates[:, :hd]
-                u = gates[:, hd:]
-                h_proj = stable_matmul(h, cell.w_h_cand.data, dtype=self.dtype)
-                n = np.tanh(cand_x[:, t, :] + r * h_proj + cell.b_cand.data)
-                h = (1.0 - u) * n + u * h
-                out[:, t, :] = h
-            new_states.append(h)
-            h_seq = out
-        return h_seq, new_states
-
-
-def recurrent_inference(stack, dtype=np.float64) -> Union[LSTMStackInference, GRUStackInference]:
-    """Build the matching cache-free stepper for a recurrent stack."""
-    if isinstance(stack, StackedLSTM):
-        return LSTMStackInference(stack, dtype=dtype)
-    if isinstance(stack, StackedGRU):
-        return GRUStackInference(stack, dtype=dtype)
-    raise TypeError(f"unsupported recurrent stack: {type(stack).__name__}")
+# ``perfbench/serving.py`` records the warm-up shapes by patching
+# ``forward_sequence`` on the class under this name
+LSTMStackInference = StackInference
 
 
 class GaussianHeadInference:

@@ -11,6 +11,9 @@ backwards write into one preallocated ``dgates`` buffer, and the
 ``w_x``/``w_h`` gradients accumulate through two reshaped batched GEMMs
 over the whole sequence.  The slower ``forward``/``backward`` helpers on
 top of the step API are kept as the stepwise reference implementation.
+Inference runs on a third, cache-free kernel: ``step_decode`` /
+``sequence_decode`` over a reusable :class:`LSTMDecodeContext`, driven by
+:class:`repro.nn.inference.StackInference`.
 
 Gate layout in all weight matrices is ``[input, forget, cell, output]``.
 """
@@ -47,20 +50,22 @@ def _load_rows(dst: np.ndarray, src: np.ndarray, rows: Optional[np.ndarray]) -> 
 
 
 class LSTMDecodeContext:
-    """Reusable workspace for one cell's decode loop.
+    """Reusable workspace for one cell's inference kernel.
 
     Holds the ``[i, f, o, g]``-permuted weight copies (sigmoid gates
-    contiguous), the running ``(h, c)`` state and every per-step scratch
-    tensor.  :meth:`load` starts a decode session on the leading rows of
-    the owned buffers (growing them only past their high-water row count),
-    and :meth:`LSTMCell.step_decode` advances it without allocating, so a
-    long-lived context — the serving engine keeps one per layer — touches
-    no fresh memory per session either.  ``h``/``c`` and the scratch
-    attributes are ``[:rows]`` views, valid until the next :meth:`load`.
+    contiguous), the running ``(h, c)`` state, every per-step scratch
+    tensor and the ``(B*T)``-row projection and output buffers of
+    :meth:`LSTMCell.sequence_decode`.  :meth:`load` starts a session on the
+    leading rows of the owned buffers (growing them only past their
+    high-water row count), and :meth:`LSTMCell.step_decode` advances it
+    without allocating, so a long-lived context — the serving engine keeps
+    one per layer — touches no fresh memory per session either.
+    ``h``/``c`` and the scratch attributes are ``[:rows]`` views, valid
+    until the next :meth:`load`; :meth:`state` copies the state out.
     """
 
     __slots__ = (
-        "cell", "dtype", "w_x", "w_h", "bias", "_rows",
+        "cell", "dtype", "w_x", "w_h", "bias", "_rows", "_seq_rows",
         "h", "c", "gates", "hw", "ig", "tanh_c", "sg_scratch",
     )
 
@@ -75,6 +80,8 @@ class LSTMDecodeContext:
         self._rows = RowWorkspace(
             (hd, hd, 4 * hd, 4 * hd, hd, hd, 3 * hd, 3 * hd), dtype=self.dtype
         )
+        # sequence_decode's input projection and outputs, one row per (b, t)
+        self._seq_rows = RowWorkspace((4 * hd, hd), dtype=self.dtype)
 
     def load(self, state: LSTMState, rows: Optional[np.ndarray] = None) -> "LSTMDecodeContext":
         """Start a session from ``state`` (its rows ``rows``, if given).
@@ -96,6 +103,10 @@ class LSTMDecodeContext:
         _load_rows(self.h, h0, rows)
         _load_rows(self.c, c0, rows)
         return self
+
+    def state(self) -> LSTMState:
+        """Fresh copies of the running ``(h, c)``."""
+        return self.h.copy(), self.c.copy()
 
 
 def _sigmoid_inplace(a: np.ndarray) -> None:
@@ -237,38 +248,55 @@ class LSTMCell(Module):
         self._cache.clear()
         self._seq_cache.clear()
 
-    # fused decode path -------------------------------------------------
-    def begin_decode(self, state: LSTMState, dtype=np.float64) -> LSTMDecodeContext:
-        """Allocate a decode context and load ``state`` into it.
-
-        The context owns the initial ``(h, c)`` copy and the permuted
-        weight copies, so every subsequent :meth:`step_decode` runs without
-        allocating; callers running many sessions keep one context and
-        :meth:`LSTMDecodeContext.load` each session into it instead.
-        ``dtype`` selects the compute precision of the whole session.
-        """
-        return LSTMDecodeContext(self, dtype=dtype).load(state)
-
+    # inference kernel --------------------------------------------------
     def step_decode(self, x: np.ndarray, ctx: LSTMDecodeContext) -> np.ndarray:
-        """One decode step, byte-identical to the serving ``step`` kernel.
+        """One inference step on the session loaded into ``ctx``.
 
-        Runs the same ``stable_matmul`` products as
-        :class:`repro.nn.inference.LSTMStackInference.step` but on the
-        permuted gate layout, so the three sigmoid gates form one
+        Runs the same ``stable_matmul`` products as the masked-sigmoid
+        reference step (``tests/reference/recurrent.py``), byte for byte,
+        but on the permuted gate layout, so the three sigmoid gates form one
         contiguous block evaluated by a single :func:`sigmoid_dense` call
-        (bitwise equal to the masked :func:`sigmoid`).  PR 2's half-scaled
-        ``tanh``-only gate trick is deliberately *not* used here: the
-        decode path is gated on byte-identity with the stepwise serving
-        kernels, and ``0.5 + 0.5 * tanh(x / 2)`` differs from the masked
-        sigmoid in the last ulp for ~58% of inputs.  All intermediates
-        live in the context buffers; the returned hidden state is a view
-        of the context's ``h`` buffer (valid until the next step).
+        (bitwise equal to the masked :func:`sigmoid`).  The training path's
+        half-scaled ``tanh``-only gate trick (:meth:`_fused_gate_weights`)
+        is deliberately *not* used here: inference is gated on
+        byte-identity with that reference, and
+        ``0.5 + 0.5 * tanh(x / 2)`` differs from the masked sigmoid in the
+        last ulp for ~58% of inputs.  All intermediates live in the context
+        buffers; the returned hidden state is a view of the context's ``h``
+        buffer (valid until the next step).
         """
+        stable_matmul(x, ctx.w_x, out=ctx.gates)
+        return self._decode_tail(ctx)
+
+    def sequence_decode(self, x: np.ndarray, ctx: LSTMDecodeContext) -> np.ndarray:
+        """Run a known ``(B, T, input_dim)`` sequence from the loaded state.
+
+        The input projections of all ``T`` steps run as one
+        ``stable_matmul`` into the context's ``(B*T)``-row buffer; each step
+        then copies its rows into ``ctx.gates`` and runs :meth:`step_decode`'s
+        recurrent tail.  ``stable_matmul`` rows are batch-size invariant, so
+        this is byte-identical to ``T`` :meth:`step_decode` calls.  Returns
+        the ``(B, T, H)`` outputs as a view of the context's buffer (valid
+        until the next call); ``ctx`` holds the final state.
+        """
+        batch, steps, width = x.shape
+        proj, out = ctx._seq_rows.take(batch * steps)
+        stable_matmul(x.reshape(batch * steps, width), ctx.w_x, out=proj)
+        proj = proj.reshape(batch, steps, proj.shape[1])
+        out = out.reshape(batch, steps, out.shape[1])
+        for t in range(steps):
+            ctx.gates[...] = proj[:, t]
+            out[:, t] = self._decode_tail(ctx)
+        return out
+
+    def _decode_tail(self, ctx: LSTMDecodeContext) -> np.ndarray:
+        """The recurrent half of a step, given the input projection in
+        ``ctx.gates``: adds ``h_prev @ w_h`` and the bias, applies the gate
+        non-linearities and updates ``(h, c)`` in place."""
         hd = self.hidden_dim
         gates = ctx.gates
-        # same left-to-right accumulation as the stepwise kernel:
+        # same left-to-right accumulation as the reference step:
         # (x @ w_x + h_prev @ w_h) + bias, merely column-permuted
-        stable_matmul(x, ctx.w_x, out=gates)
         stable_matmul(ctx.h, ctx.w_h, out=ctx.hw)
         gates += ctx.hw
         gates += ctx.bias
@@ -634,55 +662,6 @@ class StackedLSTM(Module):
         if packed.shape[3] != self.hidden_dim:
             raise ValueError(f"hidden dim mismatch: {packed.shape[3]} != {self.hidden_dim}")
         return [(packed[layer, 0].copy(), packed[layer, 1].copy()) for layer in range(self.num_layers)]
-
-    # ------------------------------------------------------------------
-    # fused decode path (used by the serving engine's Monte-Carlo loop)
-    # ------------------------------------------------------------------
-    def decode_contexts(self, dtype=np.float64) -> List[LSTMDecodeContext]:
-        """Empty per-layer decode contexts, to be reused across sessions."""
-        return [LSTMDecodeContext(cell, dtype=dtype) for cell in self.cells]
-
-    def begin_decode(
-        self, states: Sequence[LSTMState], dtype=np.float64
-    ) -> List[LSTMDecodeContext]:
-        """Allocate per-layer decode contexts and load ``states`` into them."""
-        if len(states) != self.num_layers:
-            raise ValueError(f"expected {self.num_layers} states, got {len(states)}")
-        return [ctx.load(state) for ctx, state in zip(self.decode_contexts(dtype), states)]
-
-    def step_decode(
-        self, x: np.ndarray, ctxs: Sequence[LSTMDecodeContext]
-    ) -> np.ndarray:
-        """Advance the whole stack by one decode step (allocation-free).
-
-        Byte-identical to ``LSTMStackInference.step`` (dropout-free,
-        cache-free); the returned top-layer hidden state is a view of the
-        last context's buffer.
-        """
-        h = x
-        for cell, ctx in zip(self.cells, ctxs):
-            h = cell.step_decode(h, ctx)
-        return h
-
-    def decode_sequence(
-        self, x: np.ndarray, states: Optional[Sequence[LSTMState]] = None
-    ) -> Tuple[np.ndarray, List[LSTMState]]:
-        """Run a known ``(B, T, input_dim)`` input through the decode kernels.
-
-        Convenience driver over :meth:`begin_decode` / :meth:`step_decode`
-        (per-step buffer reuse, one sigmoid pass over the contiguous gate
-        block); byte-identical to stepping ``LSTMStackInference.step`` one
-        lap at a time.  Returns the top-layer outputs and final states.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        batch, steps, _ = x.shape
-        if states is None:
-            states = self.zero_state(batch)
-        ctxs = self.begin_decode(states)
-        outputs = np.empty((batch, steps, self.hidden_dim), dtype=np.float64)
-        for t in range(steps):
-            outputs[:, t, :] = self.step_decode(x[:, t, :], ctxs)
-        return outputs, [(ctx.h.copy(), ctx.c.copy()) for ctx in ctxs]
 
     # ------------------------------------------------------------------
     # fused full-sequence path

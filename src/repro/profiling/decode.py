@@ -4,9 +4,10 @@ Completes the serving-side profiling picture: :mod:`repro.profiling.inference`
 measures fleet batching against the per-car loop, this module measures the
 two decode engines *inside* the fleet path on identical workloads:
 
-* ``stepwise`` — the retained per-lap reference loop (one ``stack.step``
-  per lap, per-step ``np.repeat`` covariate rows, nested per-dim /
-  per-request ``standard_normal`` calls);
+* ``stepwise`` — the retained per-lap reference loop (one allocating
+  ``StackInference.step`` per lap on the same kernel, per-step
+  ``np.repeat`` covariate rows, nested per-dim / per-request
+  ``standard_normal`` calls);
 * ``fused`` — the block-RNG, allocation-free engine (``step_decode``
   kernels with preallocated gate/state buffers, one ``standard_normal``
   call per RNG stream, hoisted ``(horizon, total, C)`` covariates).
@@ -22,11 +23,11 @@ the fused gain is modest there and grows with horizon and request count —
 see the measured table for the split.
 
 :func:`steady_state_faults` counts the minor page faults
-(``resource.getrusage``) per submit of one long-lived carry-mode engine at
-the ``live-race`` serving shape.  The fused engine keeps its decode
-workspace between submits, so once warm it should fault on almost
-nothing; a change that brings back per-submit scratch shows up there
-first.
+(``resource.getrusage``) per submit of one long-lived engine at the
+``live-race`` (carry) and ``forecast-gateway`` (exact) serving shape.  The
+engine keeps its warm-up and decode workspace between submits, so once
+warm it should fault on almost nothing; a change that brings back
+per-submit scratch shows up there first.
 
 Run as a module (``python -m repro.profiling.decode``) to print the table;
 the ``bench-decode`` Makefile target and the CI bench-smoke job do exactly
@@ -192,16 +193,19 @@ def decode_breakdown(
 
 
 def steady_state_faults(
-    backbone: str = "lstm", warm_laps: int = 3, laps: int = 8, seed: int = 0
+    backbone: str = "lstm", mode: str = "carry", warm_laps: int = 3, laps: int = 8,
+    seed: int = 0,
 ) -> Optional[float]:
-    """Median minor page faults per submit of one warm carry-mode engine.
+    """Median minor page faults per submit of one warm engine.
 
-    Runs the ``live-race`` serving shape (33 cars x 50 samples, 2x40
-    backbone, encoder 30, horizon 2): one long-lived engine forecasts one
+    Runs the serving shape of ``live-race`` (``mode="carry"``) and
+    ``forecast-gateway`` (``mode="exact"``): 33 cars x 50 samples, 2x40
+    backbone, encoder 30, horizon 2.  One long-lived engine forecasts one
     lap per submit with the origin advancing lap by lap, as a live session
-    does.  After ``warm_laps`` uncounted laps the engine's decode workspace
-    has reached its high-water row count, so the remaining faults are what
-    every further lap pays.  ``None`` where the ``resource`` module is
+    does; in exact mode every submit re-runs the whole 29-step warm-up.
+    After ``warm_laps`` uncounted laps the engine's workspace has reached
+    its high-water row counts, so the remaining faults are what every
+    further lap pays.  ``None`` where the ``resource`` module is
     unavailable.
     """
     if resource is None:
@@ -216,7 +220,7 @@ def steady_state_faults(
         n_cars, horizon, encoder_length, num_covariates, n_origins, seed
     )
     future = np.zeros((horizon, num_covariates))
-    engine = FleetForecaster(model, mode="carry")
+    engine = FleetForecaster(model, mode=mode)
     streams = spawn_request_rngs(np.random.default_rng(seed + 1), n_cars * n_origins)
     faults: List[int] = []
     for j in range(n_origins):
@@ -244,11 +248,12 @@ def _main() -> None:  # pragma: no cover - exercised by the CI bench smoke job
             f"{row['workload']:<20}{row['decode']:<10}{row['warmup_ms']:>11.1f}"
             f"{row['decode_ms']:>11.1f}{row['speedup_vs_stepwise']:>9.2f}"
         )
-    live = steady_state_faults()
-    print(
-        "live-race 33x50 h2 carry: minor faults per steady-state submit = "
-        + ("n/a (no resource module)" if live is None else f"{live:.0f}")
-    )
+    for mode in ("carry", "exact"):
+        faults = steady_state_faults(mode=mode)
+        print(
+            f"33x50 h2 {mode}: minor faults per steady-state submit = "
+            + ("n/a (no resource module)" if faults is None else f"{faults:.0f}")
+        )
     print(f"wrote {write_bench_json('decode', rows)}")
 
 

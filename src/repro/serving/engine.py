@@ -39,26 +39,33 @@ The Monte-Carlo decode loop runs on a fused, allocation-free path
   lap loop and reshaped to replay the stepwise (step, dim, request) draw
   order byte-identically, replacing the nested per-dim/per-request
   sampling loops with one vectorised ``mu + sigma * noise[h]`` per step;
+* **one recurrent kernel** — the warm-up, lap 1 and laps 2..H all run the
+  cells' ``step_decode`` kernel (:mod:`repro.nn.recurrent` /
+  :mod:`repro.nn.gru`: permuted contiguous gate blocks, one dense sigmoid
+  pass) through one :class:`~repro.nn.inference.StackInference` driver; the
+  warm-up runs its ``sequence_decode`` form, one input-projection GEMM per
+  layer over the whole history.  The masked-sigmoid reference the kernel
+  is gated bitwise against lives in ``tests/reference/recurrent.py``;
 * **first lap once per request** — all samples of a request enter lap 1
   with the same state, target and covariates, so lap 1 steps one row per
   request and only the head's ``(mu, sigma)`` is repeated over the samples;
-* **fused decode steps** — from lap 2 on, the recurrent stack advances
-  through ``step_decode`` (:mod:`repro.nn.recurrent` / :mod:`repro.nn.gru`):
-  permuted contiguous gate blocks and one dense sigmoid pass;
-* **a workspace that outlives the submit** — the engine owns one decode
-  context per layer plus the sampled-target and step-input rows, grown to
-  the largest decode batch so far (see ``max_batch_rows``).  Each submit runs
-  on leading-row views of them and gathers every request's lap-1 state
-  straight into its sample rows, so a steady stream of submits stops
-  allocating — and page-faulting on — megabytes of fresh scratch per call.
-  Weights are re-read into the workspace on every submit; the returned
-  sample arrays are always freshly allocated, never workspace views;
+* **a workspace that outlives the submit** — the driver owns one context
+  per layer (decode scratch plus the warm-up's ``(B*T)``-row projection and
+  output buffers) and the engine the sampled-target and step-input rows,
+  all grown to the largest batch so far (see ``max_batch_rows``).  Each
+  submit runs on leading-row views of them and gathers every request's
+  lap-1 state straight into its sample rows, so a steady stream of submits
+  stops allocating — and page-faulting on — megabytes of fresh scratch per
+  call.  Weights are re-read into the workspace on every submit; returned
+  samples and cached warm-up states are always freshly allocated, never
+  workspace views;
 * **hoisted covariates** — the later laps' future-covariate rows are
   expanded once into a ``(horizon - 1, total, C)`` tensor instead of an
   ``np.repeat`` per lap.
 
-The original per-lap loop is retained as ``decode="stepwise"`` — it is
-the reference the fused path is gated byte-identical against
+The original per-lap loop is retained as ``decode="stepwise"`` (the same
+kernel, with per-lap allocations and per-request RNG loops) — it is the
+reference the fused loop is gated byte-identical against
 (``benchmarks/test_bench_decode.py``, ``tests/serving/test_decode_parity``).
 
 One engine runs one :meth:`FleetForecaster.submit` at a time, since every
@@ -81,12 +88,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.inference import (
-    head_inference,
-    recurrent_inference,
-    slice_states,
-    tile_states,
-)
+from ..nn.inference import StackInference, head_inference, slice_states, tile_states
 from ..nn.precision import (
     DEFAULT_PRECISION,
     RowWorkspace,
@@ -322,15 +324,15 @@ class _RecurrentBackend:
         # cast, or int8-quantised-then-dequantised); the float64 reference
         # shares the training parameters by reference, exactly as before
         self.stack_module = convert_module(self.model.lstm, engine.precision)
-        self.stack = recurrent_inference(self.stack_module, dtype=self.dtype)
+        # the one recurrent inference path: warm-up, first lap and later
+        # laps all run on its per-layer contexts, reused by every submit
+        self.driver = StackInference(self.stack_module, dtype=self.dtype)
         if not hasattr(self.model, "head"):
             raise TypeError(f"recurrent backbone {type(self.model).__name__} has no fused .head")
         self.head = head_inference(
             convert_module(self.model.head, engine.precision), dtype=self.dtype
         )
-        # the fused decode's workspace, reused by every submit: per-layer
-        # contexts plus the sampled-target and step-input rows
-        self.ctxs = self.stack_module.decode_contexts(dtype=self.dtype)
+        # the fused decode's sampled-target and step-input rows
         target_dim = self.model.target_dim
         self.io_rows = RowWorkspace(
             (target_dim, target_dim + self.model.num_covariates), dtype=self.dtype
@@ -353,19 +355,19 @@ class _RecurrentBackend:
     def _full_warmup(self, uniques: Sequence[ForecastRequest]):
         """Teacher-forced warm-up with one batch row per unique request.
 
-        Runs on the fused ``forward_sequence`` kernels (one input-projection
-        GEMM per layer over the whole history) — bitwise identical to
-        stepping lap by lap, since every ``stable_matmul`` row depends only
-        on its own contents.
+        Runs on the driver's ``forward_sequence`` (one input-projection
+        GEMM per layer over the whole history, into the driver's buffers) —
+        bitwise identical to stepping lap by lap, since every
+        ``stable_matmul`` row depends only on its own contents.
         """
         length = uniques[0].length
         scales = np.stack([np.abs(u.target).mean(axis=0) + 1.0 for u in uniques])
         z = np.stack([u.target for u in uniques]) / scales[:, None, :]
         covariates = np.stack([u.history_covariates for u in uniques])
-        states = self.stack.zero_state(len(uniques))
+        states = self.driver.zero_state(len(uniques))
         if length > 1:
             x = np.concatenate([z[:, :-1, :], covariates[:, 1:, :]], axis=2)
-            _, states = self.stack.forward_sequence(x, states)
+            _, states = self.driver.forward_sequence(x, states)
         self.engine._stats["warmup_steps"] += max(length - 1, 0)
         return scales, states, z[:, -1, :]
 
@@ -483,7 +485,7 @@ class _RecurrentBackend:
                     x[row, :, target_dim:] = request.history_covariates[-delta:]
                     z_prev[row] = request.target[-1] / entry.scale
                 states = stack_module.import_state(adv_packed, dtype=self.dtype)
-                _, states = self.stack.forward_sequence(x, states)
+                _, states = self.driver.forward_sequence(x, states)
                 self.engine._stats["warmup_steps"] += delta
                 cache.carries += len(slots)
                 for row, slot in enumerate(slots):
@@ -601,10 +603,10 @@ class _RecurrentBackend:
         """Fused allocation-free Monte-Carlo decode (block RNG + step_decode).
 
         ``states``/``z_prev`` hold one row per request: lap 1 steps them
-        through ``step`` and repeats its ``(mu, sigma)`` over the samples;
-        laps 2..H run on all ``total`` rows through ``step_decode``.
-        Byte-identical to :meth:`_decode_stepwise` (``step`` equals
-        ``step_decode`` bit for bit, ``stable_matmul`` rows are batch-size
+        through the driver's ``step`` and repeats its ``(mu, sigma)`` over
+        the samples; laps 2..H run on all ``total`` rows through
+        ``step_decode``.  Byte-identical to :meth:`_decode_stepwise` (both
+        run the same kernel, ``stable_matmul`` rows are batch-size
         invariant; gated in ``benchmarks/test_bench_decode.py``).
         """
         target_dim = self.model.target_dim
@@ -634,7 +636,7 @@ class _RecurrentBackend:
             np.multiply(z[:, 0], scale0_rows, out=samples[:, h])
 
         x_first = np.concatenate([z_prev, future[:, 0, :]], axis=1)
-        h_t, states = self.stack.step(x_first, states)  # casts to the tier
+        h_t, states = self.driver.step(x_first, states)  # casts to the tier
         mu, sigma = mu_sigma(h_t)
         draw(0, np.repeat(mu, counts, axis=0), np.repeat(sigma, counts, axis=0))
         if horizon == 1:
@@ -646,13 +648,11 @@ class _RecurrentBackend:
             np.repeat(future[:, 1:, :], counts, axis=0).transpose(1, 0, 2), dtype=dtype
         )
         # each request's lap-1 state goes straight into its sample rows
-        row_owner = np.repeat(np.arange(len(counts)), counts)
-        for ctx, state in zip(self.ctxs, states):
-            ctx.load(state, rows=row_owner)
+        self.driver.load(states, rows=np.repeat(np.arange(len(counts)), counts))
         for h in range(1, horizon):
             x_buf[:, :target_dim] = z
             x_buf[:, target_dim:] = cov_all[h - 1]
-            draw(h, *mu_sigma(self.stack_module.step_decode(x_buf, self.ctxs)))
+            draw(h, *mu_sigma(self.driver.step_decode(x_buf)))
         return samples
 
     def _decode_stepwise(
@@ -668,18 +668,19 @@ class _RecurrentBackend:
         future: np.ndarray,
         rngs: Sequence[np.random.Generator],
     ) -> np.ndarray:
-        """Retained per-lap reference decode (pre-fusion implementation).
+        """Retained per-lap reference decode (pre-fusion loop structure).
 
-        Kept verbatim as the byte-identity baseline for the fused engine:
-        one ``stack.step`` per lap with per-step ``np.repeat`` covariate
-        rows and nested per-dim / per-request ``standard_normal`` calls.
+        The byte-identity baseline for the fused engine's loop: one
+        allocating ``driver.step`` per lap on all sample rows, per-step
+        ``np.repeat`` covariate rows and nested per-dim / per-request
+        ``standard_normal`` calls.
         """
         target_dim = self.model.target_dim
         samples = np.empty((total, horizon), dtype=np.float64)
         for h in range(horizon):
             cov_rows = np.repeat(future[:, h, :], counts, axis=0)
             x_t = np.concatenate([z_prev, cov_rows], axis=1)
-            h_t, states = self.stack.step(x_t, states)
+            h_t, states = self.driver.step(x_t, states)
             z_next = np.empty((total, target_dim))
             mu_all, sigma_all = self.head(h_t)  # one (H, 2D) GEMM for all dims
             # dim-major draw order: all requests for dim 0, then dim 1, ...

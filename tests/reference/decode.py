@@ -4,7 +4,7 @@
 :class:`repro.serving.FleetForecaster` ran before its first lap moved to
 one row per request.  It tiles the per-request states and last targets to
 every sample row up front and steps all laps, the first included, through
-``begin_decode`` / ``step_decode``.  The warm-up, the block RNG and the
+the driver's ``load`` / ``step_decode``.  The warm-up, the block RNG and the
 head are the shipped engine's, so the same seeds drive both and the
 parity tests compare the returned samples byte for byte on every precision
 tier (the stepwise decode is a float64-only reference).
@@ -48,14 +48,14 @@ class AllRowsRecurrentBackend(_RecurrentBackend):
         cov_all = np.ascontiguousarray(
             np.repeat(future, counts, axis=0).transpose(1, 0, 2), dtype=dtype
         )
-        ctxs = self.stack_module.begin_decode(states, dtype=dtype)
+        self.driver.load(states)
         x_buf = working_empty((total, target_dim + cov_all.shape[2]), dtype=dtype)
         z = np.ascontiguousarray(z_prev, dtype=dtype)
         samples = np.empty((total, horizon), dtype=np.float64)
         for h in range(horizon):
             x_buf[:, :target_dim] = z
             x_buf[:, target_dim:] = cov_all[h]
-            h_t = self.stack_module.step_decode(x_buf, ctxs)
+            h_t = self.driver.step_decode(x_buf)
             if guarded:
                 assert_dtype(h_t, dtype, "decode hidden state")
             mu_all, sigma_all = self.head(h_t)

@@ -1,17 +1,21 @@
-"""Byte-identity of the fused decode engine against the stepwise reference.
+"""Byte-identity of the fused decode engine against the stepwise references.
 
 The fused path (block RNG + ``step_decode`` kernels + hoisted covariates)
 must replay the retained per-lap loop bit for bit: same ``stable_matmul``
 products, bitwise-equal dense sigmoid, and identical RNG stream consumption
-— including when several requests share one ``Generator``.
+— including when several requests share one ``Generator``.  The kernel
+itself is checked against the masked-sigmoid stepping kernels kept in
+``tests/reference/recurrent.py``, both directly and through a stepwise
+engine that runs its warm-up and every lap on them.
 """
 
 import numpy as np
 import pytest
 
+from reference.recurrent import reference_forecaster, reference_stepper
 from repro.models.deep.rankmodel import RankSeqModel
 from repro.nn.activations import sigmoid, sigmoid_dense
-from repro.nn.inference import recurrent_inference
+from repro.nn.inference import StackInference
 from repro.nn.precision import compute_dtype, convert_module
 from repro.serving import FleetForecaster, ForecastRequest, spawn_request_rngs
 
@@ -25,6 +29,16 @@ def make_model(backbone="lstm", **kwargs):
     return RankSeqModel(**defaults)
 
 
+def randomize_biases(model, seed=3):
+    """Fresh models have zero (or constant) biases, under which a moved
+    bias addition changes no bit; the kernel parity tests draw them."""
+    rng = np.random.default_rng(seed)
+    for param in model.lstm.parameters():
+        if param.data.ndim == 1:
+            param.data[...] = rng.normal(0.0, 0.5, param.data.shape)
+    return model
+
+
 def make_histories(n_cars, n_laps=20, seed=100):
     rng = np.random.default_rng(seed)
     targets = [np.clip(10 + np.cumsum(rng.normal(0, 1, n_laps)), 1, 33) for _ in range(n_cars)]
@@ -34,7 +48,10 @@ def make_histories(n_cars, n_laps=20, seed=100):
 
 def submit(model, targets, covs, decode, mode="exact", horizon=3, n_samples=7,
            seed=9, origins=(19,), shared_rng=False):
-    engine = FleetForecaster(model, mode=mode, decode=decode)
+    if decode == "reference":
+        engine = reference_forecaster(model, mode=mode)
+    else:
+        engine = FleetForecaster(model, mode=mode, decode=decode)
     future = np.zeros((horizon, N_COV))
     results = []
     n = len(targets)
@@ -68,11 +85,13 @@ def test_fused_matches_stepwise_bitwise(backbone, mode):
     targets, covs = make_histories(5)
     origins = (15, 16, 17)  # carry mode advances cached states between these
     stepwise = submit(model, targets, covs, "stepwise", mode=mode, origins=origins)
+    reference = submit(model, targets, covs, "reference", mode=mode, origins=origins)
     fused = submit(model, targets, covs, "fused", mode=mode, origins=origins)
-    assert len(stepwise) == len(fused) == 15
-    for a, b in zip(stepwise, fused):
-        assert a.shape == b.shape == (7, 3)
+    assert len(stepwise) == len(reference) == len(fused) == 15
+    for a, r, b in zip(stepwise, reference, fused):
+        assert a.shape == r.shape == b.shape == (7, 3)
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(r, b)
 
 
 @pytest.mark.parametrize("backbone", ["lstm", "gru"])
@@ -130,58 +149,51 @@ def test_sigmoid_dense_bitwise_matches_masked_sigmoid():
 
 
 @pytest.mark.parametrize("backbone", ["lstm", "gru"])
-def test_decode_sequence_matches_inference_step_loop(backbone):
-    """The fused ``step_decode`` kernels replay the serving ``step`` bitwise.
+def test_step_decode_matches_inference_step_loop(backbone):
+    """The driver's ``step_decode`` and ``step`` replay the masked-sigmoid
+    reference ``step`` bitwise.
 
-    float64 runs through ``decode_sequence``.  float32 and int8, which the
-    float64-only stepwise decode reference cannot check, run through
-    ``begin_decode``/``step_decode`` at the served model's width.
+    float64 runs at the small test width; float32 and int8, which the
+    float64-only stepwise decode reference cannot check, run at the served
+    model's width.
     """
-    model = make_model(backbone)
-    stack = model.lstm
-    stepper = recurrent_inference(stack)
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(6, 5, 1 + N_COV))
-
-    states = stepper.zero_state(6)
-    outputs = np.empty((6, 5, stack.hidden_dim))
-    for t in range(x.shape[1]):
-        outputs[:, t, :], states = stepper.step(x[:, t, :], states)
-
-    fused_out, fused_states = stack.decode_sequence(x)
-    np.testing.assert_array_equal(fused_out, outputs)
-    packed_ref = stack.export_state(states)
-    packed_fused = stack.export_state(fused_states)
-    np.testing.assert_array_equal(packed_fused, packed_ref)
-
-    wide = make_model(backbone, hidden_dim=40)
-    x = rng.normal(size=(33, 5, 1 + N_COV))
-    for precision in ("float64", "float32", "int8"):
-        dtype = compute_dtype(precision)
-        stack = convert_module(wide.lstm, precision)
-        stepper = recurrent_inference(stack, dtype=dtype)
-        states = stepper.zero_state(33)
-        ctxs = stack.begin_decode(states, dtype=dtype)
-        for t in range(x.shape[1]):
-            expected, states = stepper.step(x[:, t, :], states)
-            got = stack.step_decode(np.ascontiguousarray(x[:, t, :], dtype=dtype), ctxs)
-            assert got.dtype == dtype
-            assert got.tobytes() == expected.tobytes(), precision
-        final = [(ctx.h, ctx.c) if backbone == "lstm" else ctx.h for ctx in ctxs]
-        packed = stack.export_state(final).tobytes()
-        assert packed == stack.export_state(states).tobytes(), precision
+    cases = ((randomize_biases(make_model(backbone)), 6, ("float64",)),
+             (randomize_biases(make_model(backbone, hidden_dim=40)), 33,
+              ("float64", "float32", "int8")))
+    for model, batch, precisions in cases:
+        x = rng.normal(size=(batch, 5, 1 + N_COV))
+        for precision in precisions:
+            dtype = compute_dtype(precision)
+            stack = convert_module(model.lstm, precision)
+            reference = reference_stepper(stack, dtype=dtype)
+            driver = StackInference(stack, dtype=dtype)
+            stepper = StackInference(stack, dtype=dtype)
+            states = step_states = reference.zero_state(batch)
+            driver.load(states)
+            for t in range(x.shape[1]):
+                expected, states = reference.step(x[:, t, :], states)
+                got = driver.step_decode(np.ascontiguousarray(x[:, t, :], dtype=dtype))
+                stepped, step_states = stepper.step(x[:, t, :], step_states)
+                assert got.dtype == stepped.dtype == dtype
+                assert got.tobytes() == expected.tobytes(), precision
+                assert stepped.tobytes() == expected.tobytes(), precision
+            packed = stack.export_state(states).tobytes()
+            assert stack.export_state(driver.states()).tobytes() == packed, precision
+            assert stack.export_state(step_states).tobytes() == packed, precision
 
 
 @pytest.mark.parametrize("batch", [1, 8, 33])
-@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("precision", ["float64", "float32", "int8"])
 @pytest.mark.parametrize("backbone", ["lstm", "gru"])
 def test_warmup_forward_sequence_matches_inference_step_loop(backbone, precision, batch):
-    """The warm-up's ``forward_sequence`` (dense sigmoid) replays ``step``
-    (masked sigmoid) byte for byte, at the served model's width."""
-    model = make_model(backbone, hidden_dim=40)
+    """The warm-up's ``forward_sequence`` (one input projection per layer,
+    dense sigmoid) replays the masked-sigmoid reference ``step`` byte for
+    byte, at the served model's width."""
+    model = randomize_biases(make_model(backbone, hidden_dim=40))
     dtype = compute_dtype(precision)
     stack = convert_module(model.lstm, precision)
-    stepper = recurrent_inference(stack, dtype=dtype)
+    stepper = reference_stepper(stack, dtype=dtype)
     x = np.random.default_rng(batch).normal(size=(batch, 29, 1 + N_COV))
 
     states = stepper.zero_state(batch)
@@ -189,20 +201,32 @@ def test_warmup_forward_sequence_matches_inference_step_loop(backbone, precision
     for t in range(x.shape[1]):
         outputs[:, t, :], states = stepper.step(x[:, t, :], states)
 
-    fused_out, fused_states = stepper.forward_sequence(x)
+    fused_out, fused_states = StackInference(stack, dtype=dtype).forward_sequence(x)
     assert fused_out.dtype == dtype
     assert fused_out.tobytes() == outputs.tobytes()
     assert stack.export_state(fused_states).tobytes() == stack.export_state(states).tobytes()
 
 
-def test_decode_contexts_do_not_mutate_the_caller_states():
-    """``begin_decode`` copies the initial states in; stepping leaves them."""
-    model = make_model()
-    stack = model.lstm
+@pytest.mark.parametrize("backbone", ["lstm", "gru"])
+def test_decode_contexts_do_not_mutate_the_caller_states(backbone):
+    """``load`` copies the initial states in; stepping leaves them, and the
+    states the driver returns never alias its contexts."""
+    stack = make_model(backbone).lstm
+    driver = StackInference(stack)
     states = stack.zero_state(4)
     before = stack.export_state(states).copy()
-    ctxs = stack.begin_decode(states)
+    driver.load(states)
     rng = np.random.default_rng(1)
     for _ in range(3):
-        stack.step_decode(rng.normal(size=(4, 1 + N_COV)), ctxs)
+        driver.step_decode(rng.normal(size=(4, 1 + N_COV)))
     np.testing.assert_array_equal(stack.export_state(states), before)
+
+    _, warm = driver.forward_sequence(rng.normal(size=(4, 6, 1 + N_COV)), states)
+    _, stepped = driver.step(rng.normal(size=(4, 1 + N_COV)), warm)
+    np.testing.assert_array_equal(stack.export_state(states), before)
+    buffers = [buf for ctx in driver.ctxs for owner in (ctx._rows, ctx._seq_rows)
+               for buf in owner._buffers]
+    assert len(buffers) == len(driver.ctxs) * (10 if backbone == "lstm" else 12)
+    for returned in (warm, stepped, driver.states()):
+        arrays = [a for s in returned for a in (s if isinstance(s, tuple) else (s,))]
+        assert not any(np.shares_memory(a, buf) for a in arrays for buf in buffers)

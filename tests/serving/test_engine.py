@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
+from reference.recurrent import reference_stepper
 from repro.models.deep.rankmodel import RankSeqModel
 from repro.models.deep.transformer import TransformerSeqModel
-from repro.nn.inference import (
-    head_inference,
-    recurrent_inference,
-    tile_states,
-)
+from repro.nn.inference import head_inference, tile_states
 from repro.serving import FleetForecaster, ForecastRequest, spawn_request_rngs
 
 N_COV = 3
@@ -152,7 +149,7 @@ def test_carry_mode_state_matches_from_scratch_frozen_replay(backbone):
     scale = np.abs(target[start : o1 + 1]).mean() + 1.0
     z = (target[start : o2 + 1] / scale)[:, None]
     c = cov[start : o2 + 1]
-    stack = recurrent_inference(model.lstm)
+    stack = reference_stepper(model.lstm)
     states = stack.zero_state(1)
     for t in range(1, z.shape[0]):
         x = np.concatenate([z[t - 1][None, :], c[t][None, :]], axis=1)
@@ -268,7 +265,7 @@ def test_warmup_consumes_z_hist_shifted_by_one():
 
     scale = np.abs(target).mean() + 1.0
     z = (target / scale)[:, None]
-    stack = recurrent_inference(model.lstm)
+    stack = reference_stepper(model.lstm)
     states = stack.zero_state(1)
     for t in range(1, length):
         x = np.concatenate([z[t - 1][None, :], cov[t][None, :]], axis=1)

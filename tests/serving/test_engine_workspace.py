@@ -1,8 +1,9 @@
-"""The fleet engine's decode workspace: reuse across submits and its hazards.
+"""The fleet engine's workspace: reuse across submits and its hazards.
 
-A fused engine keeps one decode workspace (per-layer contexts plus the
-sampled-target and step-input rows) for its whole life.  These tests pin
-the contract that makes the reuse safe: returned samples are fresh arrays,
+A fused engine keeps one workspace (the driver's per-layer contexts with
+their decode and warm-up buffers, plus the sampled-target and step-input
+rows) for its whole life.  These tests pin the contract that makes the
+reuse safe: returned samples and cached warm-up states are fresh arrays,
 weights are re-read on every submit, one submit runs at a time, and deep
 forecasters drop engines whose weights went stale.
 """
@@ -30,40 +31,53 @@ def make_model(backbone):
                         encoder_length=12, decoder_length=3, rng=0, backbone=backbone)
 
 
-def make_requests(n_cars, n_samples, seed, horizon=3):
+def make_requests(n_cars, n_samples, seed, horizon=3, origin=None):
+    """``n_cars`` requests; keyed by car (cacheable in carry mode) when an
+    ``origin`` is given."""
     rng = np.random.default_rng(100)
     streams = spawn_request_rngs(np.random.default_rng(seed), n_cars)
     future = np.zeros((horizon, N_COV))
     return [
         ForecastRequest(np.clip(10 + np.cumsum(rng.normal(0, 1, 12)), 1, 33),
                         rng.normal(size=(12, N_COV)), future,
-                        n_samples=n_samples, rng=stream)
-        for stream in streams
+                        n_samples=n_samples, rng=stream,
+                        key=None if origin is None else car, origin=origin)
+        for car, stream in enumerate(streams)
     ]
 
 
 def workspace_buffers(engine):
     backend = engine._backend
-    owners = [ctx._rows for ctx in backend.ctxs] + [backend.io_rows]
+    ctxs = backend.driver.ctxs
+    owners = [ctx._rows for ctx in ctxs] + [ctx._seq_rows for ctx in ctxs] + [backend.io_rows]
     return [buf for owner in owners for buf in owner._buffers]
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
 @pytest.mark.parametrize("backbone", ["lstm", "gru"])
-def test_held_samples_survive_larger_and_smaller_submits(backbone, precision):
-    engine = FleetForecaster(make_model(backbone), precision=precision)
+@pytest.mark.parametrize("mode", ["exact", "carry"])
+def test_held_samples_survive_larger_and_smaller_submits(mode, backbone, precision):
+    engine = FleetForecaster(make_model(backbone), mode=mode, precision=precision)
     # the first round grows the workspace past submit A's rows; the second
-    # runs every submit on the already-grown buffers
-    for _ in range(2):
-        held = engine.submit(make_requests(3, n_samples=5, seed=1))
+    # runs every submit on the already-grown buffers.  The origin advances
+    # per submit, so carry mode runs both full and carried warm-ups.
+    for origin in (11, 14):
+        held = engine.submit(make_requests(3, n_samples=5, seed=1, origin=origin))
         held_bytes = [a.tobytes() for a in held]
-        engine.submit(make_requests(6, n_samples=9, seed=2))
-        engine.submit(make_requests(2, n_samples=4, seed=3))
+        cached = list(engine.cache._entries.values())
+        cached_bytes = [entry.packed_state.tobytes() for entry in cached]
+        assert bool(cached) == (mode == "carry")
+        engine.submit(make_requests(6, n_samples=9, seed=2, origin=origin + 1))
+        engine.submit(make_requests(2, n_samples=4, seed=3, origin=origin + 2))
         buffers = workspace_buffers(engine)
         assert buffers and buffers[0].shape[0] == 6 * 9  # high-water row count
         for samples, before in zip(held, held_bytes):
             assert samples.tobytes() == before
             assert not any(np.shares_memory(samples, buf) for buf in buffers)
+        for entry, before in zip(cached, cached_bytes):
+            assert entry.packed_state.tobytes() == before
+        for entry in cached + list(engine.cache._entries.values()):
+            assert not any(np.shares_memory(entry.packed_state, buf) for buf in buffers)
 
 
 @pytest.mark.parametrize("backbone", ["lstm", "gru"])
@@ -168,3 +182,11 @@ def test_live_race_submits_stop_faulting_once_the_workspace_is_warm():
     # the live-race shape: 33 cars x 50 samples, 2x40 LSTM, carry, horizon 2;
     # ~4,500 faults per submit when every submit allocated fresh scratch
     assert steady_state_faults() <= 200
+
+
+def test_exact_warmup_submits_stop_faulting_once_the_workspace_is_warm():
+    pytest.importorskip("resource")
+    # the forecast-gateway shape: as above, but every submit re-runs the
+    # 29-step warm-up; ~670 faults per submit when the warm-up allocated
+    # its (B, T, .) projection and output tensors per call
+    assert steady_state_faults(mode="exact") <= 200
