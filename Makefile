@@ -14,8 +14,8 @@ help:
 	@echo "  format          ruff format (in place)"
 	@echo "  bench           benchmark suite (pytest benchmarks/), refreshes benchmarks/results/"
 	@echo "  bench-smoke     quick table5 experiment profile"
-	@echo "  bench-train     training-throughput profile"
-	@echo "  bench-decode    decode-throughput profile"
+	@echo "  bench-train     fused training-pass timings (train + cache-free eval)"
+	@echo "  bench-decode    fused warm-up/decode timings per shape + page faults per submit"
 	@echo "  bench-precision float32/int8 precision tiers: speedup + parity profile"
 	@echo "  bench-serve     serving-gateway overhead/isolation benchmark"
 	@echo "  bench-scenarios scenario-engine throughput profile"

@@ -24,11 +24,18 @@ from __future__ import annotations
 import contextlib
 import os
 import pathlib
+import sys
 
 import pytest
 
 from repro.experiments import full_config, quick_config
 from repro.profiling.report import bench_output_dir
+
+# pytest collects ``benchmarks/`` before ``tests/``: put ``tests/`` on the
+# path here too, so benchmarks can import ``from reference.<module> ...``
+TESTS_DIR = str(pathlib.Path(__file__).resolve().parent.parent / "tests")
+if TESTS_DIR not in sys.path:
+    sys.path.insert(0, TESTS_DIR)
 
 _ACTIVE_CAPSYS = None
 

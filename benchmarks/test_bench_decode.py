@@ -1,12 +1,12 @@
-"""Fused Monte-Carlo decode engine vs. the retained stepwise reference.
+"""Fused Monte-Carlo decode engine vs. the stepwise reference loop.
 
 Two guarantees are gated on the Table V fleet configuration (33 cars x 100
 Monte-Carlo samples, 2-layer 40-unit LSTM):
 
-* **byte-identity** — the fused block-RNG decode (``decode="fused"``)
-  reproduces the stepwise per-lap reference (``decode="stepwise"``, the
-  pre-fusion ``run_group`` loop kept verbatim) bit for bit, in both
-  ``exact`` and ``carry`` warm-up modes;
+* **byte-identity** — the engine's fused block-RNG decode reproduces the
+  stepwise per-lap reference (the pre-fusion ``run_group`` loop, kept
+  verbatim in ``tests/reference/decode.py``) bit for bit, in both
+  ``exact`` and ``carry`` warm-up modes, with random recurrent biases;
 * **speedup** — the fused decode phase is no slower on the Table V shape
   and measurably faster on the decode-heavy shapes (the Fig. 9 long
   horizon and the strategy-sweep fan-out), with the measured breakdown
@@ -27,6 +27,7 @@ floors of the measured medians so they stay robust on noisy runners.
 
 import numpy as np
 
+from reference.decode import randomize_biases, stepwise_forecaster
 from repro.models.deep.rankmodel import RankSeqModel
 from repro.profiling.decode import decode_breakdown
 from repro.serving import FleetForecaster, ForecastRequest, spawn_request_rngs
@@ -62,7 +63,10 @@ def _build_workload(horizon=HORIZON, n_origins=N_ORIGINS):
 
 
 def _run(model, targets, covs, origins, mode, decode, horizon=HORIZON):
-    engine = FleetForecaster(model, mode=mode, decode=decode)
+    if decode == "stepwise":
+        engine = stepwise_forecaster(model, mode=mode)
+    else:
+        engine = FleetForecaster(model, mode=mode)
     future = np.zeros((horizon, N_COV))
     streams = spawn_request_rngs(np.random.default_rng(42), N_CARS * len(origins))
     results = []
@@ -86,6 +90,7 @@ def _run(model, targets, covs, origins, mode, decode, horizon=HORIZON):
 def test_bench_decode_byte_identity(benchmark):
     """Fused == stepwise bit for bit on the Table V fleet, both modes."""
     model, targets, covs, origins = _build_workload()
+    randomize_biases(model)
 
     def check_all():
         for mode in ("exact", "carry"):
@@ -101,20 +106,27 @@ def test_bench_decode_byte_identity(benchmark):
 
 def test_bench_decode_speedup(benchmark):
     """Measured decode-phase breakdown + the conservative speedup gates."""
+    engines = {
+        "stepwise": lambda model: stepwise_forecaster(model, mode="exact"),
+        "fused": lambda model: FleetForecaster(model, mode="exact"),
+    }
     rows = [m.as_row() for m in benchmark.pedantic(
-        decode_breakdown, kwargs=dict(repeats=3), rounds=1, iterations=1
+        decode_breakdown, kwargs=dict(repeats=3, engines=engines), rounds=1, iterations=1
     )]
+    stepwise_ms = {row["workload"]: row["decode_ms"] for row in rows if row["engine"] == "stepwise"}
+    for row in rows:
+        row["speedup_vs_stepwise"] = stepwise_ms[row["workload"]] / max(row["decode_ms"], 1e-12)
 
     lines = [
         "Decode engine breakdown (2x40 LSTM, encoder 60; decode phase only, "
         "median of 3 interleaved runs)",
         "fused == stepwise byte-identical in exact and carry modes "
         "(gated in test_bench_decode_byte_identity)",
-        f"{'workload':<20}{'decode':<10}{'warmup_ms':>11}{'decode_ms':>11}{'speedup':>9}",
+        f"{'workload':<20}{'engine':<10}{'warmup_ms':>11}{'decode_ms':>11}{'speedup':>9}",
     ]
     for row in rows:
         lines.append(
-            f"{row['workload']:<20}{row['decode']:<10}{row['warmup_ms']:>11.1f}"
+            f"{row['workload']:<20}{row['engine']:<10}{row['warmup_ms']:>11.1f}"
             f"{row['decode_ms']:>11.1f}{row['speedup_vs_stepwise']:>9.2f}"
         )
     lines.append(
@@ -127,7 +139,7 @@ def test_bench_decode_speedup(benchmark):
     publish("decode.txt", text)
 
     speedups = {
-        (row["workload"], row["decode"]): row["speedup_vs_stepwise"] for row in rows
+        (row["workload"], row["engine"]): row["speedup_vs_stepwise"] for row in rows
     }
     tablev = speedups[("tableV 33x100 h2", "fused")]
     assert tablev >= 1.0 / MAX_TABLEV_SLOWDOWN, (

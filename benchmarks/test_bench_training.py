@@ -2,10 +2,10 @@
 
 Times one synthetic training epoch of the Table IV configuration (2-layer,
 40-unit LSTM, 60-lap context, 2-lap decoder, batch 64) on both training
-paths of :class:`repro.models.deep.rankmodel.RankSeqModel`:
+paths of :class:`repro.models.deep.rankmodel.RankSeqModel` training:
 
-* ``stepwise`` — the retained one-lap-at-a-time reference
-  (``_forward_loss_stepwise`` over ``LSTMCell.step``/``step_backward``);
+* ``stepwise`` — the one-lap-at-a-time reference (``stepwise_loss`` over
+  the cells' ``step``/``step_backward``, ``tests/reference/training.py``);
 * ``fused`` — the full-sequence engine (``forward_sequence`` /
   ``backward_sequence``, fused ``MultiGaussianOutput`` head, vectorised
   ``gaussian_nll_seq``), plus its cache-free validation pass.
@@ -29,6 +29,7 @@ import time
 
 import numpy as np
 
+from reference.training import stepwise_loss
 from repro.models.deep.rankmodel import RankSeqModel
 from repro.profiling.training import synthetic_batches
 
@@ -90,8 +91,8 @@ def test_bench_training_fused_vs_stepwise(benchmark):
         fused_loss = model.loss_and_backward(batch)
         fused_grads = {name: p.grad.copy() for name, p in model.named_parameters()}
         model.zero_grad()
-        stepwise_loss = model._forward_loss_stepwise(batch, with_backward=True)
-        assert abs(fused_loss - stepwise_loss) < GRAD_PARITY
+        reference_loss = stepwise_loss(model, batch, with_backward=True)
+        assert abs(fused_loss - reference_loss) < GRAD_PARITY
         for name, p in model.named_parameters():
             delta = float(np.abs(fused_grads[name] - p.grad).max())
             worst = max(worst, delta)
@@ -107,8 +108,8 @@ def test_bench_training_fused_vs_stepwise(benchmark):
         return _epoch(
             model,
             batches,
-            lambda b: model._forward_loss_stepwise(b, with_backward=True),
-            lambda b: model._forward_loss_stepwise(b, with_backward=False),
+            lambda b: stepwise_loss(model, b, with_backward=True),
+            lambda b: stepwise_loss(model, b, with_backward=False),
         )
 
     fused_epoch()  # warm-up (BLAS initialisation, allocator)
@@ -177,8 +178,8 @@ def test_bench_training_gru_backbone_parity(benchmark):
         fused_loss = model.loss_and_backward(batch)
         fused_grads = {name: p.grad.copy() for name, p in model.named_parameters()}
         model.zero_grad()
-        stepwise_loss = model._forward_loss_stepwise(batch, with_backward=True)
-        assert abs(fused_loss - stepwise_loss) < GRAD_PARITY
+        reference_loss = stepwise_loss(model, batch, with_backward=True)
+        assert abs(fused_loss - reference_loss) < GRAD_PARITY
         for name, p in model.named_parameters():
             assert float(np.abs(fused_grads[name] - p.grad).max()) < GRAD_PARITY, name
 

@@ -18,9 +18,10 @@ projections batched into one GEMM per layer), one fused
 :class:`~repro.nn.layers.MultiGaussianOutput` head projection over the
 whole decoder block, one vectorised :func:`~repro.nn.losses.
 gaussian_nll_seq` evaluation, and one ``backward_sequence`` BPTT sweep.
-The original stepwise path is kept as ``_forward_loss_stepwise`` — it is
-the reference implementation the fused path is gradient-checked and
-benchmarked against (``benchmarks/test_bench_training.py``).
+This is the only training path; the lap-by-lap loop it replaced is kept
+as the reference ``stepwise_loss`` in ``tests/reference/training.py``,
+which the fused path is gradient-checked and benchmarked against
+(``benchmarks/test_bench_training.py``).
 
 Targets may be multivariate (``target_dim > 1``): the RankNet-Joint ablation
 models ``[Rank, LapStatus, TrackStatus]`` jointly through one fused Gaussian
@@ -48,8 +49,9 @@ class RankSeqModel(Module):
 
     ``backbone`` selects the recurrent stack: ``"lstm"`` (the paper's
     default) or ``"gru"`` (lighter-weight, one state vector per layer).
-    Both expose the same step API, so training and the fleet inference
-    engine treat them identically.
+    Both stack on the same :class:`~repro.nn.recurrent.RecurrentStack`
+    loop, so training and the fleet inference engine treat them
+    identically.
     """
 
     def __init__(
@@ -140,8 +142,9 @@ class RankSeqModel(Module):
         Forward: one ``forward_sequence`` through the stack, one fused head
         projection over the whole decoder block, one vectorised NLL.  With
         ``with_backward=False`` (validation) no BPTT caches are built at
-        all.  Produces the same loss and parameter gradients as
-        :meth:`_forward_loss_stepwise` to well below 1e-10.
+        all.  Produces the same loss and parameter gradients as the
+        stepwise reference (``tests/reference/training.py``) to well below
+        1e-10.
         """
         target, covariates, weight = self._check_batch(batch)
         batch_size, total_len, _ = target.shape
@@ -166,57 +169,6 @@ class RankSeqModel(Module):
         d_outputs[:, j0:, :] = dh_dec
         self.lstm.backward_sequence(d_outputs)
         return float(loss)
-
-    # ------------------------------------------------------------------
-    # stepwise reference path (kept for gradient checks and benchmarks)
-    # ------------------------------------------------------------------
-    def _forward_loss_stepwise(
-        self, batch: Dict[str, np.ndarray], with_backward: bool
-    ) -> float:
-        """Original one-lap-at-a-time training path over the step API."""
-        target, covariates, weight = self._check_batch(batch)
-        batch_size, total_len, _ = target.shape
-        scale = self._scale_factors(target)  # (B, D)
-        z = target / scale[:, None, :]
-
-        states = self.lstm.zero_state(batch_size)
-        decoder_start = total_len - self.decoder_length
-        step_params: Dict[int, tuple] = {}  # t -> (mu (B,D), sigma (B,D))
-        for t in range(1, total_len):
-            x_t = np.concatenate([z[:, t - 1, :], covariates[:, t, :]], axis=1)
-            h_t, states = self.lstm.step(x_t, states)
-            if t >= decoder_start:
-                step_params[t] = self.head.forward(h_t)
-
-        # loss over decoder steps, averaged over (instances x steps x dims)
-        total_loss = 0.0
-        grads: Dict[int, tuple] = {}
-        steps = sorted(step_params)
-        for t in steps:
-            mus, sigmas = step_params[t]
-            z_t = z[:, t, :][:, None, :]
-            loss, d_mu, d_sigma = gaussian_nll_seq(
-                z_t, mus[:, None, :], sigmas[:, None, :], weights=weight
-            )
-            total_loss += loss / len(steps)
-            grads[t] = (d_mu[:, 0, :] / len(steps), d_sigma[:, 0, :] / len(steps))
-
-        if not with_backward:
-            self.lstm.clear_cache()
-            self.head.clear_cache()
-            return float(total_loss)
-
-        # backward pass: heads (reverse order), then BPTT through the stack
-        dh_by_step: Dict[int, np.ndarray] = {}
-        for t in reversed(steps):
-            d_mu, d_sigma = grads[t]
-            dh_by_step[t] = self.head.backward(d_mu, d_sigma)
-
-        dstates = None
-        for t in reversed(range(1, total_len)):
-            dh_top = dh_by_step.get(t, np.zeros((batch_size, self.hidden_dim)))
-            _, dstates = self.lstm.step_backward(dh_top, dstates)
-        return float(total_loss)
 
     def loss_and_backward(self, batch: Dict[str, np.ndarray]) -> float:
         return self._forward_loss(batch, with_backward=True)

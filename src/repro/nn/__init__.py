@@ -40,10 +40,8 @@ from .distributions import GaussianOutput, GaussianParams, gaussian_quantile, ga
 from .gradcheck import check_parameter_gradients, numerical_gradient, relative_error
 from .gru import GRUCell, StackedGRU
 from .inference import (
-    GaussianHeadInference,
     MultiGaussianHeadInference,
     StackInference,
-    head_inference,
     slice_states,
     stable_matmul,
     tile_states,
@@ -98,10 +96,8 @@ __all__ = [
     "relative_error",
     "GRUCell",
     "StackedGRU",
-    "GaussianHeadInference",
     "MultiGaussianHeadInference",
     "StackInference",
-    "head_inference",
     "slice_states",
     "stable_matmul",
     "tile_states",

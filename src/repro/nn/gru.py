@@ -9,13 +9,13 @@ two).  The cell follows the standard formulation
     n_t = tanh(W_n x_t + r_t * (U_n h_{t-1}) + b_n)
     h_t = (1 - u_t) * n_t + u_t * h_{t-1}
 
-and exposes the same step / step-backward API as
-:class:`repro.nn.recurrent.LSTMCell`, so the two backbones are
-interchangeable inside unrolled models.  Like the LSTM, the GRU also
-provides the fused full-sequence ``forward_sequence`` /
-``backward_sequence`` path used by teacher-forced training, and the
-``step_decode`` / ``sequence_decode`` inference kernel the serving engine
-runs (see :mod:`repro.nn.recurrent`).
+and has the same two paths as :class:`repro.nn.recurrent.LSTMCell`, so
+the two backbones are interchangeable: the fused full-sequence
+``forward_sequence`` / ``backward_sequence`` for teacher-forced training,
+and the ``step_decode`` / ``sequence_decode`` inference kernel the serving
+engine runs.  :class:`StackedGRU` stacks the cells on the same
+:class:`~repro.nn.recurrent.RecurrentStack` loop as the LSTM.  The
+stepwise training reference lives in ``tests/reference/training.py``.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import initializers as init
-from .activations import sigmoid, sigmoid_dense
+from .activations import sigmoid_dense
 from .kernels import stable_matmul
 from .module import Module, Parameter
 from .precision import RowWorkspace
-from .recurrent import _load_rows, _sigmoid_inplace
+from .recurrent import RecurrentStack, _load_rows, _sigmoid_inplace
 
 __all__ = ["GRUCell", "GRUDecodeContext", "StackedGRU"]
 
@@ -106,68 +106,12 @@ class GRUCell(Module):
             init.orthogonal((hidden_dim, hidden_dim), rng=rng), f"{name}.w_h_cand"
         )
         self.b_cand = Parameter(init.zeros((hidden_dim,)), f"{name}.b_cand")
-        self._cache: List[tuple] = []
         self._seq_cache: List[tuple] = []
-        self._dgates_buf: Optional[np.ndarray] = None
 
     def zero_state(self, batch_size: int, dtype=np.float64) -> np.ndarray:
         return np.zeros((batch_size, self.hidden_dim), dtype=dtype)
 
-    # ------------------------------------------------------------------
-    def step(self, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        h_prev = np.asarray(h_prev, dtype=np.float64)
-        gates = x @ self.w_x_gates.data + h_prev @ self.w_h_gates.data + self.b_gates.data
-        hd = self.hidden_dim
-        r = sigmoid(gates[:, :hd])
-        u = sigmoid(gates[:, hd:])
-        h_proj = h_prev @ self.w_h_cand.data
-        n = np.tanh(x @ self.w_x_cand.data + r * h_proj + self.b_cand.data)
-        h = (1.0 - u) * n + u * h_prev
-        self._cache.append((x, h_prev, r, u, n, h_proj))
-        return h
-
-    def step_backward(self, dh: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Backward for the most recent step: returns ``(dx, dh_prev)``."""
-        if not self._cache:
-            raise RuntimeError("step_backward called more times than step")
-        x, h_prev, r, u, n, h_proj = self._cache.pop()
-        dh = np.asarray(dh, dtype=np.float64)
-
-        d_u = dh * (h_prev - n)
-        d_n = dh * (1.0 - u)
-        dh_prev = dh * u
-
-        d_n_pre = d_n * (1.0 - n * n)
-        self.w_x_cand.grad += x.T @ d_n_pre
-        self.b_cand.grad += d_n_pre.sum(axis=0)
-        d_r = d_n_pre * h_proj
-        d_h_proj = d_n_pre * r
-        self.w_h_cand.grad += h_prev.T @ d_h_proj
-        dh_prev += d_h_proj @ self.w_h_cand.data.T
-        dx = d_n_pre @ self.w_x_cand.data.T
-
-        hd = self.hidden_dim
-        d_gates = self._step_dgates(dh.shape[0])
-        d_gates[:, :hd] = d_r * r * (1.0 - r)
-        d_gates[:, hd:] = d_u * u * (1.0 - u)
-        self.w_x_gates.grad += x.T @ d_gates
-        self.w_h_gates.grad += h_prev.T @ d_gates
-        self.b_gates.grad += d_gates.sum(axis=0)
-        dx += d_gates @ self.w_x_gates.data.T
-        dh_prev += d_gates @ self.w_h_gates.data.T
-        return dx, dh_prev
-
-    def _step_dgates(self, batch: int) -> np.ndarray:
-        """Preallocated per-step ``(B, 2H)`` gate-gradient buffer (consumed
-        before the next step, so reuse is safe — mirrors ``LSTMCell``)."""
-        buf = self._dgates_buf
-        if buf is None or buf.shape[0] != batch:
-            buf = self._dgates_buf = np.empty((batch, 2 * self.hidden_dim), dtype=np.float64)
-        return buf
-
     def clear_cache(self) -> None:
-        self._cache.clear()
         self._seq_cache.clear()
 
     # inference kernel --------------------------------------------------
@@ -366,34 +310,14 @@ class GRUCell(Module):
         dx_tm = dx.reshape(steps, batch, self.input_dim)
         return dx_tm.transpose(1, 0, 2), dh_next.copy()
 
-    # convenience full-sequence helpers -------------------------------
-    def forward(self, x: np.ndarray, h0: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=np.float64)
-        batch, steps, _ = x.shape
-        h = h0 if h0 is not None else self.zero_state(batch)
-        outputs = np.empty((batch, steps, self.hidden_dim), dtype=np.float64)
-        for t in range(steps):
-            h = self.step(x[:, t, :], h)
-            outputs[:, t, :] = h
-        return outputs, h
 
-    def backward(self, d_outputs: np.ndarray) -> np.ndarray:
-        d_outputs = np.asarray(d_outputs, dtype=np.float64)
-        batch, steps, _ = d_outputs.shape
-        dh_next = np.zeros((batch, self.hidden_dim))
-        dx = np.empty((batch, steps, self.input_dim), dtype=np.float64)
-        for t in reversed(range(steps)):
-            dxt, dh_next = self.step_backward(d_outputs[:, t, :] + dh_next)
-            dx[:, t, :] = dxt
-        return dx
+class StackedGRU(RecurrentStack):
+    """A stack of GRU layers on the shared :class:`RecurrentStack` loop.
 
-
-class StackedGRU(Module):
-    """A stack of GRU layers with the same step API as :class:`StackedLSTM`.
-
-    States are per-layer hidden vectors (no cell state): ``step`` and the
-    sequence paths take and return a list of ``(B, H)`` arrays where the
-    LSTM stack uses ``(h, c)`` pairs.
+    States are per-layer hidden vectors (no cell state): the sequence paths
+    take and return a list of ``(B, H)`` arrays where the LSTM stack uses
+    ``(h, c)`` pairs.  There is no inter-layer dropout (``dropout_rate`` is
+    0), so the stack draws no masks.
     """
 
     def __init__(
@@ -403,44 +327,7 @@ class StackedGRU(Module):
         num_layers: int = 2,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        super().__init__()
-        if num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        self.input_dim = int(input_dim)
-        self.hidden_dim = int(hidden_dim)
-        self.num_layers = int(num_layers)
-        self.cells = [
-            GRUCell(input_dim if layer == 0 else hidden_dim, hidden_dim, rng=rng, name=f"gru.{layer}")
-            for layer in range(num_layers)
-        ]
-
-    def zero_state(self, batch_size: int, dtype=np.float64) -> List[np.ndarray]:
-        return [cell.zero_state(batch_size, dtype=dtype) for cell in self.cells]
-
-    def step(self, x: np.ndarray, states: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[np.ndarray]]:
-        if len(states) != self.num_layers:
-            raise ValueError(f"expected {self.num_layers} states, got {len(states)}")
-        h = np.asarray(x, dtype=np.float64)
-        new_states: List[np.ndarray] = []
-        for layer, cell in enumerate(self.cells):
-            h = cell.step(h, states[layer])
-            new_states.append(h)
-        return h, new_states
-
-    def step_backward(
-        self, dh_top: np.ndarray, dstates: Optional[Sequence[np.ndarray]] = None
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        batch = np.asarray(dh_top).shape[0]
-        if dstates is None:
-            dstates = [np.zeros((batch, self.hidden_dim)) for _ in range(self.num_layers)]
-        dprev: List[np.ndarray] = [None] * self.num_layers  # type: ignore
-        d_from_above = np.asarray(dh_top, dtype=np.float64)
-        for layer in reversed(range(self.num_layers)):
-            dx_layer, dh_prev = self.cells[layer].step_backward(d_from_above + dstates[layer])
-            dprev[layer] = dh_prev
-            d_from_above = dx_layer
-        return d_from_above, dprev
+        super().__init__(GRUCell, "gru", input_dim, hidden_dim, num_layers, 0.0, rng)
 
     # ------------------------------------------------------------------
     # batched state save / restore (mirrors ``StackedLSTM``)
@@ -466,62 +353,3 @@ class StackedGRU(Module):
         if packed.shape[2] != self.hidden_dim:
             raise ValueError(f"hidden dim mismatch: {packed.shape[2]} != {self.hidden_dim}")
         return [packed[layer].copy() for layer in range(self.num_layers)]
-
-    # ------------------------------------------------------------------
-    # fused full-sequence path (mirrors ``StackedLSTM``)
-    # ------------------------------------------------------------------
-    def forward_sequence(
-        self,
-        x: np.ndarray,
-        states: Optional[Sequence[np.ndarray]] = None,
-        with_cache: bool = True,
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Fused layer-major teacher-forced pass over ``(B, T, input_dim)``."""
-        x = np.asarray(x, dtype=np.float64)
-        batch = x.shape[0]
-        if states is None:
-            states = self.zero_state(batch)
-        h_seq = x
-        final_states: List[np.ndarray] = []
-        for layer, cell in enumerate(self.cells):
-            h_seq, h = cell.forward_sequence(h_seq, states[layer], with_cache=with_cache)
-            final_states.append(h)
-        return h_seq, final_states
-
-    def backward_sequence(
-        self,
-        d_outputs: np.ndarray,
-        d_final_states: Optional[Sequence[np.ndarray]] = None,
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Fused BPTT matching :meth:`forward_sequence`; returns ``(dx, dh0s)``."""
-        grad = np.asarray(d_outputs, dtype=np.float64)
-        d_initial: List[np.ndarray] = [None] * self.num_layers  # type: ignore
-        for layer in reversed(range(self.num_layers)):
-            d_state = None if d_final_states is None else d_final_states[layer]
-            grad, d_init = self.cells[layer].backward_sequence(grad, d_state)
-            d_initial[layer] = d_init
-        return grad, d_initial
-
-    def forward(self, x: np.ndarray, states: Optional[Sequence[np.ndarray]] = None):
-        x = np.asarray(x, dtype=np.float64)
-        batch, steps, _ = x.shape
-        states = list(states) if states is not None else self.zero_state(batch)
-        outputs = np.empty((batch, steps, self.hidden_dim), dtype=np.float64)
-        for t in range(steps):
-            h, states = self.step(x[:, t, :], states)
-            outputs[:, t, :] = h
-        return outputs, states
-
-    def backward(self, d_outputs: np.ndarray) -> np.ndarray:
-        d_outputs = np.asarray(d_outputs, dtype=np.float64)
-        batch, steps, _ = d_outputs.shape
-        dstates = None
-        dx = np.empty((batch, steps, self.input_dim), dtype=np.float64)
-        for t in reversed(range(steps)):
-            dxt, dstates = self.step_backward(d_outputs[:, t, :], dstates)
-            dx[:, t, :] = dxt
-        return dx
-
-    def clear_cache(self) -> None:
-        for cell in self.cells:
-            cell.clear_cache()

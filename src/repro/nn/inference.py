@@ -4,7 +4,7 @@ Training runs the recurrent stacks' caching ``forward_sequence`` /
 ``backward_sequence`` path; Monte-Carlo forecasting needs neither gradients
 nor caches, so the serving engine drives the cells' cache-free
 ``step_decode`` / ``sequence_decode`` kernel through :class:`StackInference`
-and projects with the head kernels in this module instead.  They read the
+and projects with :class:`MultiGaussianHeadInference` instead.  They read the
 *same* parameters as the training modules — no weights are copied beyond
 the LSTM's per-session gate permutation — and add one crucial property the
 raw BLAS path does not have: **batch-size invariance**.
@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .activations import softplus
-from .distributions import GaussianOutput
 from .gru import GRUDecodeContext, StackedGRU
 from .kernels import STABLE_CHUNK_ROWS, stable_matmul
 from .layers import MultiGaussianOutput
@@ -40,9 +39,7 @@ __all__ = [
     "tile_states",
     "slice_states",
     "StackInference",
-    "GaussianHeadInference",
     "MultiGaussianHeadInference",
-    "head_inference",
 ]
 
 
@@ -84,7 +81,10 @@ class StackInference:
     * :meth:`load` then :meth:`step_decode` — an allocation-free session.
 
     The contexts live as long as the driver, so a long-lived driver stops
-    allocating once its buffers reach their high-water row counts.
+    allocating once its buffers reach their high-water row counts;
+    ``max_rows`` (the serving engine passes its ``max_batch_rows``) caps
+    the rows of the warm-up's sequence buffers, ``None`` leaves them
+    unbounded.
     Returned states are always fresh arrays, never context views.  The
     driver shares the stack's parameters by reference.  ``dtype`` is the
     compute precision (default: the float64 reference); a non-default dtype
@@ -93,7 +93,7 @@ class StackInference:
     upcasts.
     """
 
-    def __init__(self, stack, dtype=np.float64) -> None:
+    def __init__(self, stack, dtype=np.float64, max_rows: Optional[int] = None) -> None:
         if isinstance(stack, StackedLSTM):
             context = LSTMDecodeContext
         elif isinstance(stack, StackedGRU):
@@ -102,6 +102,7 @@ class StackInference:
             raise TypeError(f"unsupported recurrent stack: {type(stack).__name__}")
         self.stack = stack
         self.dtype = np.dtype(dtype)
+        self.max_rows = max_rows
         self.ctxs = [context(cell, dtype=self.dtype) for cell in stack.cells]
 
     def zero_state(self, batch_size: int) -> List[_State]:
@@ -145,44 +146,36 @@ class StackInference:
         """Teacher-forced pass over ``(B, T, input_dim)`` from ``states``
         (zeros if omitted).
 
-        Layer-major: each layer's input projections for all ``T`` steps run
-        as one :func:`stable_matmul`, then the recurrent tail of
-        ``step_decode`` runs per step, so the result is bitwise identical to
-        ``T`` calls of :meth:`step`.  Returns the top-layer hidden sequence —
-        a view of the driver's buffers, valid until the next call — and
-        fresh final states.
+        The sequence runs in time chunks of ``max(1, max_rows // B)`` steps
+        (one chunk when ``max_rows`` is ``None`` or the sequence fits), each
+        through every layer: per layer, one :func:`stable_matmul` projects
+        the chunk's inputs, then the recurrent tail of ``step_decode`` runs
+        per step.  ``stable_matmul`` rows are batch-size invariant, so the
+        result is bitwise identical to ``T`` calls of :meth:`step` for any
+        chunking, and the contexts' sequence buffers hold at most
+        ``max(max_rows, B)`` rows.  Returns the top-layer hidden sequence — for a
+        single chunk a view of the driver's buffers, valid until the next
+        call, else a fresh array — and fresh final states.
         """
-        h_seq = working_array(x, dtype=self.dtype, contiguous=True)
-        self.load(self.zero_state(len(h_seq)) if states is None else states)
-        for cell, ctx in zip(self.stack.cells, self.ctxs):
-            h_seq = cell.sequence_decode(h_seq, ctx)
-        return h_seq, self.states()
+        x = working_array(x, dtype=self.dtype, contiguous=True)
+        batch, steps = x.shape[:2]
+        self.load(self.zero_state(batch) if states is None else states)
+        span = max(1, steps if self.max_rows is None else self.max_rows // max(batch, 1))
+        outputs = None
+        for t0 in range(0, max(steps, 1), span):
+            h_seq = x[:, t0 : t0 + span]
+            for cell, ctx in zip(self.stack.cells, self.ctxs):
+                h_seq = cell.sequence_decode(h_seq, ctx)
+            if span < steps:
+                if outputs is None:
+                    outputs = np.empty((batch, steps, h_seq.shape[2]), dtype=self.dtype)
+                outputs[:, t0 : t0 + span] = h_seq
+        return (h_seq if outputs is None else outputs), self.states()
 
 
 # ``perfbench/serving.py`` records the warm-up shapes by patching
 # ``forward_sequence`` on the class under this name
 LSTMStackInference = StackInference
-
-
-class GaussianHeadInference:
-    """Cache-free ``(mu, sigma)`` projection sharing a head's parameters."""
-
-    def __init__(self, head: GaussianOutput, dtype=np.float64) -> None:
-        self.head = head
-        self.dtype = np.dtype(dtype)
-
-    def __call__(self, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        head = self.head
-        mu = (
-            stable_matmul(h, head.mu_head.weight.data, dtype=self.dtype)[:, 0]
-            + head.mu_head.bias.data[0]
-        )
-        pre = (
-            stable_matmul(h, head.sigma_head.weight.data, dtype=self.dtype)[:, 0]
-            + head.sigma_head.bias.data[0]
-        )
-        sigma = softplus(pre) + head.sigma_floor
-        return mu, sigma
 
 
 class MultiGaussianHeadInference:
@@ -203,12 +196,3 @@ class MultiGaussianHeadInference:
         mu = out[:, :d]
         sigma = softplus(out[:, d:]) + head.sigma_floor
         return mu, sigma
-
-
-def head_inference(head, dtype=np.float64) -> Union[GaussianHeadInference, MultiGaussianHeadInference]:
-    """Build the matching cache-free projection for a Gaussian head module."""
-    if isinstance(head, MultiGaussianOutput):
-        return MultiGaussianHeadInference(head, dtype=dtype)
-    if isinstance(head, GaussianOutput):
-        return GaussianHeadInference(head, dtype=dtype)
-    raise TypeError(f"unsupported Gaussian head: {type(head).__name__}")

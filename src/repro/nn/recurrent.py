@@ -1,19 +1,19 @@
-"""Recurrent layers: LSTM cell, single-layer LSTM, and stacked LSTM.
+"""Recurrent layers: LSTM cell and the stacked-cell base shared with the GRU.
 
-The cells expose a *step* API (one time step at a time) because the
-DeepAR-style decoders in this repository interleave sampling with the
-recurrence.  Teacher-forced training and encoding do not need per-step
-sampling, so the cells additionally provide a fused full-sequence path
-(``forward_sequence`` / ``backward_sequence``): the input projections of
-all ``T`` steps run as one ``(B*T, 4H)`` GEMM, the per-step caches live in
-preallocated ``(B, T, .)`` tensors instead of Python lists, the four gate
-backwards write into one preallocated ``dgates`` buffer, and the
-``w_x``/``w_h`` gradients accumulate through two reshaped batched GEMMs
-over the whole sequence.  The slower ``forward``/``backward`` helpers on
-top of the step API are kept as the stepwise reference implementation.
-Inference runs on a third, cache-free kernel: ``step_decode`` /
+Each cell has one training path and one inference kernel.  Training runs
+the fused full-sequence path (``forward_sequence`` /
+``backward_sequence``): the input projections of all ``T`` steps run as
+one ``(B*T, 4H)`` GEMM, the per-step caches live in preallocated
+``(T, B, .)`` tensors, the four gate backwards write into one
+preallocated ``dgates`` buffer, and the ``w_x``/``w_h`` gradients
+accumulate through two reshaped batched GEMMs over the whole sequence.
+Inference — the DeepAR decoders interleave sampling with the recurrence,
+so they step — runs on a cache-free kernel: ``step_decode`` /
 ``sequence_decode`` over a reusable :class:`LSTMDecodeContext`, driven by
-:class:`repro.nn.inference.StackInference`.
+:class:`repro.nn.inference.StackInference`.  :class:`RecurrentStack` is
+the one layer-major stacking loop of :class:`StackedLSTM` and
+:class:`~repro.nn.gru.StackedGRU`.  The stepwise training math these
+replaced is kept as the reference in ``tests/reference/training.py``.
 
 Gate layout in all weight matrices is ``[input, forget, cell, output]``.
 """
@@ -25,12 +25,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import initializers as init
-from .activations import sigmoid, sigmoid_dense
+from .activations import sigmoid_dense
 from .kernels import stable_matmul
 from .module import Module, Parameter
 from .precision import RowWorkspace
 
-__all__ = ["LSTMState", "LSTMCell", "LSTMDecodeContext", "StackedLSTM"]
+__all__ = ["LSTMState", "LSTMCell", "LSTMDecodeContext", "RecurrentStack", "StackedLSTM"]
 
 # (hidden, cell) pair for one layer
 LSTMState = Tuple[np.ndarray, np.ndarray]
@@ -156,9 +156,7 @@ class LSTMCell(Module):
             init.orthogonal((hidden_dim, 4 * hidden_dim), rng=rng), f"{name}.w_h"
         )
         self.bias = Parameter(init.lstm_bias(hidden_dim, forget_bias), f"{name}.bias")
-        self._cache: List[tuple] = []
         self._seq_cache: List[tuple] = []
-        self._dgates_buf: Optional[np.ndarray] = None
         # fused-path gate order [i, f, o, g]: the three sigmoid gates become
         # one contiguous block so the whole gate matrix goes through a single
         # tanh pass per step (sigmoid(x) = 0.5 + 0.5 * tanh(x / 2))
@@ -173,79 +171,7 @@ class LSTMCell(Module):
         c = np.zeros((batch_size, self.hidden_dim), dtype=dtype)
         return h, c
 
-    def step(self, x: np.ndarray, state: LSTMState) -> Tuple[np.ndarray, LSTMState]:
-        """Run one time step; returns the new hidden state and state pair."""
-        h_prev, c_prev = state
-        x = np.asarray(x, dtype=np.float64)
-        gates = x @ self.w_x.data + h_prev @ self.w_h.data + self.bias.data
-        hd = self.hidden_dim
-        i = sigmoid(gates[:, 0 * hd : 1 * hd])
-        f = sigmoid(gates[:, 1 * hd : 2 * hd])
-        g = np.tanh(gates[:, 2 * hd : 3 * hd])
-        o = sigmoid(gates[:, 3 * hd : 4 * hd])
-        c = f * c_prev + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        self._cache.append((x, h_prev, c_prev, i, f, g, o, tanh_c))
-        return h, (h, c)
-
-    def step_backward(
-        self, dh: np.ndarray, dc: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Backward pass for the most recent cached step.
-
-        Parameters
-        ----------
-        dh:
-            Gradient w.r.t. the hidden output of the step (including any
-            gradient flowing back from the *next* time step's recurrence).
-        dc:
-            Gradient w.r.t. the cell state flowing back from the next step.
-
-        Returns
-        -------
-        (dx, dh_prev, dc_prev)
-        """
-        if not self._cache:
-            raise RuntimeError("step_backward called more times than step")
-        x, h_prev, c_prev, i, f, g, o, tanh_c = self._cache.pop()
-        dh = np.asarray(dh, dtype=np.float64)
-        if dc is None:
-            dc = np.zeros_like(dh)
-        d_o = dh * tanh_c
-        dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        d_i = dc_total * g
-        d_f = dc_total * c_prev
-        d_g = dc_total * i
-        dc_prev = dc_total * f
-        # back through gate non-linearities
-        hd = self.hidden_dim
-        dgates = self._step_dgates(dh.shape[0])
-        dgates[:, 0 * hd : 1 * hd] = d_i * i * (1.0 - i)
-        dgates[:, 1 * hd : 2 * hd] = d_f * f * (1.0 - f)
-        dgates[:, 2 * hd : 3 * hd] = d_g * (1.0 - g * g)
-        dgates[:, 3 * hd : 4 * hd] = d_o * o * (1.0 - o)
-        self.w_x.grad += x.T @ dgates
-        self.w_h.grad += h_prev.T @ dgates
-        self.bias.grad += dgates.sum(axis=0)
-        dx = dgates @ self.w_x.data.T
-        dh_prev = dgates @ self.w_h.data.T
-        return dx, dh_prev, dc_prev
-
-    def _step_dgates(self, batch: int) -> np.ndarray:
-        """Preallocated per-step ``(B, 4H)`` gate-gradient buffer.
-
-        The buffer is consumed (matmuls, sums) before :meth:`step_backward`
-        returns, so reusing it across steps is safe and removes the
-        ``np.concatenate`` allocation from the BPTT hot loop.
-        """
-        buf = self._dgates_buf
-        if buf is None or buf.shape[0] != batch:
-            buf = self._dgates_buf = np.empty((batch, 4 * self.hidden_dim), dtype=np.float64)
-        return buf
-
     def clear_cache(self) -> None:
-        self._cache.clear()
         self._seq_cache.clear()
 
     # inference kernel --------------------------------------------------
@@ -496,40 +422,129 @@ class LSTMCell(Module):
         )
         return dx_tm.transpose(1, 0, 2), (dh_next.copy(), dc_next.copy())
 
-    # convenience full-sequence helpers -------------------------------
-    def forward(self, x: np.ndarray, state: Optional[LSTMState] = None) -> Tuple[np.ndarray, LSTMState]:
-        """Run a full ``(batch, time, input_dim)`` sequence."""
+
+class RecurrentStack(Module):
+    """A stack of recurrent cells with optional inter-layer dropout.
+
+    The one stacking loop behind :class:`StackedLSTM` and
+    :class:`~repro.nn.gru.StackedGRU`: layer-major ``forward_sequence`` /
+    ``backward_sequence`` over the cells' fused sequence path.  Per-layer
+    states are whatever the cell carries — ``(h, c)`` pairs for the LSTM,
+    ``h`` arrays for the GRU.  ``cell_cls(in, hidden, rng=, name=)`` builds
+    each layer, drawing its weights from ``rng`` in layer order.
+    """
+
+    def __init__(
+        self,
+        cell_cls,
+        name: str,
+        input_dim: int,
+        hidden_dim: int,
+        num_layers: int,
+        dropout: float,
+        rng: np.random.Generator | int | None,
+    ) -> None:
+        super().__init__()
+        if num_layers < 1:
+            raise ValueError("num_layers must be >= 1")
+        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        self.input_dim = int(input_dim)
+        self.hidden_dim = int(hidden_dim)
+        self.num_layers = int(num_layers)
+        self.dropout_rate = float(dropout)
+        self.rng = rng
+        self.cells = [
+            cell_cls(
+                input_dim if layer == 0 else hidden_dim,
+                hidden_dim,
+                rng=rng,
+                name=f"{name}.{layer}",
+            )
+            for layer in range(num_layers)
+        ]
+        self._seq_dropout_cache: List[Optional[np.ndarray]] = []
+
+    def zero_state(self, batch_size: int, dtype=np.float64) -> list:
+        return [cell.zero_state(batch_size, dtype=dtype) for cell in self.cells]
+
+    def _sequence_dropout_masks(
+        self, batch: int, steps: int
+    ) -> Optional[np.ndarray]:
+        """Inter-layer dropout masks for a full-sequence pass.
+
+        Drawn as one ``(T, L-1, B, H)`` block, which consumes the RNG stream
+        per step, then per layer — the order of a time-major step loop, so
+        the stepwise reference (``tests/reference/training.py``) draws the
+        same masks under the same seed.
+        """
+        if not (self.training and self.dropout_rate > 0.0 and self.num_layers > 1):
+            return None
+        keep = 1.0 - self.dropout_rate
+        draws = self.rng.random((steps, self.num_layers - 1, batch, self.hidden_dim))
+        return (draws < keep).astype(np.float64) / keep
+
+    def forward_sequence(
+        self,
+        x: np.ndarray,
+        states: Optional[Sequence] = None,
+        with_cache: bool = True,
+    ) -> Tuple[np.ndarray, list]:
+        """Fused teacher-forced pass over ``(B, T, input_dim)``.
+
+        Layers are processed one after the other over the whole sequence
+        (layer-major), so every layer's input projection is a single fused
+        GEMM.  Results are identical to the time-major step loop.  With
+        ``with_cache=False`` no backward state is retained (cheap
+        validation / encoding).
+        """
         x = np.asarray(x, dtype=np.float64)
         batch, steps, _ = x.shape
-        if state is None:
-            state = self.zero_state(batch)
-        outputs = np.empty((batch, steps, self.hidden_dim), dtype=np.float64)
-        for t in range(steps):
-            h, state = self.step(x[:, t, :], state)
-            outputs[:, t, :] = h
-        return outputs, state
+        if states is None:
+            states = self.zero_state(batch)
+        masks = self._sequence_dropout_masks(batch, steps)
+        h_seq = x
+        final_states = []
+        for layer, cell in enumerate(self.cells):
+            h_seq, state = cell.forward_sequence(h_seq, states[layer], with_cache=with_cache)
+            final_states.append(state)
+            if masks is not None and layer < self.num_layers - 1:
+                # masks[:, layer] is (T, B, H); move time behind batch
+                h_seq = h_seq * masks[:, layer].transpose(1, 0, 2)
+        if with_cache:
+            self._seq_dropout_cache.append(masks)
+        return h_seq, final_states
 
-    def backward(
+    def backward_sequence(
         self,
         d_outputs: np.ndarray,
-        d_state: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> np.ndarray:
-        """Backward through a full sequence processed with :meth:`forward`."""
-        d_outputs = np.asarray(d_outputs, dtype=np.float64)
-        batch, steps, _ = d_outputs.shape
-        if d_state is None:
-            dh_next = np.zeros((batch, self.hidden_dim))
-            dc_next = np.zeros((batch, self.hidden_dim))
-        else:
-            dh_next, dc_next = d_state
-        dx = np.empty((batch, steps, self.input_dim), dtype=np.float64)
-        for t in reversed(range(steps)):
-            dxt, dh_next, dc_next = self.step_backward(d_outputs[:, t, :] + dh_next, dc_next)
-            dx[:, t, :] = dxt
-        return dx
+        d_final_states: Optional[Sequence] = None,
+    ) -> Tuple[np.ndarray, list]:
+        """Fused BPTT matching the most recent :meth:`forward_sequence`.
+
+        Returns ``(dx, d_initial_states)``.
+        """
+        if not self._seq_dropout_cache:
+            raise RuntimeError(
+                "backward_sequence called more times than forward_sequence"
+            )
+        masks = self._seq_dropout_cache.pop()
+        grad = np.asarray(d_outputs, dtype=np.float64)
+        d_initial: list = [None] * self.num_layers
+        for layer in reversed(range(self.num_layers)):
+            if masks is not None and layer < self.num_layers - 1:
+                grad = grad * masks[:, layer].transpose(1, 0, 2)
+            d_state = None if d_final_states is None else d_final_states[layer]
+            grad, d_init = self.cells[layer].backward_sequence(grad, d_state)
+            d_initial[layer] = d_init
+        return grad, d_initial
+
+    def clear_cache(self) -> None:
+        self._seq_dropout_cache.clear()
+        for cell in self.cells:
+            cell.clear_cache()
 
 
-class StackedLSTM(Module):
+class StackedLSTM(RecurrentStack):
     """A stack of LSTM layers with an optional inter-layer dropout.
 
     This mirrors the GluonTS DeepAR default used in the paper (two stacked
@@ -545,101 +560,7 @@ class StackedLSTM(Module):
         dropout: float = 0.0,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        super().__init__()
-        if num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        self.input_dim = int(input_dim)
-        self.hidden_dim = int(hidden_dim)
-        self.num_layers = int(num_layers)
-        self.dropout_rate = float(dropout)
-        self.rng = rng
-        self.cells = [
-            LSTMCell(
-                input_dim if layer == 0 else hidden_dim,
-                hidden_dim,
-                rng=rng,
-                name=f"lstm.{layer}",
-            )
-            for layer in range(num_layers)
-        ]
-        self._dropout_cache: List[List[Optional[np.ndarray]]] = []
-        self._seq_dropout_cache: List[Optional[np.ndarray]] = []
-
-    # ------------------------------------------------------------------
-    def zero_state(self, batch_size: int, dtype=np.float64) -> List[LSTMState]:
-        return [cell.zero_state(batch_size, dtype=dtype) for cell in self.cells]
-
-    def step(
-        self, x: np.ndarray, states: Sequence[LSTMState]
-    ) -> Tuple[np.ndarray, List[LSTMState]]:
-        """Advance the whole stack by one time step."""
-        if len(states) != self.num_layers:
-            raise ValueError(f"expected {self.num_layers} states, got {len(states)}")
-        new_states: List[LSTMState] = []
-        masks: List[Optional[np.ndarray]] = []
-        h = np.asarray(x, dtype=np.float64)
-        for layer, cell in enumerate(self.cells):
-            h, state = cell.step(h, states[layer])
-            new_states.append(state)
-            if (
-                self.training
-                and self.dropout_rate > 0.0
-                and layer < self.num_layers - 1
-            ):
-                keep = 1.0 - self.dropout_rate
-                mask = (self.rng.random(h.shape) < keep).astype(np.float64) / keep
-                h = h * mask
-                masks.append(mask)
-            else:
-                masks.append(None)
-        self._dropout_cache.append(masks)
-        return h, new_states
-
-    def step_backward(
-        self,
-        dh_top: np.ndarray,
-        dstates: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
-    ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
-        """Backward for the most recent :meth:`step` call.
-
-        Parameters
-        ----------
-        dh_top:
-            Gradient w.r.t. the top-layer hidden output of the step.
-        dstates:
-            Per-layer ``(dh, dc)`` gradients flowing back from the next time
-            step (or ``None`` at the last step).
-
-        Returns
-        -------
-        (dx, dprev_states) where ``dprev_states`` is a list of per-layer
-        ``(dh_prev, dc_prev)`` to be passed to the previous step.
-        """
-        if not self._dropout_cache:
-            raise RuntimeError("step_backward called more times than step")
-        masks = self._dropout_cache.pop()
-        batch = np.asarray(dh_top).shape[0]
-        if dstates is None:
-            dstates = [
-                (
-                    np.zeros((batch, self.hidden_dim)),
-                    np.zeros((batch, self.hidden_dim)),
-                )
-                for _ in range(self.num_layers)
-            ]
-        dprev_states: List[Tuple[np.ndarray, np.ndarray]] = [None] * self.num_layers  # type: ignore
-        d_from_above = np.asarray(dh_top, dtype=np.float64)
-        for layer in reversed(range(self.num_layers)):
-            cell = self.cells[layer]
-            if masks[layer] is not None:
-                d_from_above = d_from_above * masks[layer]
-            dh = d_from_above + dstates[layer][0]
-            dc = dstates[layer][1]
-            dx_layer, dh_prev, dc_prev = cell.step_backward(dh, dc)
-            dprev_states[layer] = (dh_prev, dc_prev)
-            d_from_above = dx_layer
-        return d_from_above, dprev_states
+        super().__init__(LSTMCell, "lstm", input_dim, hidden_dim, num_layers, dropout, rng)
 
     # ------------------------------------------------------------------
     # batched state save / restore (used by the serving engine to carry
@@ -662,113 +583,3 @@ class StackedLSTM(Module):
         if packed.shape[3] != self.hidden_dim:
             raise ValueError(f"hidden dim mismatch: {packed.shape[3]} != {self.hidden_dim}")
         return [(packed[layer, 0].copy(), packed[layer, 1].copy()) for layer in range(self.num_layers)]
-
-    # ------------------------------------------------------------------
-    # fused full-sequence path
-    # ------------------------------------------------------------------
-    def _sequence_dropout_masks(
-        self, batch: int, steps: int
-    ) -> Optional[np.ndarray]:
-        """Inter-layer dropout masks for a fused full-sequence pass.
-
-        Drawn as one ``(T, L-1, B, H)`` block, which consumes the RNG stream
-        in exactly the order the stepwise loop does (per step, then per
-        layer), so fused and stepwise training are bit-for-bit comparable
-        under the same seed.
-        """
-        if not (self.training and self.dropout_rate > 0.0 and self.num_layers > 1):
-            return None
-        keep = 1.0 - self.dropout_rate
-        draws = self.rng.random((steps, self.num_layers - 1, batch, self.hidden_dim))
-        return (draws < keep).astype(np.float64) / keep
-
-    def forward_sequence(
-        self,
-        x: np.ndarray,
-        states: Optional[Sequence[LSTMState]] = None,
-        with_cache: bool = True,
-    ) -> Tuple[np.ndarray, List[LSTMState]]:
-        """Fused teacher-forced pass over ``(B, T, input_dim)``.
-
-        Layers are processed one after the other over the whole sequence
-        (layer-major), so every layer's input projection is a single fused
-        GEMM.  Results are identical to the time-major step loop.  With
-        ``with_cache=False`` no backward state is retained (cheap
-        validation / encoding).
-        """
-        x = np.asarray(x, dtype=np.float64)
-        batch, steps, _ = x.shape
-        if states is None:
-            states = self.zero_state(batch)
-        masks = self._sequence_dropout_masks(batch, steps)
-        h_seq = x
-        final_states: List[LSTMState] = []
-        for layer, cell in enumerate(self.cells):
-            h_seq, state = cell.forward_sequence(h_seq, states[layer], with_cache=with_cache)
-            final_states.append(state)
-            if masks is not None and layer < self.num_layers - 1:
-                # masks[:, layer] is (T, B, H); move time behind batch
-                h_seq = h_seq * masks[:, layer].transpose(1, 0, 2)
-        if with_cache:
-            self._seq_dropout_cache.append(masks)
-        return h_seq, final_states
-
-    def backward_sequence(
-        self,
-        d_outputs: np.ndarray,
-        d_final_states: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
-    ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
-        """Fused BPTT matching the most recent :meth:`forward_sequence`.
-
-        Returns ``(dx, d_initial_states)``.
-        """
-        if not self._seq_dropout_cache:
-            raise RuntimeError(
-                "backward_sequence called more times than forward_sequence"
-            )
-        masks = self._seq_dropout_cache.pop()
-        grad = np.asarray(d_outputs, dtype=np.float64)
-        d_initial: List[Tuple[np.ndarray, np.ndarray]] = [None] * self.num_layers  # type: ignore
-        for layer in reversed(range(self.num_layers)):
-            if masks is not None and layer < self.num_layers - 1:
-                grad = grad * masks[:, layer].transpose(1, 0, 2)
-            d_state = None if d_final_states is None else d_final_states[layer]
-            grad, d_init = self.cells[layer].backward_sequence(grad, d_state)
-            d_initial[layer] = d_init
-        return grad, d_initial
-
-    # ------------------------------------------------------------------
-    def forward(
-        self, x: np.ndarray, states: Optional[Sequence[LSTMState]] = None
-    ) -> Tuple[np.ndarray, List[LSTMState]]:
-        """Run a full ``(batch, time, input_dim)`` sequence through the stack."""
-        x = np.asarray(x, dtype=np.float64)
-        batch, steps, _ = x.shape
-        if states is None:
-            states = self.zero_state(batch)
-        outputs = np.empty((batch, steps, self.hidden_dim), dtype=np.float64)
-        for t in range(steps):
-            h, states = self.step(x[:, t, :], states)
-            outputs[:, t, :] = h
-        return outputs, list(states)
-
-    def backward(
-        self,
-        d_outputs: np.ndarray,
-        d_final_states: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
-    ) -> np.ndarray:
-        """Backward through a full sequence processed with :meth:`forward`."""
-        d_outputs = np.asarray(d_outputs, dtype=np.float64)
-        batch, steps, _ = d_outputs.shape
-        dstates = list(d_final_states) if d_final_states is not None else None
-        dx = np.empty((batch, steps, self.input_dim), dtype=np.float64)
-        for t in reversed(range(steps)):
-            dxt, dstates = self.step_backward(d_outputs[:, t, :], dstates)
-            dx[:, t, :] = dxt
-        return dx
-
-    def clear_cache(self) -> None:
-        self._dropout_cache.clear()
-        self._seq_dropout_cache.clear()
-        for cell in self.cells:
-            cell.clear_cache()

@@ -1,26 +1,17 @@
-"""Decode-path breakdown: stepwise reference vs. the fused block-RNG engine.
+"""Decode-path breakdown of the fused block-RNG engine.
 
 Completes the serving-side profiling picture: :mod:`repro.profiling.inference`
-measures fleet batching against the per-car loop, this module measures the
-two decode engines *inside* the fleet path on identical workloads:
-
-* ``stepwise`` — the retained per-lap reference loop (one allocating
-  ``StackInference.step`` per lap on the same kernel, per-step
-  ``np.repeat`` covariate rows, nested per-dim / per-request
-  ``standard_normal`` calls);
-* ``fused`` — the block-RNG, allocation-free engine (``step_decode``
-  kernels with preallocated gate/state buffers, one ``standard_normal``
-  call per RNG stream, hoisted ``(horizon, total, C)`` covariates).
-
-The two are byte-identical (gated in ``benchmarks/test_bench_decode.py``);
-this module reports where the wall-clock goes.  Three workload shapes are
-profiled: the Table V fleet (33 cars x 100 samples, horizon 2), the same
-fleet at the Fig. 9 long horizon, and a strategy-sweep shape (hundreds of
-candidate requests with few samples each) where the deleted Python-level
-loops matter most.  On a single-core BLAS-bound host the Table V shape is
-dominated by the (shared) recurrent GEMMs and dense transcendentals, so
-the fused gain is modest there and grows with horizon and request count —
-see the measured table for the split.
+measures fleet batching against the per-car loop, this module times the
+warm-up and decode phases *inside* the fleet path: the block-RNG,
+allocation-free engine (``step_decode`` kernels on preallocated gate/state
+buffers, one ``standard_normal`` call per RNG stream, hoisted
+``(horizon, total, C)`` covariates).  Three workload shapes are profiled:
+the Table V fleet (33 cars x 100 samples, horizon 2), the same fleet at the
+Fig. 9 long horizon, and a strategy-sweep shape (hundreds of candidate
+requests with few samples each).  :func:`decode_breakdown` takes the
+engines to time as factories, so ``benchmarks/test_bench_decode.py`` runs
+the per-lap reference loop (``tests/reference/decode.py``) next to the
+shipped engine on identical workloads and gates the ratio.
 
 :func:`steady_state_faults` counts the minor page faults
 (``resource.getrusage``) per submit of one long-lived engine at the
@@ -29,15 +20,15 @@ engine keeps its warm-up and decode workspace between submits, so once
 warm it should fault on almost nothing; a change that brings back
 per-submit scratch shows up there first.
 
-Run as a module (``python -m repro.profiling.decode``) to print the table;
-the ``bench-decode`` Makefile target and the CI bench-smoke job do exactly
-that.
+Run as a module (``python -m repro.profiling.decode``) to print the fused
+warm-up/decode times per shape and the fault counts; the ``bench-decode``
+Makefile target and the CI bench-smoke job do exactly that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -62,23 +53,21 @@ DECODE_WORKLOADS: Tuple[Tuple[str, int, int, int], ...] = (
 
 @dataclass
 class DecodeMeasurement:
-    """Wall-clock of one decode strategy on one workload shape."""
+    """Wall-clock of one engine on one workload shape."""
 
     workload: str
-    decode: str
+    engine: str
     warmup_ms: float
     decode_ms: float
     trajectories: int
-    speedup_vs_stepwise: float
 
     def as_row(self) -> Dict[str, object]:
         return {
             "workload": self.workload,
-            "decode": self.decode,
+            "engine": self.engine,
             "warmup_ms": round(self.warmup_ms, 2),
             "decode_ms": round(self.decode_ms, 2),
             "trajectories": self.trajectories,
-            "speedup_vs_stepwise": round(self.speedup_vs_stepwise, 2),
         }
 
 
@@ -116,17 +105,19 @@ def decode_breakdown(
     repeats: int = 3,
     workloads: Optional[Tuple[Tuple[str, int, int, int], ...]] = None,
     seed: int = 0,
+    engines: Optional[Mapping[str, Callable[[RankSeqModel], FleetForecaster]]] = None,
 ) -> List[DecodeMeasurement]:
-    """Measure both decode engines on the profiled workload shapes.
+    """Measure decode engines on the profiled workload shapes.
 
-    Each (workload, decode) pair is timed ``repeats`` times interleaved and
-    the median is reported, so slow-host noise cancels out of the ratios.
-    One engine per decode mode serves every repeat after one untimed run,
-    as a server's long-lived engine does, so the fused rows time a warm
-    decode workspace.  The warm-up column is the same work for both
-    engines (it runs on the shared ``forward_sequence`` path) and is
-    excluded from the speedup.
+    ``engines`` maps a row name to a factory building an exact-mode engine
+    for the model (default: the shipped ``FleetForecaster`` as ``fused``).
+    Each (workload, engine) pair is timed ``repeats`` times interleaved
+    and the median is reported, so slow-host noise cancels out of ratios
+    between engines.  One engine per name serves every repeat after one
+    untimed run, as a server's long-lived engine does, so the rows time a
+    warm decode workspace.
     """
+    factories = engines or {"fused": lambda model: FleetForecaster(model, mode="exact")}
     measurements: List[DecodeMeasurement] = []
     for label, n_requests, n_samples, horizon in workloads or DECODE_WORKLOADS:
         model = RankSeqModel(
@@ -143,13 +134,10 @@ def decode_breakdown(
         )
         origins = [encoder_length + i for i in range(n_origins)]
         future = np.zeros((horizon, num_covariates))
-        engines = {
-            decode: FleetForecaster(model, mode="exact", decode=decode)
-            for decode in ("stepwise", "fused")
-        }
+        built = {name: factory(model) for name, factory in factories.items()}
 
-        def run(decode: str) -> Tuple[float, float]:
-            engine = engines[decode]
+        def run(name: str) -> Tuple[float, float]:
+            engine = built[name]
             engine.reset_timings()
             streams = spawn_request_rngs(
                 np.random.default_rng(seed + 1), n_requests * n_origins
@@ -162,31 +150,20 @@ def decode_breakdown(
             timings = engine.timings
             return timings["warmup_s"], timings["decode_s"]
 
-        for decode in engines:  # warm the BLAS pools and each engine's workspace
-            run(decode)
-        samples: Dict[str, List[Tuple[float, float]]] = {"stepwise": [], "fused": []}
+        for name in built:  # warm the BLAS pools and each engine's workspace
+            run(name)
+        samples: Dict[str, List[Tuple[float, float]]] = {name: [] for name in built}
         for _ in range(repeats):
-            samples["stepwise"].append(run("stepwise"))
-            samples["fused"].append(run("fused"))
-        medians = {
-            name: (
-                float(np.median([w for w, _ in reps])),
-                float(np.median([d for _, d in reps])),
-            )
-            for name, reps in samples.items()
-        }
-        stepwise_decode = medians["stepwise"][1]
-        trajectories = n_requests * n_samples * n_origins
-        for name in ("stepwise", "fused"):
-            warmup_s, decode_s = medians[name]
+            for name in built:
+                samples[name].append(run(name))
+        for name, reps in samples.items():
             measurements.append(
                 DecodeMeasurement(
                     workload=label,
-                    decode=name,
-                    warmup_ms=1e3 * warmup_s,
-                    decode_ms=1e3 * decode_s,
-                    trajectories=trajectories,
-                    speedup_vs_stepwise=stepwise_decode / max(decode_s, 1e-12),
+                    engine=name,
+                    warmup_ms=1e3 * float(np.median([w for w, _ in reps])),
+                    decode_ms=1e3 * float(np.median([d for _, d in reps])),
+                    trajectories=n_requests * n_samples * n_origins,
                 )
             )
     return measurements
@@ -237,17 +214,11 @@ def steady_state_faults(
 def _main() -> None:  # pragma: no cover - exercised by the CI bench smoke job
     from .report import write_bench_json
 
-    rows = [
-        {**m.as_row(), "wall_ms": round(m.decode_ms, 2), "speedup": round(m.speedup_vs_stepwise, 2)}
-        for m in decode_breakdown()
-    ]
-    print("Decode breakdown (2x40 LSTM, encoder 60; decode phase only, median of 3)")
-    print(f"{'workload':<20}{'decode':<10}{'warmup_ms':>11}{'decode_ms':>11}{'speedup':>9}")
+    rows = [{**m.as_row(), "wall_ms": round(m.decode_ms, 2)} for m in decode_breakdown()]
+    print("Decode breakdown (2x40 LSTM, encoder 60, fused engine; median of 3)")
+    print(f"{'workload':<20}{'warmup_ms':>11}{'decode_ms':>11}")
     for row in rows:
-        print(
-            f"{row['workload']:<20}{row['decode']:<10}{row['warmup_ms']:>11.1f}"
-            f"{row['decode_ms']:>11.1f}{row['speedup_vs_stepwise']:>9.2f}"
-        )
+        print(f"{row['workload']:<20}{row['warmup_ms']:>11.1f}{row['decode_ms']:>11.1f}")
     for mode in ("carry", "exact"):
         faults = steady_state_faults(mode=mode)
         print(

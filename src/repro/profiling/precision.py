@@ -1,9 +1,9 @@
 """Low-precision compute tier: float32 / int8 decode vs. the float64 reference.
 
-Completes the decode-path profiling picture for the precision knob that
-PR 9 threads through the kernels, the fleet engine and the wire protocol:
-:mod:`repro.profiling.decode` measures the stepwise-vs-fused split at the
-default (exact, float64) tier; this module measures the fused engine at
+Completes the decode-path profiling picture for the precision knob
+threaded through the kernels, the fleet engine and the wire protocol:
+:mod:`repro.profiling.decode` times the fused decode at the default
+(exact, float64) tier; this module measures the fused engine at
 all three precision tiers on the same workload shapes:
 
 * ``float64`` — the byte-identical reference tier (the determinism
@@ -106,9 +106,7 @@ def precision_breakdown(
         future = np.zeros((horizon, num_covariates))
 
         def run(precision: str) -> Tuple[float, np.ndarray]:
-            engine = FleetForecaster(
-                model, mode="exact", decode="fused", precision=precision
-            )
+            engine = FleetForecaster(model, mode="exact", precision=precision)
             streams = spawn_request_rngs(
                 np.random.default_rng(seed + 1), n_requests * n_origins
             )

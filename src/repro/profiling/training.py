@@ -1,17 +1,17 @@
-"""Training-path breakdown: stepwise BPTT vs. the fused sequence engine.
+"""Training-path breakdown of the fused sequence engine.
 
 Mirrors :mod:`repro.profiling.inference` for the other half of the
 pipeline: Algorithm 1 training epochs on a synthetic Table IV-style
-workload are timed on three paths
+workload are timed on two passes
 
-* ``stepwise`` — the original one-lap-at-a-time loop over
-  ``LSTMCell.step`` / ``step_backward`` (kept on the model as
-  ``_forward_loss_stepwise``);
 * ``fused`` — the full-sequence engine (``forward_sequence`` /
   ``backward_sequence`` + fused Gaussian head + vectorised NLL);
 * ``fused-eval`` — the cache-free validation pass (forward only, no BPTT
-  tensors), timed against the stepwise forward for the validation-loop
-  saving.
+  tensors).
+
+The comparison against the stepwise reference BPTT
+(``tests/reference/training.py``) is gated in
+``benchmarks/test_bench_training.py``.
 
 Run as a module (``python -m repro.profiling.training``) to print the
 table; the ``bench-train`` Makefile target and the CI bench-smoke job do
@@ -38,7 +38,6 @@ class TrainingMeasurement:
     strategy: str
     wall_s: float
     instances: int
-    speedup_vs_stepwise: float
 
     def as_row(self) -> Dict[str, object]:
         return {
@@ -46,7 +45,6 @@ class TrainingMeasurement:
             "wall_ms": round(1e3 * self.wall_s, 2),
             "instances": self.instances,
             "instances_per_s": round(self.instances / max(self.wall_s, 1e-12), 1),
-            "speedup_vs_stepwise": round(self.speedup_vs_stepwise, 2),
         }
 
 
@@ -83,7 +81,7 @@ def training_breakdown(
     backbone: str = "lstm",
     seed: int = 0,
 ) -> List[TrainingMeasurement]:
-    """Measure the three training strategies on one synthetic epoch.
+    """Measure the fused training and validation passes on one synthetic epoch.
 
     Defaults follow the Table IV configuration: a 2-layer, 40-unit LSTM
     over 60-lap context windows with a 2-lap decoder.
@@ -103,13 +101,6 @@ def training_breakdown(
     model.eval()
     instances = n_batches * batch_size
 
-    def run_stepwise() -> float:
-        t0 = time.perf_counter()
-        for batch in batches:
-            model.zero_grad()
-            model._forward_loss_stepwise(batch, with_backward=True)
-        return time.perf_counter() - t0
-
     def run_fused() -> float:
         t0 = time.perf_counter()
         for batch in batches:
@@ -128,19 +119,9 @@ def training_breakdown(
     model.loss_and_backward(batches[0])
     model.zero_grad()
 
-    stepwise_s = run_stepwise()
-    timings = [
-        ("stepwise", stepwise_s),
-        ("fused", run_fused()),
-        ("fused-eval", run_fused_eval()),
-    ]
+    timings = [("fused", run_fused()), ("fused-eval", run_fused_eval())]
     return [
-        TrainingMeasurement(
-            strategy=name,
-            wall_s=wall,
-            instances=instances,
-            speedup_vs_stepwise=stepwise_s / max(wall, 1e-12),
-        )
+        TrainingMeasurement(strategy=name, wall_s=wall, instances=instances)
         for name, wall in timings
     ]
 
@@ -148,17 +129,13 @@ def training_breakdown(
 def _main() -> None:  # pragma: no cover - exercised by the CI bench smoke job
     from .report import write_bench_json
 
-    rows = [
-        {**m.as_row(), "workload": m.strategy, "speedup": round(m.speedup_vs_stepwise, 2)}
-        for m in training_breakdown()
-    ]
-    header = f"{'strategy':<12}{'wall_ms':>10}{'inst/s':>10}{'speedup':>9}"
+    rows = [{**m.as_row(), "workload": m.strategy} for m in training_breakdown()]
+    header = f"{'strategy':<12}{'wall_ms':>10}{'inst/s':>10}"
     print("Training breakdown (Table IV config: 2x40 LSTM, encoder 60, decoder 2)")
     print(header)
     for row in rows:
         print(
-            f"{row['strategy']:<12}{row['wall_ms']:>10.1f}"
-            f"{row['instances_per_s']:>10.1f}{row['speedup_vs_stepwise']:>9.2f}"
+            f"{row['strategy']:<12}{row['wall_ms']:>10.1f}{row['instances_per_s']:>10.1f}"
         )
     print(f"wrote {write_bench_json('training', rows)}")
 

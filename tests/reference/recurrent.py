@@ -8,7 +8,7 @@ cells' ``step_decode`` kernel: unpermuted gate columns, one masked
 share the stack's parameters, so parity tests compare the shipped kernel
 against them byte for byte on every precision tier.  ``forward_sequence``
 steps the same body lap by lap, which lets :func:`reference_forecaster`
-run a whole stepwise engine on the reference.
+run a whole per-lap engine (``reference/decode.py``) on the reference.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from repro.nn import StackedGRU, StackedLSTM, stable_matmul
 from repro.nn.activations import sigmoid
 from repro.nn.precision import working_array
 from repro.serving import FleetForecaster
+
+from reference.decode import stepwise_forecaster
 
 
 class _StepReference:
@@ -96,9 +98,9 @@ def reference_stepper(stack, dtype=np.float64) -> _StepReference:
 
 
 def reference_forecaster(model, **kwargs) -> FleetForecaster:
-    """A float64 ``decode="stepwise"`` engine whose warm-up and every decode
+    """A float64 per-lap reference engine whose warm-up and every decode
     lap run on the masked-sigmoid reference; ``kwargs`` are the engine's
     own (mode, cache_size...)."""
-    engine = FleetForecaster(model, decode="stepwise", **kwargs)
+    engine = stepwise_forecaster(model, **kwargs)
     engine._backend.driver = reference_stepper(engine._backend.stack_module)
     return engine

@@ -1,17 +1,18 @@
 """Byte-identity of the fused decode engine against the stepwise references.
 
 The fused path (block RNG + ``step_decode`` kernels + hoisted covariates)
-must replay the retained per-lap loop bit for bit: same ``stable_matmul``
-products, bitwise-equal dense sigmoid, and identical RNG stream consumption
-— including when several requests share one ``Generator``.  The kernel
-itself is checked against the masked-sigmoid stepping kernels kept in
-``tests/reference/recurrent.py``, both directly and through a stepwise
-engine that runs its warm-up and every lap on them.
+must replay the per-lap reference loop (``tests/reference/decode.py``) bit
+for bit: same ``stable_matmul`` products, bitwise-equal dense sigmoid, and
+identical RNG stream consumption — including when several requests share
+one ``Generator``.  The kernel itself is checked against the masked-sigmoid
+stepping kernels kept in ``tests/reference/recurrent.py``, both directly
+and through a per-lap engine that runs its warm-up and every lap on them.
 """
 
 import numpy as np
 import pytest
 
+from reference.decode import randomize_biases, stepwise_forecaster
 from reference.recurrent import reference_forecaster, reference_stepper
 from repro.models.deep.rankmodel import RankSeqModel
 from repro.nn.activations import sigmoid, sigmoid_dense
@@ -29,16 +30,6 @@ def make_model(backbone="lstm", **kwargs):
     return RankSeqModel(**defaults)
 
 
-def randomize_biases(model, seed=3):
-    """Fresh models have zero (or constant) biases, under which a moved
-    bias addition changes no bit; the kernel parity tests draw them."""
-    rng = np.random.default_rng(seed)
-    for param in model.lstm.parameters():
-        if param.data.ndim == 1:
-            param.data[...] = rng.normal(0.0, 0.5, param.data.shape)
-    return model
-
-
 def make_histories(n_cars, n_laps=20, seed=100):
     rng = np.random.default_rng(seed)
     targets = [np.clip(10 + np.cumsum(rng.normal(0, 1, n_laps)), 1, 33) for _ in range(n_cars)]
@@ -50,8 +41,10 @@ def submit(model, targets, covs, decode, mode="exact", horizon=3, n_samples=7,
            seed=9, origins=(19,), shared_rng=False):
     if decode == "reference":
         engine = reference_forecaster(model, mode=mode)
+    elif decode == "stepwise":
+        engine = stepwise_forecaster(model, mode=mode)
     else:
-        engine = FleetForecaster(model, mode=mode, decode=decode)
+        engine = FleetForecaster(model, mode=mode)
     future = np.zeros((horizon, N_COV))
     results = []
     n = len(targets)
@@ -81,7 +74,7 @@ def submit(model, targets, covs, decode, mode="exact", horizon=3, n_samples=7,
 @pytest.mark.parametrize("backbone", ["lstm", "gru"])
 @pytest.mark.parametrize("mode", ["exact", "carry"])
 def test_fused_matches_stepwise_bitwise(backbone, mode):
-    model = make_model(backbone)
+    model = randomize_biases(make_model(backbone))
     targets, covs = make_histories(5)
     origins = (15, 16, 17)  # carry mode advances cached states between these
     stepwise = submit(model, targets, covs, "stepwise", mode=mode, origins=origins)
@@ -112,7 +105,7 @@ def test_fused_matches_stepwise_mixed_sample_counts():
     future = np.zeros((2, N_COV))
 
     def run(decode):
-        engine = FleetForecaster(model, decode=decode)
+        engine = stepwise_forecaster(model) if decode == "stepwise" else FleetForecaster(model)
         streams = spawn_request_rngs(np.random.default_rng(5), 4)
         return engine.submit(
             [
@@ -123,13 +116,6 @@ def test_fused_matches_stepwise_mixed_sample_counts():
 
     for a, b in zip(run("stepwise"), run("fused")):
         np.testing.assert_array_equal(a, b)
-
-
-def test_fused_is_the_default_and_decode_arg_is_validated():
-    model = make_model()
-    assert FleetForecaster(model).decode == "fused"
-    with pytest.raises(ValueError, match="decode"):
-        FleetForecaster(model, decode="turbo")
 
 
 # ----------------------------------------------------------------------

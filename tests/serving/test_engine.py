@@ -6,7 +6,7 @@ import pytest
 from reference.recurrent import reference_stepper
 from repro.models.deep.rankmodel import RankSeqModel
 from repro.models.deep.transformer import TransformerSeqModel
-from repro.nn.inference import head_inference, tile_states
+from repro.nn.inference import MultiGaussianHeadInference, tile_states
 from repro.serving import FleetForecaster, ForecastRequest, spawn_request_rngs
 
 N_COV = 3
@@ -155,7 +155,7 @@ def test_carry_mode_state_matches_from_scratch_frozen_replay(backbone):
         x = np.concatenate([z[t - 1][None, :], c[t][None, :]], axis=1)
         _, states = stack.step(x, states)
     states = tile_states(states, 7)
-    head = head_inference(model.head)
+    head = MultiGaussianHeadInference(model.head)
     stream = np.random.default_rng(2)
     z_prev = np.tile(z[-1][None, :], (7, 1))
     expected = np.empty((7, 2))

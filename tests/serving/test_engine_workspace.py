@@ -177,6 +177,37 @@ def test_fine_tune_drops_engines_so_every_tier_serves_the_new_weights():
             assert got.tobytes() == fresh.submit([request(2)])[0].tobytes(), precision
 
 
+@pytest.mark.parametrize("backbone", ["lstm", "gru"])
+def test_exact_warmup_buffers_stay_within_max_batch_rows(backbone):
+    # the strategy-sweep shape: 462 requests x 5 samples, encoder 60, 2x40;
+    # one warm-up row per request over 59 steps is 27,258 sequence rows
+    n_requests, n_cov, encoder, horizon = 462, 9, 60, 10
+    model = RankSeqModel(num_covariates=n_cov, hidden_dim=40, num_layers=2,
+                         encoder_length=encoder, decoder_length=horizon, rng=0,
+                         backbone=backbone)
+    rng = np.random.default_rng(5)
+    histories = [(np.clip(10 + np.cumsum(rng.normal(0, 0.8, encoder)), 1, 33),
+                  rng.normal(size=(encoder, n_cov))) for _ in range(n_requests)]
+    future = np.zeros((horizon, n_cov))
+
+    def run(engine):
+        streams = spawn_request_rngs(np.random.default_rng(6), n_requests)
+        samples = engine.submit([ForecastRequest(t, c, future, n_samples=5, rng=s)
+                                 for (t, c), s in zip(histories, streams)])
+        seq_rows = [ctx._seq_rows for ctx in engine._backend.driver.ctxs]
+        return samples, seq_rows
+
+    chunked = FleetForecaster(model)
+    samples, seq_rows = run(chunked)
+    held = sum(buf.nbytes for owner in seq_rows for buf in owner._buffers)
+    bound = sum(chunked.max_batch_rows * sum(owner.widths) * 8 for owner in seq_rows)
+    assert held <= bound
+    whole, whole_rows = run(FleetForecaster(model, max_batch_rows=10**6))
+    assert whole_rows[0]._buffers[0].shape[0] == n_requests * (encoder - 1)
+    for a, b in zip(samples, whole):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_live_race_submits_stop_faulting_once_the_workspace_is_warm():
     pytest.importorskip("resource")
     # the live-race shape: 33 cars x 50 samples, 2x40 LSTM, carry, horizon 2;

@@ -11,8 +11,8 @@ Contract under test (wire schema v5):
 * an HTTP ``precision: "float32"`` request returns results identical to
   the in-process float32 engine — in both in-process and worker modes;
 * unknown tiers are rejected with the structured ``unsupported_precision``
-  wire error, and low tiers are rejected on backbones/decode modes that
-  only exist as the float64 reference.
+  wire error, and low tiers are rejected on the Transformer backbone,
+  which only exists as the float64 reference.
 """
 
 from dataclasses import replace
@@ -24,7 +24,6 @@ from repro.artifacts import ArtifactStore
 from repro.data import build_race_features
 from repro.models import DeepARForecaster, TransformerForecaster
 from repro.serving import (
-    FleetForecaster,
     ForecastClient,
     ForecastRequest,
     ServerError,
@@ -95,11 +94,6 @@ def test_fleet_engine_caches_one_replica_per_precision(forecaster):
     assert e32 is forecaster.fleet_engine(precision="float32")
     assert e64 is not e32
     assert e64.dtype == np.float64 and e32.dtype == np.float32
-
-
-def test_low_precision_rejects_stepwise_decode(forecaster):
-    with pytest.raises(ValueError, match="fused engine only"):
-        FleetForecaster(forecaster.model, decode="stepwise", precision="float32")
 
 
 def test_low_precision_rejects_transformer_backbone(tiny_series):
