@@ -27,7 +27,7 @@ Makefile target and the CI bench-smoke job do exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -53,13 +53,19 @@ DECODE_WORKLOADS: Tuple[Tuple[str, int, int, int], ...] = (
 
 @dataclass
 class DecodeMeasurement:
-    """Wall-clock of one engine on one workload shape."""
+    """Wall-clock of one engine on one workload shape.
+
+    ``warmup_ms``/``decode_ms`` are medians over the repeats;
+    ``decode_repeats_ms`` keeps every repeat's decode time, in order, so
+    two engines timed back to back in one repeat can be compared pairwise.
+    """
 
     workload: str
     engine: str
     warmup_ms: float
     decode_ms: float
     trajectories: int
+    decode_repeats_ms: Tuple[float, ...] = field(default=(), init=False)
 
     def as_row(self) -> Dict[str, object]:
         return {
@@ -113,9 +119,10 @@ def decode_breakdown(
     for the model (default: the shipped ``FleetForecaster`` as ``fused``).
     Each (workload, engine) pair is timed ``repeats`` times interleaved
     and the median is reported, so slow-host noise cancels out of ratios
-    between engines.  One engine per name serves every repeat after one
-    untimed run, as a server's long-lived engine does, so the rows time a
-    warm decode workspace.
+    between engines; each repeat's time stays in ``decode_repeats_ms``.
+    One engine per name serves every repeat after one untimed run, as a
+    server's long-lived engine does, so the rows time a warm decode
+    workspace.
     """
     factories = engines or {"fused": lambda model: FleetForecaster(model, mode="exact")}
     measurements: List[DecodeMeasurement] = []
@@ -157,15 +164,15 @@ def decode_breakdown(
             for name in built:
                 samples[name].append(run(name))
         for name, reps in samples.items():
-            measurements.append(
-                DecodeMeasurement(
-                    workload=label,
-                    engine=name,
-                    warmup_ms=1e3 * float(np.median([w for w, _ in reps])),
-                    decode_ms=1e3 * float(np.median([d for _, d in reps])),
-                    trajectories=n_requests * n_samples * n_origins,
-                )
+            measurement = DecodeMeasurement(
+                workload=label,
+                engine=name,
+                warmup_ms=1e3 * float(np.median([w for w, _ in reps])),
+                decode_ms=1e3 * float(np.median([d for _, d in reps])),
+                trajectories=n_requests * n_samples * n_origins,
             )
+            measurement.decode_repeats_ms = tuple(1e3 * d for _, d in reps)
+            measurements.append(measurement)
     return measurements
 
 

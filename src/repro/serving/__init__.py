@@ -32,11 +32,14 @@ This sub-package batches that workload:
   requests from concurrent connections into shared fleet passes and
   :class:`~repro.serving.sessions.RaceSession` holding live-race state
   server-side so timing-feed clients stream laps instead of histories;
-* :class:`~repro.serving.supervisor.WorkerSupervisor` shards the service
+* the gateway runs its engine work through one executor: a
+  :class:`~repro.serving.executor.LocalExecutor` in-process, or a
+  :class:`~repro.serving.supervisor.WorkerSupervisor` that shards it
   across supervised worker *processes* — one crash-tolerant replica per
-  model, with heartbeat liveness, budgeted exponential-backoff restarts
-  and journal-replay session failover (``workers: true`` in the server
-  config; callers racing a restart see a structured
+  model, each a ``LocalExecutor`` behind a pipe, with heartbeat liveness,
+  budgeted exponential-backoff restarts and journal-replay session
+  failover (``workers: true`` in the server config; callers racing a
+  restart see a structured
   :class:`~repro.serving.supervisor.WorkerRestartingError`);
 * :class:`~repro.serving.client.ForecastClient` is the stdlib reference
   client of that API.

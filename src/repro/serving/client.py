@@ -720,16 +720,7 @@ class LiveSessionClient:
 
     @staticmethod
     def _decode_results(document) -> List[Tuple[int, Dict[int, np.ndarray]]]:
-        return [
-            (
-                int(item["origin"]),
-                {
-                    int(entry["car_id"]): wire.decode_array(entry["samples"])
-                    for entry in item["forecasts"]
-                },
-            )
-            for item in document.get("results", [])
-        ]
+        return wire.emitted_from_wire(document.get("results", []))
 
     def __enter__(self) -> "LiveSessionClient":
         return self

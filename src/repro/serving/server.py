@@ -39,14 +39,16 @@ models to preload, and the process exposes the versioned wire API
 Every response is a versioned wire document; failures are structured
 error envelopes, never tracebacks.
 
-Concurrency: there is **no global gateway lock**.  Engine work serializes
-*per model* — each model gets its own micro-batch scheduler, and behind it
-either a per-model lock around the shared in-process service (default) or,
-with ``"workers": true``, a dedicated supervised worker subprocess
-(:mod:`repro.serving.supervisor`).  A slow sweep on model A never blocks a
-forecast on model B, health always answers, and in worker mode a crashed
-replica is restarted with exponential backoff while its live sessions fail
-over by journal replay — byte-identical to an uncrashed run.  One meta
+Execution: every handler calls one *executor*, built once from the
+config — a :class:`~repro.serving.executor.LocalExecutor` over the shared
+in-process service (default) or, with ``"workers": true``, a
+:class:`~repro.serving.supervisor.WorkerSupervisor` running one supervised
+worker subprocess per model, whose crashed replicas restart with
+exponential backoff while their live sessions fail over by journal
+replay — byte-identical to an uncrashed run.  There is **no global
+gateway lock**: engine work serializes per model (the model's micro-batch
+scheduler, then its executor lock or worker), so a slow sweep on model A
+never blocks a forecast on model B and health always answers.  One meta
 lock guards only cheap registries (breakers, schedulers, armed faults).
 """
 
@@ -61,12 +63,14 @@ import signal
 import sys
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..artifacts import ArtifactAliasError, ArtifactNotFoundError, ArtifactStore
 from . import wire
+from .executor import LocalExecutor, is_engine_failure
 from .faults import FaultPlan
 from .journal import SessionJournal, journal_dir, load_session, recover_sessions
 from .resilience import (
@@ -79,10 +83,9 @@ from .resilience import (
 )
 from .scheduler import MicroBatchScheduler
 from .service import ForecastService
-from .sessions import SessionManager, build_live_session
-from .supervisor import RaceSessionProxy, WorkerSupervisor
+from .sessions import SessionManager
+from .supervisor import WorkerSupervisor
 from .wire import WireError
-from .workers import execute_sweep
 
 __all__ = ["ServerConfig", "ForecastGateway", "ForecastServer", "main"]
 
@@ -290,17 +293,16 @@ class ForecastGateway:
         self.service = ForecastService(
             self.store, capacity=config.capacity, mode=config.mode, verify=config.verify
         )
-        # No global gateway lock.  Engine work serializes per model — a
-        # per-model lock around the shared service in-process, a per-model
-        # worker subprocess in worker mode — so cross-model traffic runs
-        # concurrently.  This meta lock guards only the cheap registries
-        # below (breakers, schedulers, locks, the armed-fault counter).
+        # No global gateway lock.  Engine work serializes per model inside
+        # the executor — a per-model lock around the shared service
+        # in-process, a per-model worker subprocess in worker mode — so
+        # cross-model traffic runs concurrently.  This meta lock guards
+        # only the cheap registries below (breakers, schedulers, the
+        # armed-fault counter).
         self._meta_lock = threading.RLock()
-        self._model_locks: Dict[str, threading.RLock] = {}
         self._schedulers: Dict[str, MicroBatchScheduler] = {}
-        self.supervisor: Optional[WorkerSupervisor] = None
         if config.workers:
-            self.supervisor = WorkerSupervisor(
+            self.executor = WorkerSupervisor(
                 config.store,
                 capacity=config.capacity,
                 mode=config.mode,
@@ -312,6 +314,8 @@ class ForecastGateway:
                 heartbeat_timeout_s=config.heartbeat_timeout_s,
                 on_worker_restarted=self._failover_sessions,
             )
+        else:
+            self.executor = LocalExecutor(self.service)
         self.sessions = SessionManager(limit=config.max_sessions)
         # ---- resilience state ------------------------------------------
         self.admission = AdmissionController(limit=config.max_inflight)
@@ -326,23 +330,12 @@ class ForecastGateway:
         self.sessions_recovered = 0
         self.recovery_errors: List[str] = []
         for name in config.preload:
-            if self.supervisor is not None:
-                self.supervisor.ensure(name)
-            else:
-                self.service.load(name)
+            self.executor.ensure(name)
         self._recover_journaled_sessions()
 
     # ------------------------------------------------------------------
     # per-model routing
     # ------------------------------------------------------------------
-    def _model_lock(self, name: str) -> threading.RLock:
-        """The lock serializing in-process engine work on one model."""
-        with self._meta_lock:
-            lock = self._model_locks.get(name)
-            if lock is None:
-                lock = self._model_locks[name] = threading.RLock()
-            return lock
-
     def _scheduler(self, model: str) -> MicroBatchScheduler:
         """The micro-batch scheduler owning one model's engine passes."""
         with self._meta_lock:
@@ -448,23 +441,13 @@ class ForecastGateway:
         if armed:
             self._breaker(model).record_failure()
             raise RuntimeError("injected engine failure (fault plan)")
+        timeout_s = None
+        if deadlines:
+            timeout_s = max(min(d.remaining() for d in deadlines), 1e-3)
         try:
-            if self.supervisor is not None:
-                timeout_s = None
-                if deadlines:
-                    timeout_s = max(min(d.remaining() for d in deadlines), 1e-3)
-                results = self.supervisor.submit(model, requests, timeout_s=timeout_s)
-            else:
-                with self._model_lock(model):
-                    results = self.service.submit(requests)
+            results = self.executor.submit(model, requests, timeout_s=timeout_s)
         except Exception as exc:
-            # engine failures feed the breaker; request-shaped failures
-            # (unknown model, malformed arrays) and structured wire errors
-            # (worker_restarting, an overloaded worker queue) do not —
-            # they say nothing about the engine's health
-            if not isinstance(
-                exc, (WireError, ArtifactNotFoundError, TypeError, ValueError)
-            ):
+            if is_engine_failure(exc):
                 self._breaker(model).record_failure()
             raise
         if breaker is not None:
@@ -493,11 +476,9 @@ class ForecastGateway:
         A no-op (``None``) on gateways without a worker pool — the fault
         kinds are only meaningful against real replica subprocesses.
         """
-        if self.supervisor is None:
-            return None
         if kind == "kill_worker":
-            return self.supervisor.kill_worker(model)
-        return self.supervisor.hang_worker(model)
+            return self.executor.kill_worker(model)
+        return self.executor.hang_worker(model)
 
     def close(self) -> None:
         with self._meta_lock:
@@ -509,12 +490,8 @@ class ForecastGateway:
             # the next boot must recover
             if managed.journal is not None:
                 managed.journal.close(remove=False)
-            if self.supervisor is not None:
-                self.supervisor.unpin(managed.model)
-            else:
-                self.service.unpin(managed.model)
-        if self.supervisor is not None:
-            self.supervisor.close()
+            self.executor.unpin(managed.model)
+        self.executor.close()
 
     # ------------------------------------------------------------------
     # session journal recovery (runs once, at boot)
@@ -536,15 +513,21 @@ class ForecastGateway:
                 managed = self._open_session(
                     recovered.open_document, session_id=recovered.session_id
                 )
-                managed.recovered = True
-                for record in recovered.laps:
-                    # drained forecasts were already delivered before the
-                    # crash; replaying repopulates the per-lap emission log
-                    # so a retried lap post still gets its original answer
-                    managed.session.observe_lap(record["lap"], record["records"])
-                self.sessions_recovered += 1
+                self._replay(managed, recovered.laps)
             except Exception as exc:
                 self.recovery_errors.append(f"{recovered.session_id}: {exc}")
+
+    def _replay(self, managed, laps, internal: bool = False) -> None:
+        """Re-apply journaled laps to a rebuilt session.
+
+        Drained forecasts were already delivered before the crash; the
+        replay repopulates the session's per-lap emission log, so a lap
+        posted again afterwards still gets its original answer.
+        """
+        for record in laps:
+            managed.session.apply_lap(record["lap"], record["records"], internal=internal)
+        managed.recovered = True
+        self.sessions_recovered += 1
 
     def _failover_sessions(self, model: str) -> None:
         """Replay journaled live sessions into a freshly restarted worker.
@@ -559,8 +542,6 @@ class ForecastGateway:
         closed and reported in ``recovery_errors`` rather than silently
         served from a blank replica.
         """
-        if self.supervisor is None:
-            return
         for managed in self.sessions.snapshot():
             if managed.model != model:
                 continue
@@ -575,18 +556,10 @@ class ForecastGateway:
                     )
                     if recovered is None:
                         raise RuntimeError("no journal to fail over from")
-                    self.supervisor.session_open(
+                    managed.session = self.executor.open_session(
                         model, managed.session_id, recovered.open_document, internal=True
                     )
-                    for record in recovered.laps:
-                        # re-applying repopulates the worker-side emission
-                        # log too, so a duplicate lap posted after the
-                        # failover still replays its original forecasts
-                        managed.session.apply_lap(
-                            record["lap"], record["records"], internal=True
-                        )
-                    managed.recovered = True
-                    self.sessions_recovered += 1
+                    self._replay(managed, recovered.laps, internal=True)
                 except Exception as exc:
                     self.recovery_errors.append(
                         f"{managed.session_id}: worker failover failed: {exc}"
@@ -596,7 +569,7 @@ class ForecastGateway:
                         self.sessions.close(managed.session_id)
                     except KeyError:
                         pass
-                    self.supervisor.unpin(model)
+                    self.executor.unpin(model)
                     if managed.journal is not None:
                         managed.journal.close(remove=False)
 
@@ -685,27 +658,19 @@ class ForecastGateway:
         # holds a model lock or a worker replica is mid-restart
         with self._meta_lock:
             breakers = {name: b.describe() for name, b in sorted(self._breakers.items())}
-        if self.supervisor is not None:
-            models_loaded = len(self.supervisor.models())
-            workers = self.supervisor.describe()
-            worker_pool = self.supervisor.stats
-        else:
-            models_loaded = len(self.service.loaded())
-            workers = []
-            worker_pool = None
         return wire.envelope(
             "health",
             status="draining" if self.draining else "ok",
             uptime_s=round(time.monotonic() - self.started_at, 3),
             models_available=len(self.store),
-            models_loaded=models_loaded,
+            models_loaded=len(self.executor.models()),
             sessions_open=len(self.sessions),
             in_flight=self.admission.in_flight,
             queue_depth=self.admission.queue_depth,
             admission=self.admission.describe(),
             breakers=breakers,
-            workers=workers,
-            worker_pool=worker_pool,
+            workers=self.executor.describe(),
+            worker_pool=self.executor.worker_pool,
             idempotency=self.idempotency.stats,
             scheduler=self.scheduler_stats(),
             sessions_recovered=self.sessions_recovered,
@@ -713,14 +678,8 @@ class ForecastGateway:
         )
 
     def _handle_models_list(self, body, **_) -> dict:
-        if self.supervisor is not None:
-            loaded_list = self.supervisor.models()
-            pinned = set(self.supervisor.pinned())
-            stats = self.supervisor.stats
-        else:
-            loaded_list = self.service.loaded()
-            pinned = set(self.service.pinned())
-            stats = self.service.stats
+        loaded_list = self.executor.models()
+        pinned = set(self.executor.pinned())
         loaded = set(loaded_list)
         aliases = self.store.aliases()
         models = [
@@ -737,30 +696,28 @@ class ForecastGateway:
             models=models,
             loaded=loaded_list,
             aliases=[{"alias": a, "target": t} for a, t in sorted(aliases.items())],
-            stats=stats,
+            stats=self.executor.stats,
         )
 
-    def _handle_model_load(self, body, name: str) -> dict:
+    def _registered(self, name: str) -> str:
+        """Resolve an alias; an unknown model is ``unknown_model`` before
+        any executor work (a worker for it would die at start-up)."""
         name = self.store.resolve(name)
-        if self.supervisor is not None:
-            if name not in self.store:
-                raise ArtifactNotFoundError(
-                    f"artifact {name!r} is not registered in {self.store.root}"
-                )
-            entry = self.store.entry(name)
-            try:
-                self.supervisor.ensure(name)
-            except ValueError as exc:  # capacity exhausted by pins
-                raise WireError("capacity_exhausted", str(exc), status=409) from exc
-            return wire.envelope(
-                "model-loaded", name=name, family=str(entry.get("family", "")), entry=entry
+        if name not in self.store:
+            raise ArtifactNotFoundError(
+                f"artifact {name!r} is not registered in {self.store.root}"
             )
+        return name
+
+    def _handle_model_load(self, body, name: str) -> dict:
+        name = self._registered(name)
         try:
-            handle = self.service.load(name)
+            self.executor.ensure(name)
         except ValueError as exc:  # capacity exhausted by pins
             raise WireError("capacity_exhausted", str(exc), status=409) from exc
+        entry = self.store.entry(name)
         return wire.envelope(
-            "model-loaded", name=handle.name, family=handle.family, entry=handle.entry
+            "model-loaded", name=name, family=str(entry.get("family", "")), entry=entry
         )
 
     def _handle_model_unload(self, body, name: str) -> dict:
@@ -783,10 +740,7 @@ class ForecastGateway:
                 detail={"aliases": referencing},
             )
         try:
-            if self.supervisor is not None:
-                unloaded = self.supervisor.stop(name)
-            else:
-                unloaded = self.service.unload(name)
+            unloaded = self.executor.stop(name)
         except ArtifactAliasError as exc:  # raced with a concurrent promotion
             raise WireError("model_aliased", str(exc), status=409) from exc
         except ValueError as exc:  # pinned by an open session
@@ -836,10 +790,7 @@ class ForecastGateway:
         # the target's worker subprocess
         warmed = True
         try:
-            if self.supervisor is not None:
-                self.supervisor.ensure(target)
-            else:
-                self.service.load(target)
+            self.executor.ensure(target)
         except ValueError:  # capacity held by pins — promotion still stands
             warmed = False
         return wire.envelope(
@@ -863,10 +814,7 @@ class ForecastGateway:
             raise WireError("invalid_alias", str(exc), status=400) from exc
         warmed = True
         try:
-            if self.supervisor is not None:
-                self.supervisor.ensure(record["target"])
-            else:
-                self.service.load(record["target"])
+            self.executor.ensure(record["target"])
         except ValueError:
             warmed = False
         return wire.envelope(
@@ -981,22 +929,11 @@ class ForecastGateway:
         deadline = self._deadline_from(body)
         # resolve an alias to its target so aliased and direct sweeps
         # serialize on the same per-model lock / worker
-        model = self.store.resolve(parsed["model"])
-        if self.supervisor is not None:
-            if deadline is not None:
-                deadline.check(f"strategy sweep for model {model!r}")
-            timeout_s = None if deadline is None else max(deadline.remaining(), 1e-3)
-            # the worker re-parses the same wire document and runs the
-            # shared execute_sweep, so failures map onto identical errors
-            return self.supervisor.sweep(model, body, timeout_s=timeout_s)
-        with self._model_lock(model):
-            # shed a sweep whose budget ran out while it queued for the
-            # model's lock; a sweep on model A no longer delays model B
-            if deadline is not None:
-                deadline.check(f"strategy sweep for model {model!r}")
-            forecaster = self.service.load(model).forecaster
-            points = execute_sweep(forecaster, parsed)
-        return wire.sweep_points_to_wire(points)
+        model = self._registered(parsed["model"])
+        if deadline is not None:
+            deadline.check(f"strategy sweep for model {model!r}")
+        timeout_s = None if deadline is None else max(deadline.remaining(), 1e-3)
+        return self.executor.sweep(model, body, timeout_s=timeout_s)
 
     # ------------------------------------------------------------------
     # live sessions
@@ -1014,19 +951,14 @@ class ForecastGateway:
         The journal recovery path replays the exact wire ``session-open``
         document through this same code, so a recovered session is built
         by the identical construction — including the RNG transport — as
-        the one the dead gateway ran.
+        the one the dead gateway ran.  Any failure after the model is
+        pinned rolls back everything done so far: the registration, the
+        executor-side session, the pin and a half-written journal.
         """
         document = wire.check_envelope(body, kind="session-open")
         model = document.get("model")
         if not isinstance(model, str) or not model:
             raise WireError("malformed_request", "session-open needs a 'model' name")
-        # sessions bind to the *resolved* target for their whole lifetime:
-        # the pinned handle carries warm-up states, so a promotion landing
-        # mid-race must not re-point laps of an already-open session.  (A
-        # journal-recovered session re-resolves at recovery time — the
-        # replayed laps rebuild deterministically on the then-current
-        # champion.)
-        model = self.store.resolve(model)
         known = {
             "schema_version", "kind", "model", "horizon", "n_samples", "min_history",
             "delay", "start", "stop", "stride", "event", "year", "rng",
@@ -1037,66 +969,42 @@ class ForecastGateway:
             raise WireError(
                 "malformed_request", f"unknown session-open field(s): {', '.join(unknown)}"
             )
-        if self.supervisor is not None:
-            managed = self._open_worker_session(document, model, session_id)
-        else:
-            managed = self._open_local_session(document, model, session_id)
-        if self.journal_dir is not None:
-            journal = SessionJournal(
-                self.journal_dir,
-                managed.session_id,
-                compact_every=self.config.journal_compact_laps,
-            )
-            if session_id is None:
-                # WAL: the open document hits disk before the open is
-                # acknowledged; a recovered session's file already has it
-                journal.record_open(document)
-            managed.journal = journal
-        return managed
-
-    def _open_local_session(self, document, model, session_id):
-        try:
-            handle = self.service.pin(model)
-        except ValueError as exc:
-            raise WireError("capacity_exhausted", str(exc), status=409) from exc
-        try:
-            # the RNG transport is required: the session's forecasts must
-            # be reproducible regardless of transport, same contract as
-            # /v1/forecast (build_live_session enforces it)
-            session = build_live_session(document, handle.forecaster)
-            return self.sessions.open(session, model=model, session_id=session_id)
-        except Exception as exc:
-            self.service.unpin(model)
-            if isinstance(exc, WireError):
-                raise
-            if isinstance(exc, RuntimeError):  # session limit
-                raise WireError("too_many_sessions", str(exc), status=429) from exc
-            raise WireError("invalid_request", f"cannot open session: {exc}") from exc
-
-    def _open_worker_session(self, document, model, session_id):
-        # the id is allocated before the worker op so a registration
-        # failure can roll the worker-side session back by that id
+        # sessions bind to the *resolved* target for their whole lifetime:
+        # the pinned handle carries warm-up states, so a promotion landing
+        # mid-race must not re-point laps of an already-open session.  (A
+        # journal-recovered session re-resolves at recovery time — the
+        # replayed laps rebuild deterministically on the then-current
+        # champion.)
+        model = self._registered(model)
+        # the id is allocated before the executor opens the session, so a
+        # later failure can roll a worker-side session back by that id
         sid = session_id if session_id is not None else self.sessions.allocate_id()
         try:
-            self.supervisor.pin(model)
+            self.executor.pin(model)
         except ValueError as exc:
             raise WireError("capacity_exhausted", str(exc), status=409) from exc
-        try:
-            info = self.supervisor.session_open(model, sid, document)
-        except BaseException:
-            # WireErrors (invalid document, worker_restarting) pass through
-            # structured; a worker death surfaces as the generic envelope
-            self.supervisor.unpin(model)
-            raise
-        try:
-            proxy = RaceSessionProxy(self.supervisor, model, sid, info)
-            return self.sessions.open(proxy, model=model, session_id=sid)
-        except Exception as exc:
-            self.supervisor.session_drop(model, sid)
-            self.supervisor.unpin(model)
-            if isinstance(exc, RuntimeError):  # session limit
+        with ExitStack() as rollback:
+            rollback.callback(self.executor.unpin, model)
+            session = self.executor.open_session(model, sid, document)
+            rollback.callback(session.drop)
+            try:
+                managed = self.sessions.open(session, model=model, session_id=sid)
+            except RuntimeError as exc:  # session limit
                 raise WireError("too_many_sessions", str(exc), status=429) from exc
-            raise
+            rollback.callback(self.sessions.close, sid)
+            if self.journal_dir is not None:
+                journal = SessionJournal(
+                    self.journal_dir, sid, compact_every=self.config.journal_compact_laps
+                )
+                if session_id is None:
+                    # WAL: the open document hits disk before the open is
+                    # acknowledged; a recovered session's file already has
+                    # it, and a failed recovery keeps its file for the report
+                    rollback.callback(journal.close, remove=True)
+                    journal.record_open(document)
+                managed.journal = journal
+            rollback.pop_all()
+        return managed
 
     def _get_session(self, sid: str):
         try:
@@ -1124,6 +1032,7 @@ class ForecastGateway:
                 )
             if deadline is not None:
                 deadline.check(f"lap {lap} for session {sid!r}")
+            timeout_s = None if deadline is None else max(deadline.remaining(), 1e-3)
             # the session itself decides duplicate-vs-new (apply_lap): a
             # duplicate — the retry of a lap whose response was lost (torn
             # connection, or a crash after the WAL append) — replays the
@@ -1132,31 +1041,14 @@ class ForecastGateway:
             # failover only the rebuilt worker-side session knows where
             # its journal replay left off
             try:
-                if self.supervisor is not None:
-                    timeout_s = (
-                        None if deadline is None else max(deadline.remaining(), 1e-3)
-                    )
-                    self.supervisor.touch(managed.model)
-                    emitted, replayed = managed.session.apply_lap(
-                        lap, records, timeout_s=timeout_s
-                    )
-                else:
-                    with self._model_lock(managed.model):
-                        # keep the session's model MRU while actively serving
-                        self.service.touch(managed.model)
-                        emitted, replayed = managed.session.apply_lap(lap, records)
-            except WireError:
-                # already structured (worker_restarting, overloaded, ...);
-                # WireError subclasses ValueError, so this must come first
-                raise
-            except ValueError as exc:
-                raise WireError("invalid_request", str(exc)) from exc
-            except RuntimeError:
-                # a worker death mid-lap: count it against the model's
-                # breaker and surface the (retryable) internal error — the
-                # supervisor's restart + journal failover brings the
-                # session back for the retry
-                self._breaker(managed.model).record_failure()
+                emitted, replayed = managed.session.apply_lap(
+                    lap, records, timeout_s=timeout_s
+                )
+            except Exception as exc:
+                # e.g. a worker death mid-lap: the supervisor's restart and
+                # journal failover bring the session back for the retry
+                if is_engine_failure(exc):
+                    self._breaker(managed.model).record_failure()
                 raise
             if managed.journal is not None and not replayed:
                 # journaled after a successful apply, fsynced before the
@@ -1165,24 +1057,8 @@ class ForecastGateway:
                 # in the crash window is simply re-applied
                 # (deterministically) by the retry
                 managed.journal.record_lap(lap, records)
-        document = self._emitted_to_wire(emitted)
-        document["replayed"] = replayed
-        return document
-
-    @staticmethod
-    def _emitted_to_wire(emitted) -> dict:
         return wire.envelope(
-            "session-lap-results",
-            results=[
-                {
-                    "origin": int(origin),
-                    "forecasts": [
-                        {"car_id": int(car_id), "samples": wire.encode_array(samples)}
-                        for car_id, samples in forecasts.items()
-                    ],
-                }
-                for origin, forecasts in emitted
-            ],
+            "session-lap-results", results=wire.emitted_to_wire(emitted), replayed=replayed
         )
 
     def _handle_session_close(self, body, sid: str) -> dict:
@@ -1197,23 +1073,17 @@ class ForecastGateway:
         with managed.lock:
             managed.closed = True
             try:
-                if self.supervisor is not None:
-                    remaining = managed.session.finish(drain=drain)
-                else:
-                    with self._model_lock(managed.model):
-                        remaining = managed.session.finish() if drain else []
+                remaining = managed.session.finish(drain=drain)
             finally:
-                if self.supervisor is not None:
-                    self.supervisor.unpin(managed.model)
-                else:
-                    self.service.unpin(managed.model)
-            if managed.journal is not None:
-                # a clean close deletes the journal: nothing left to recover
-                managed.journal.close(remove=True)
-        document = self._emitted_to_wire(remaining)
-        document["kind"] = "session-closed"
-        document.update(managed.describe())
-        return document
+                # the session is deregistered whatever the drain did, so
+                # its pin and journal go with it — a journal left behind
+                # would resurrect a closed session at the next boot
+                self.executor.unpin(managed.model)
+                if managed.journal is not None:
+                    managed.journal.close(remove=True)
+        return wire.envelope(
+            "session-closed", results=wire.emitted_to_wire(remaining), **managed.describe()
+        )
 
 
 # ----------------------------------------------------------------------

@@ -106,8 +106,8 @@ class ForecastService:
         # guards the registry (residency, pins, LRU order, stats) — not the
         # engine passes themselves, which run outside it so that different
         # models can forecast concurrently.  Callers running *the same*
-        # model concurrently must serialize externally (the gateway holds a
-        # per-model lock / routes through a per-model worker).
+        # model concurrently must serialize externally (the gateway's
+        # executor holds a per-model lock / routes to a per-model worker).
         self._registry_lock = threading.RLock()
         self._stats: Dict[str, int] = {
             "loads": 0,

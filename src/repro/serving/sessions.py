@@ -42,7 +42,7 @@ import numpy as np
 
 from ..data.features import DEFAULT_MIN_LAPS, DEFAULT_SHIFT_LAG, LiveFeatureBuilder
 
-__all__ = ["RaceSession", "SessionManager", "ManagedSession", "build_live_session"]
+__all__ = ["RaceSession", "SessionManager", "ManagedSession", "build_live_session", "session_counters"]
 
 
 class RaceSession:
@@ -176,7 +176,7 @@ class RaceSession:
                 ) from None
         return self.observe_lap(lap, records), False
 
-    def finish(self) -> List[Tuple[int, Dict[int, np.ndarray]]]:
+    def finish(self, drain: bool = True) -> List[Tuple[int, Dict[int, np.ndarray]]]:
         """Flush the origins still held back by ``delay`` at end of feed.
 
         Once the feed is over no further laps can revise the features, so
@@ -185,8 +185,11 @@ class RaceSession:
         the last origin whose whole forecast horizon stays inside the
         observed feed — the same ``max_len - horizon - 1`` bound
         ``LiveRaceForecaster.stream`` uses, so a drained session never
-        emits an origin a full-race replay would not.
+        emits an origin a full-race replay would not.  ``drain=False``
+        ends the feed without forecasting the held-back origins.
         """
+        if not drain:
+            return []
         if self._stop is None:
             limit = self.latest_lap - int(self.live.horizon) - 1
         else:
@@ -224,7 +227,9 @@ class ManagedSession:
     """A registered session plus the bookkeeping the gateway needs."""
 
     session_id: str
-    session: RaceSession
+    #: the executor's handle on the session: ``LocalSession`` in-process,
+    #: ``RaceSessionProxy`` in worker mode (see ``repro.serving.executor``)
+    session: object
     model: str
     opened_at: float
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -242,13 +247,20 @@ class ManagedSession:
         return {
             "session": self.session_id,
             "model": self.model,
-            "latest_lap": self.session.latest_lap,
-            "next_origin": self.session.next_origin,
-            "laps_observed": self.session.laps_observed,
-            "forecasts_emitted": self.session.forecasts_emitted,
-            "cars": self.session.num_cars,
+            **session_counters(self.session),
             "recovered": self.recovered,
         }
+
+
+def session_counters(session) -> dict:
+    """A session's progress counters, as the wire and the worker pipe carry them."""
+    return {
+        "latest_lap": session.latest_lap,
+        "next_origin": session.next_origin,
+        "laps_observed": session.laps_observed,
+        "forecasts_emitted": session.forecasts_emitted,
+        "cars": session.num_cars,
+    }
 
 
 class SessionManager:
@@ -265,16 +277,17 @@ class SessionManager:
     def allocate_id(self) -> str:
         """Reserve the next ``sess-NNNNNN`` id without registering anything.
 
-        The worker-mode gateway opens the session inside the worker
-        process *before* registering it here (so a registration failure
-        can roll the worker back by id) — the id must exist first.
+        The gateway opens the session in its executor (inside a worker
+        process, in worker mode) *before* registering it here, so a
+        registration failure can roll the worker back by id — the id must
+        exist first.
         """
         with self._lock:
             self._counter += 1
             return f"sess-{self._counter:06d}"
 
     def open(
-        self, session: RaceSession, model: str, session_id: Optional[str] = None
+        self, session: object, model: str, session_id: Optional[str] = None
     ) -> ManagedSession:
         """Register a session; ``session_id`` pins the id (journal recovery).
 
@@ -344,10 +357,11 @@ class SessionManager:
 def build_live_session(document: dict, forecaster) -> RaceSession:
     """Construct a :class:`RaceSession` from a validated ``session-open`` doc.
 
-    Shared by the gateway's in-process path, the worker processes, and
-    journal failover — all three must build *identical* sessions from the
-    same wire document or the byte-identity contract across a worker
-    restart breaks.  ``document`` is assumed envelope-checked; field
+    Called by :meth:`repro.serving.executor.LocalExecutor.open_session`,
+    the one construction path of the in-process gateway, the worker
+    processes and journal failover — they must build *identical* sessions
+    from the same wire document or the byte-identity contract across a
+    worker restart breaks.  ``document`` is assumed envelope-checked; field
     coercion errors surface as ``ValueError``/``TypeError`` for the caller
     to map onto wire errors.
     """

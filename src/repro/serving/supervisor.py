@@ -1,8 +1,10 @@
 """Gateway-side supervision tree for the multi-process worker pool.
 
-:class:`WorkerSupervisor` owns one worker subprocess per served model
-replica (:func:`repro.serving.workers.worker_main`) and supervises it the
-way an Erlang supervision tree would:
+:class:`WorkerSupervisor` is the gateway's executor in worker mode — the
+methods of :class:`~repro.serving.executor.LocalExecutor`, each routed to
+one worker subprocess per served model replica
+(:func:`repro.serving.workers.worker_main`).  It supervises them the way
+an Erlang supervision tree would:
 
 * **heartbeats** — a monitor thread pings every live worker's control
   pipe each ``heartbeat_interval_s``; a worker that misses the
@@ -31,8 +33,9 @@ replica: once a worker has that many ops in flight or waiting, further
 calls shed with ``overloaded`` instead of queueing without limit — the
 per-replica refinement of the gateway's global admission control.
 
-:class:`RaceSessionProxy` duck-types :class:`~repro.serving.sessions.RaceSession`
-over a worker-resident session so the gateway's session bookkeeping
+:class:`RaceSessionProxy` (from :meth:`WorkerSupervisor.open_session`)
+answers the calls of :class:`~repro.serving.executor.LocalSession` over a
+worker-resident session, so the gateway's session bookkeeping
 (:class:`~repro.serving.sessions.ManagedSession`) is mode-agnostic.
 """
 
@@ -50,8 +53,8 @@ import numpy as np
 
 from . import wire
 from .resilience import DeadlineExceededError, OverloadedError, WorkerRestartingError
-from .wire import WireError
-from .workers import emitted_from_wire, worker_main
+from .wire import WireError, emitted_from_wire
+from .workers import worker_main
 
 __all__ = ["WorkerSupervisor", "WorkerHandle", "RaceSessionProxy"]
 
@@ -275,6 +278,9 @@ class WorkerSupervisor:
         with self._lock:
             return dict(self._stats)
 
+    #: the health document's ``worker_pool`` block
+    worker_pool = stats
+
     def close(self) -> None:
         with self._lock:
             if self._closed:
@@ -333,6 +339,13 @@ class WorkerSupervisor:
         reply = self._call(model, "sweep", {"document": document}, timeout_s=timeout_s)
         return reply["document"]
 
+    def open_session(
+        self, model, session_id: str, document: dict, internal: bool = False
+    ) -> "RaceSessionProxy":
+        """Open a session inside the model's worker; returns its proxy."""
+        info = self.session_open(model, session_id, document, internal=internal)
+        return RaceSessionProxy(self, model, session_id, info)
+
     def session_open(
         self, model, session_id: str, document: dict, internal: bool = False
     ) -> dict:
@@ -342,40 +355,6 @@ class WorkerSupervisor:
             {"session_id": str(session_id), "document": document},
             internal=internal,
         )
-
-    def session_lap(
-        self,
-        model,
-        session_id: str,
-        lap,
-        records,
-        timeout_s: Optional[float] = None,
-        internal: bool = False,
-    ) -> dict:
-        return self._call(
-            model,
-            "session_lap",
-            {
-                "session_id": str(session_id),
-                "lap": lap,
-                # normalise LapRecord-style objects so in-process callers
-                # can feed the pipe exactly like HTTP clients do
-                "records": [wire.lap_record_to_wire(record) for record in records],
-            },
-            timeout_s=timeout_s,
-            internal=internal,
-        )
-
-    def session_finish(self, model, session_id: str, drain: bool = True) -> dict:
-        return self._call(
-            model, "session_finish", {"session_id": str(session_id), "drain": bool(drain)}
-        )
-
-    def session_drop(self, model, session_id: str) -> None:
-        try:
-            self._call(model, "session_drop", {"session_id": str(session_id)})
-        except Exception:  # rollback path: the worker may be mid-restart
-            pass
 
     # ------------------------------------------------------------------
     def _call(
@@ -679,7 +658,7 @@ class WorkerSupervisor:
 # the gateway's mode-agnostic session view
 # ----------------------------------------------------------------------
 class RaceSessionProxy:
-    """Duck-types :class:`RaceSession` over a worker-resident session.
+    """:class:`~repro.serving.executor.LocalSession`'s calls over a worker-resident session.
 
     The gateway's :class:`~repro.serving.sessions.ManagedSession` and its
     ``describe()`` read plain counters; the proxy refreshes them from
@@ -704,25 +683,31 @@ class RaceSessionProxy:
 
     # ------------------------------------------------------------------
     def apply_lap(self, lap, records, timeout_s=None, internal: bool = False):
-        reply = self._supervisor.session_lap(
+        reply = self._supervisor._call(
             self.model,
-            self.session_id,
-            lap,
-            records,
+            "session_lap",
+            {
+                "session_id": self.session_id,
+                "lap": lap,
+                # normalise LapRecord-style objects so in-process callers
+                # can feed the pipe exactly like HTTP clients do
+                "records": [wire.lap_record_to_wire(record) for record in records],
+            },
             timeout_s=timeout_s,
             internal=internal,
         )
         self._refresh(reply)
         return emitted_from_wire(reply["results"]), bool(reply["replayed"])
 
-    def observe_lap(self, lap, records):
-        emitted, _replayed = self.apply_lap(lap, records)
-        return emitted
-
     def finish(self, drain: bool = True):
-        reply = self._supervisor.session_finish(self.model, self.session_id, drain=drain)
+        reply = self._supervisor._call(
+            self.model, "session_finish", {"session_id": self.session_id, "drain": bool(drain)}
+        )
         self._refresh(reply)
         return emitted_from_wire(reply["results"])
 
     def drop(self) -> None:
-        self._supervisor.session_drop(self.model, self.session_id)
+        try:
+            self._supervisor._call(self.model, "session_drop", {"session_id": self.session_id})
+        except Exception:  # rollback path: the worker may be mid-restart
+            pass

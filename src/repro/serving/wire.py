@@ -42,6 +42,8 @@ __all__ = [
     "WireError",
     "check_envelope",
     "decode_array",
+    "emitted_from_wire",
+    "emitted_to_wire",
     "encode_array",
     "envelope",
     "error_to_wire",
@@ -382,6 +384,35 @@ def lap_record_to_wire(record) -> dict:
         "pit": bool(record.is_pit),
         "caution": bool(record.is_caution),
     }
+
+
+def emitted_to_wire(emitted) -> List[dict]:
+    """Encode session forecasts (``[(origin, {car_id: samples})]``), the
+    ``results`` of a ``session-lap-results``/``session-closed`` document."""
+    return [
+        {
+            "origin": int(origin),
+            "forecasts": [
+                {"car_id": int(car_id), "samples": encode_array(samples)}
+                for car_id, samples in forecasts.items()
+            ],
+        }
+        for origin, forecasts in emitted
+    ]
+
+
+def emitted_from_wire(items: List[dict]) -> List[Tuple[int, Dict[int, np.ndarray]]]:
+    """Decode :func:`emitted_to_wire` back into session-forecast structure."""
+    return [
+        (
+            int(item["origin"]),
+            {
+                int(entry["car_id"]): decode_array(entry["samples"])
+                for entry in item["forecasts"]
+            },
+        )
+        for item in items
+    ]
 
 
 def forecast_batch_to_wire(

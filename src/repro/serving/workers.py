@@ -1,28 +1,29 @@
 """Worker-process side of the supervised model pool.
 
-One worker process serves exactly one model replica: it owns a private
-single-slot :class:`~repro.serving.service.ForecastService` (its own
-fleet engine, warm-up caches and live sessions), and speaks length-framed
-JSON over two ``multiprocessing`` pipes back to the gateway:
+One worker process serves exactly one model replica: the in-process
+gateway's :class:`~repro.serving.executor.LocalExecutor` over a private
+single-slot :class:`~repro.serving.service.ForecastService` (its own fleet
+engine, warm-up caches and live sessions), behind length-framed JSON over
+two ``multiprocessing`` pipes back to the gateway:
 
 * the **work pipe** carries one op frame at a time —
   ``{"id": n, "op": name, "body": {...}}`` in, ``{"id": n, "ok": true,
   "body": {...}}`` (or a structured error) out.  Payloads ride the
   existing wire codecs (:mod:`repro.serving.wire`): named forecast
   requests with explicit RNG transport, base64 sample arrays, verbatim
-  ``session-open`` documents.  Because the codecs and the engines are
-  deterministic, a forecast through a worker is byte-identical to the
-  in-process path — which is what lets the supervisor fail sessions over
-  to a *replacement* process by journal replay.
+  ``session-open`` documents.  The op handlers only decode and encode
+  frames; the work is the executor's, so a forecast through a worker is
+  byte-identical to the in-process path and fails with the same wire
+  errors — which is what lets the supervisor fail sessions over to a
+  *replacement* process by journal replay.
 * the **control pipe** answers heartbeat pings from a dedicated daemon
   thread, so a worker grinding through a long sweep still proves it is
   alive — only a genuinely stuck process (SIGSTOP, a wedged allocator)
   misses the supervisor's heartbeat deadline.
 
-Error replies carry an ``engine_failure`` flag mirroring the gateway's
-breaker attribution: request-shaped failures (unknown model, malformed
-arrays, wire errors) say nothing about the replica's health, while
-anything else counts against the model's circuit breaker gateway-side.
+Error replies carry the gateway's breaker attribution
+(:func:`~repro.serving.executor.is_engine_failure`) as an
+``engine_failure`` flag.
 
 The module is transport only — no supervision state lives here.  The
 gateway-side :class:`~repro.serving.supervisor.WorkerSupervisor` owns
@@ -35,90 +36,15 @@ import json
 import os
 import signal
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-import numpy as np
-
-from ..artifacts import ArtifactNotFoundError
 from . import wire
+from .executor import LocalExecutor, LocalSession, is_engine_failure
 from .service import ForecastService
-from .sessions import RaceSession, build_live_session
+from .sessions import session_counters
 from .wire import WireError
 
-__all__ = [
-    "worker_main",
-    "execute_sweep",
-    "emitted_to_wire",
-    "emitted_from_wire",
-]
-
-
-# ----------------------------------------------------------------------
-# helpers shared with the gateway's in-process path
-# ----------------------------------------------------------------------
-def execute_sweep(forecaster, parsed: dict):
-    """Run one parsed strategy sweep; shared by gateway and workers.
-
-    ``parsed`` is the output of :func:`wire.sweep_request_from_wire`.
-    Both execution paths must map optimizer failures onto the same wire
-    errors, or worker mode would change the protocol.
-    """
-    # imported lazily: the optimizer pulls in the full deep-model stack
-    from ..strategy.optimizer import PitStrategyOptimizer
-
-    try:
-        optimizer = PitStrategyOptimizer(
-            forecaster,
-            n_samples=parsed["n_samples"],
-            field_size=parsed["field_size"],
-            precision=parsed.get("precision", "float64"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise WireError(
-            "unsupported_family",
-            f"model {parsed['model']!r} cannot drive the strategy optimizer: {exc}",
-        ) from exc
-    try:
-        return optimizer.sweep(
-            parsed["series"],
-            parsed["origins"],
-            parsed["horizon"],
-            earliest=parsed["earliest"],
-            latest=parsed["latest"],
-            step=parsed["step"],
-            mode=parsed["mode"],
-            rng=parsed["rng"],
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise WireError("invalid_request", f"sweep failed: {exc}") from exc
-
-
-def emitted_to_wire(emitted) -> List[dict]:
-    """Encode a session drain (``[(origin, {car: samples})]``) for the pipe."""
-    return [
-        {
-            "origin": int(origin),
-            "forecasts": [
-                {"car_id": int(car_id), "samples": wire.encode_array(samples)}
-                for car_id, samples in forecasts.items()
-            ],
-        }
-        for origin, forecasts in emitted
-    ]
-
-
-def emitted_from_wire(items: List[dict]) -> List[Tuple[int, Dict[int, np.ndarray]]]:
-    """Decode :func:`emitted_to_wire` back into session-drain structure."""
-    return [
-        (
-            int(item["origin"]),
-            {
-                int(entry["car_id"]): wire.decode_array(entry["samples"])
-                for entry in item["forecasts"]
-            },
-        )
-        for item in items
-    ]
+__all__ = ["worker_main"]
 
 
 # ----------------------------------------------------------------------
@@ -158,21 +84,23 @@ def _serve_control(control) -> None:
 # the worker process entry point
 # ----------------------------------------------------------------------
 class _WorkerState:
-    """One worker's model handle plus its resident live sessions."""
+    """One worker's executor plus its resident live sessions."""
 
     def __init__(self, store_root: str, model: str, options: dict) -> None:
         self.model = str(model)
-        self.service = ForecastService(
-            store_root,
-            capacity=1,
-            mode=str(options.get("mode", "exact")),
-            verify=bool(options.get("verify", True)),
+        self.executor = LocalExecutor(
+            ForecastService(
+                store_root,
+                capacity=1,
+                mode=str(options.get("mode", "exact")),
+                verify=bool(options.get("verify", True)),
+            )
         )
-        self.handle = self.service.load(self.model)
-        self.sessions: Dict[str, RaceSession] = {}
+        self.executor.ensure(self.model)
+        self.sessions: Dict[str, LocalSession] = {}
 
     # ------------------------------------------------------------------
-    def _session(self, session_id: str) -> RaceSession:
+    def _session(self, session_id: str) -> LocalSession:
         session = self.sessions.get(session_id)
         if session is None:
             raise WireError(
@@ -182,30 +110,17 @@ class _WorkerState:
             )
         return session
 
-    @staticmethod
-    def _describe(session: RaceSession) -> dict:
-        return {
-            "latest_lap": session.latest_lap,
-            "next_origin": session.next_origin,
-            "laps_observed": session.laps_observed,
-            "forecasts_emitted": session.forecasts_emitted,
-            "cars": session.num_cars,
-        }
-
     # ------------------------------------------------------------------
     # ops
     # ------------------------------------------------------------------
     def op_forecast(self, body: dict) -> dict:
         named = [wire.named_request_from_wire(item) for item in body.get("requests", [])]
-        results = self.service.submit(named)
+        results = self.executor.submit(self.model, named)
         return {"results": [wire.encode_array(samples) for samples in results]}
 
     def op_sweep(self, body: dict) -> dict:
-        # the raw sweep-request wire document, forwarded verbatim by the
-        # gateway; parse and execute exactly like the in-process path
-        parsed = wire.sweep_request_from_wire(body.get("document"))
-        points = execute_sweep(self.handle.forecaster, parsed)
-        return {"document": wire.sweep_points_to_wire(points)}
+        # the raw sweep-request wire document, forwarded verbatim
+        return {"document": self.executor.sweep(self.model, body.get("document"))}
 
     def op_session_open(self, body: dict) -> dict:
         session_id = str(body.get("session_id"))
@@ -217,35 +132,27 @@ class _WorkerState:
         document = body.get("document")
         if not isinstance(document, dict):
             raise WireError("malformed_request", "session_open needs a 'document'")
-        try:
-            session = build_live_session(document, self.handle.forecaster)
-        except WireError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise WireError("invalid_request", f"cannot open session: {exc}") from exc
+        session = self.executor.open_session(self.model, session_id, document)
         self.sessions[session_id] = session
-        return self._describe(session)
+        return session_counters(session)
 
     def op_session_lap(self, body: dict) -> dict:
         session = self._session(str(body.get("session_id")))
-        try:
-            emitted, replayed = session.apply_lap(body.get("lap"), body.get("records"))
-        except WireError:
-            raise  # WireError subclasses ValueError: keep it structured
-        except ValueError as exc:
-            raise WireError("invalid_request", str(exc)) from exc
+        emitted, replayed = session.apply_lap(body.get("lap"), body.get("records"))
         return {
-            "results": emitted_to_wire(emitted),
+            "results": wire.emitted_to_wire(emitted),
             "replayed": bool(replayed),
-            **self._describe(session),
+            **session_counters(session),
         }
 
     def op_session_finish(self, body: dict) -> dict:
         session_id = str(body.get("session_id"))
         session = self._session(session_id)
-        remaining = session.finish() if bool(body.get("drain", True)) else []
+        # forgotten before the drain: the gateway has already deregistered
+        # the session, so a failed drain must not leave it resident here
         del self.sessions[session_id]
-        return {"results": emitted_to_wire(remaining), **self._describe(session)}
+        remaining = session.finish(bool(body.get("drain", True)))
+        return {"results": wire.emitted_to_wire(remaining), **session_counters(session)}
 
     def op_session_drop(self, body: dict) -> dict:
         # rollback path (the gateway-side registration failed): discard
@@ -256,15 +163,12 @@ class _WorkerState:
 
 def _error_reply(frame_id, exc: BaseException) -> dict:
     status, document = wire.error_to_wire(exc)
-    engine_failure = not isinstance(
-        exc, (WireError, ArtifactNotFoundError, TypeError, ValueError)
-    )
     return {
         "id": frame_id,
         "ok": False,
         "error": document["error"],
         "status": int(status),
-        "engine_failure": engine_failure,
+        "engine_failure": is_engine_failure(exc),
     }
 
 

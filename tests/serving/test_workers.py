@@ -108,7 +108,7 @@ def _wait(predicate, timeout=60.0, step=0.02):
 
 
 def _worker(gateway, model):
-    return next(w for w in gateway.supervisor.describe() if w["model"] == model)
+    return next(w for w in gateway.executor.describe() if w["model"] == model)
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +163,7 @@ def test_batch_mates_survive_a_worker_death_byte_identically(
     service = ForecastService(ArtifactStore(store_root))
     forecaster = service.load("deepar").forecaster
     series = tiny_series[0]
-    gateway.supervisor.ensure("deepar-b")
+    gateway.executor.ensure("deepar-b")
 
     solo = service.submit([_named(forecaster, series, 24, 41), _named(forecaster, series, 26, 43)])
 

@@ -71,6 +71,13 @@ def test_bench_smoke_job_runs_training_breakdown():
     assert any(BENCH_TRAIN in line for line in lines)
 
 
+def test_bench_smoke_job_ends_on_a_clean_tree():
+    job = load_workflow()["jobs"]["bench-smoke"]
+    # sidecars go outside the checkout, and the last step proves they did
+    assert job["env"]["REPRO_BENCH_DIR"].startswith("/tmp/")
+    assert job_run_lines(job)[-1].strip() == 'test -z "$(git status --porcelain)"'
+
+
 def test_test_job_runs_artifact_roundtrip_smoke():
     lines = job_run_lines(load_workflow()["jobs"]["tests"])
     assert any("repro.artifacts.smoke fit" in line for line in lines)

@@ -1,10 +1,14 @@
-"""The traced benchmark's warm-up hook still fits the engine.
+"""The traced benchmark's hooks still fit the package.
 
 ``perfbench/run.py --trace 1`` reports ``engine.gemm_row_fill`` from the
 shapes that ``perfbench.serving.record_warmup_shapes`` records: it patches
 ``forward_sequence`` on ``repro.nn.inference.LSTMStackInference`` and reads
-``stack.stack.cells``.  Renaming any of these in the package would
-otherwise only show when a traced benchmark run breaks.
+``stack.stack.cells``.  The gateway layers are timed by
+``perfbench.serving._wrap_gateway`` and the worker spawns by wrapping
+``WorkerSupervisor.ensure``; ``Tracer.patch`` reads ``vars(owner)[name]``,
+so each wrapped method must be defined on the class it is wrapped on.
+Renaming or moving any of these in the package would otherwise only show
+when a traced benchmark run breaks.
 """
 
 import pathlib
@@ -16,11 +20,15 @@ REPO = pathlib.Path(__file__).resolve().parents[2]
 if str(REPO) not in sys.path:
     sys.path.insert(0, str(REPO))
 
-from perfbench.serving import record_warmup_shapes  # noqa: E402
+from perfbench.serving import _wrap_gateway, record_warmup_shapes  # noqa: E402
 from perfbench.tracing import Tracer  # noqa: E402
 from repro.models.deep.rankmodel import RankSeqModel  # noqa: E402
 from repro.nn.inference import LSTMStackInference  # noqa: E402
 from repro.serving import FleetForecaster, ForecastRequest, spawn_request_rngs  # noqa: E402
+from repro.serving.journal import SessionJournal  # noqa: E402
+from repro.serving.server import ForecastGateway  # noqa: E402
+from repro.serving.service import ForecastService  # noqa: E402
+from repro.serving.supervisor import RaceSessionProxy, WorkerSupervisor  # noqa: E402
 
 N_COV = 3
 
@@ -53,3 +61,23 @@ def test_record_warmup_shapes_sees_every_exact_warmup_and_restores():
     assert len(shapes) == 2
     for a, b in zip(traced, untraced):
         assert a.tobytes() == b.tobytes()
+
+
+def test_gateway_wrappers_install_on_the_package_and_restore():
+    hooked = [
+        (ForecastGateway, "handle"),
+        (ForecastService, "submit"),
+        (FleetForecaster, "submit"),
+        (RaceSessionProxy, "apply_lap"),
+        (SessionJournal, "record_lap"),
+        (SessionJournal, "compact"),
+        (WorkerSupervisor, "ensure"),
+    ]
+    originals = {(owner, name): vars(owner)[name] for owner, name in hooked}
+    with Tracer() as tracer:
+        _wrap_gateway(tracer)
+        tracer.wrap(WorkerSupervisor, "ensure", "workers.ensure")
+        for owner, name in hooked:
+            assert vars(owner)[name] is not originals[(owner, name)], (owner, name)
+    for owner, name in hooked:
+        assert vars(owner)[name] is originals[(owner, name)], (owner, name)
