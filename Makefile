@@ -23,7 +23,7 @@ help:
 	@echo "  bench-pairs     alternated perfbench runs of PARENT and this tree, judged by bench_compare"
 	@echo "                  (PARENT=<parent checkout> WORKLOAD=forecast-gateway PAIRS=5 SECONDS=10)"
 	@echo "  chaos           serving chaos gates: retries, SIGKILL+journal recovery, overload"
-	@echo "  chaos-workers   worker-pool chaos gates: replica kill failover, hang detection"
+	@echo "  chaos-workers   worker-pool chaos gates: replica kill failover, hang detection, gateway kill"
 	@echo "  scenarios       validate the shipped what-if workload matrix"
 	@echo "  docs-check      markdown link check + scenario matrix validation"
 	@echo "  smoke-artifacts cross-process artifact store round trip"
@@ -114,8 +114,9 @@ chaos: bench-chaos
 
 # worker-pool chaos profile: repro-serve with workers=true, a server-side
 # kill_worker fault SIGKILLing the replica mid-session (journal failover
-# must be byte-identical) and a hang_worker SIGSTOP the heartbeat
-# deadline must catch
+# must be byte-identical), a hang_worker SIGSTOP the heartbeat
+# deadline must catch, then a SIGKILLed gateway that must take its
+# replicas and its port with it
 chaos-workers:
 	rm -rf /tmp/repro-chaos-workers
 	$(PYTHON) -m repro.profiling.chaos --dir /tmp/repro-chaos-workers --profile workers

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 __all__ = ["SVR", "rbf_kernel"]
 
@@ -76,6 +75,8 @@ class SVR:
         return rbf_kernel(X, Y, gamma)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "SVR":
+        from scipy.optimize import minimize
+
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.shape[0] == 0:

@@ -54,7 +54,7 @@ def gaussian_sample(
 
 
 def gaussian_quantile(mu: np.ndarray, sigma: np.ndarray, q: float) -> np.ndarray:
-    """Exact Gaussian quantile (uses the probit via scipy-free erfinv)."""
+    """Exact Gaussian quantile via the probit (``scipy.special.erfinv``, imported here)."""
     from scipy.special import erfinv
 
     z = _SQRT2 * erfinv(2.0 * q - 1.0)

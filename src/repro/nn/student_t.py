@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy import stats
-from scipy.special import digamma, gammaln
 
 from .activations import sigmoid, softplus
 from .layers import Dense
@@ -40,6 +38,8 @@ class StudentTParams:
         return self.mu[None, ...] + self.sigma[None, ...] * t
 
     def quantile(self, q: float) -> np.ndarray:
+        from scipy import stats
+
         return self.mu + self.sigma * stats.t.ppf(q, df=self.nu)
 
 
@@ -47,6 +47,8 @@ def student_t_nll(
     z: np.ndarray, mu: np.ndarray, sigma: np.ndarray, nu: np.ndarray
 ) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Mean negative log-likelihood and gradients w.r.t. ``mu``, ``sigma``, ``nu``."""
+    from scipy.special import digamma, gammaln
+
     z = np.asarray(z, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)

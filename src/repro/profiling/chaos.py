@@ -30,6 +30,9 @@ gates the worker-pool guarantees instead:
    heartbeat deadline escalates to SIGKILL, and a retrying client's
    forecast through the restart window is byte-identical to the
    in-process submission.
+6. **Gateway kill** — the gateway itself is SIGKILLed; every replica
+   (the current one was forked after the port was bound) must exit within
+   two heartbeat deadlines, and the port must be free to bind at once.
 
 Exit status is non-zero when any gate fails::
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import socket
 import sys
 import threading
 import time
@@ -94,6 +98,9 @@ WORKER_FAULT_PLAN = {
     ]
 }
 
+#: the workers profile's heartbeat deadline (``heartbeat_timeout_s``)
+WORKER_HEARTBEAT_TIMEOUT_S = 1.0
+
 RETRY = RetryPolicy(max_attempts=8, base_delay_s=0.05, max_delay_s=0.5, seed=0)
 
 #: ceiling for any single overloaded call, retries included (seconds)
@@ -128,7 +135,7 @@ def _write_worker_config(directory: str) -> str:
                 "batch_window_ms": 2.0,
                 "workers": True,
                 "heartbeat_interval_s": 0.1,
-                "heartbeat_timeout_s": 1.0,
+                "heartbeat_timeout_s": WORKER_HEARTBEAT_TIMEOUT_S,
                 "worker_backoff_s": 0.05,
                 "worker_restart_budget": 5,
                 "fault_plan": WORKER_FAULT_PLAN,
@@ -401,6 +408,68 @@ def _gate_worker_hang_heartbeat(directory: str, port: int, series) -> bool:
     return True
 
 
+def pid_running(pid: int) -> bool:
+    """True while ``pid`` runs; an exited orphan left as a zombie counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            state = fh.read().rsplit(b")", 1)[1].split()[0]
+    except OSError:
+        return True  # no /proc to tell a zombie from a running process
+    return state != b"Z"
+
+
+def port_bindable(host: str, port: int) -> bool:
+    """True when a fresh listener (``SO_REUSEADDR``, as the gateway's) can take the port."""
+    with socket.socket() as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            sock.bind((host, port))
+            sock.listen(1)
+        except OSError:
+            return False
+    return True
+
+
+def kill_gateway(process, client: ForecastClient, deadline_s: float):
+    """SIGKILL a worker-mode gateway; returns ``(replica pids, orphans, port free)``.
+
+    ``orphans`` lists the replicas still running ``deadline_s`` after the
+    kill; the port is probed the moment the gateway has been reaped.
+    """
+    pids = [w["pid"] for w in client.health().get("workers", []) if w.get("pid")]
+    process.kill()
+    process.wait()
+    port_free = port_bindable(client.host, client.port)
+    give_up_at = time.monotonic() + deadline_s
+    while any(pid_running(pid) for pid in pids) and time.monotonic() < give_up_at:
+        time.sleep(0.02)
+    return pids, [pid for pid in pids if pid_running(pid)], port_free
+
+
+def _gate_gateway_kill(process, port: int) -> bool:
+    """Gate 6: a SIGKILLed gateway takes its replicas and its port with it."""
+    deadline_s = 2 * WORKER_HEARTBEAT_TIMEOUT_S
+    pids, orphans, port_free = kill_gateway(process, ForecastClient(port=port), deadline_s)
+    if not pids:
+        print("FAIL: the worker-mode gateway reported no replica pids")
+        return False
+    if orphans:
+        print(f"FAIL: replicas {orphans} outlived their SIGKILLed gateway by {deadline_s}s")
+        return False
+    if not port_free:
+        print(f"FAIL: port {port} could not be bound right after the gateway died")
+        return False
+    print(
+        f"OK: gateway SIGKILLed; replicas {pids} exited within {deadline_s:.0f}s "
+        f"and port {port} was free at once"
+    )
+    return True
+
+
 def _run_core(args, race, series) -> int:
     config_path = _write_config(args.dir)
     print("starting repro-serve under the fault plan...", flush=True)
@@ -430,6 +499,8 @@ def _run_workers(args, race, series) -> int:
         if not _gate_worker_kill_failover(args.dir, port, race):
             return 1
         if not _gate_worker_hang_heartbeat(args.dir, port, series[0]):
+            return 1
+        if not _gate_gateway_kill(process, port):
             return 1
         print("chaos harness (workers profile): all gates passed")
         return 0

@@ -158,7 +158,11 @@ class WorkerSupervisor:
         self.heartbeat_timeout_s = float(heartbeat_timeout_s)
         self.spawn_timeout_s = float(spawn_timeout_s)
         self.on_worker_restarted = on_worker_restarted
-        self._options = {"mode": str(mode), "verify": bool(verify)}
+        self._options = {
+            "mode": str(mode),
+            "verify": bool(verify),
+            "heartbeat_interval_s": self.heartbeat_interval_s,
+        }
         self._ctx = _fork_context()
         self._lock = threading.RLock()
         self._handles: Dict[str, WorkerHandle] = {}
@@ -343,18 +347,13 @@ class WorkerSupervisor:
         self, model, session_id: str, document: dict, internal: bool = False
     ) -> "RaceSessionProxy":
         """Open a session inside the model's worker; returns its proxy."""
-        info = self.session_open(model, session_id, document, internal=internal)
-        return RaceSessionProxy(self, model, session_id, info)
-
-    def session_open(
-        self, model, session_id: str, document: dict, internal: bool = False
-    ) -> dict:
-        return self._call(
+        info = self._call(
             model,
             "session_open",
             {"session_id": str(session_id), "document": document},
             internal=internal,
         )
+        return RaceSessionProxy(self, model, session_id, info)
 
     # ------------------------------------------------------------------
     def _call(

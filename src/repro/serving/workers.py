@@ -65,19 +65,52 @@ def _recv(conn) -> Optional[dict]:
         return None
 
 
-def _serve_control(control) -> None:
-    """Answer heartbeat pings until the gateway hangs up.
+def _serve_control(control, parent_pid: int, interval_s: float) -> None:
+    """Answer heartbeat pings; end the process once the gateway is gone.
 
     Runs on a daemon thread so a long engine pass on the main loop never
     reads as a missed heartbeat — only a process that is truly stuck
-    (stopped, wedged) stops answering.
+    (stopped, wedged) stops answering.  The gateway's death shows up here
+    as EOF on the control pipe or, failing that, as a new parent pid at
+    the next ``interval_s`` wake-up; either way the replica exits at
+    once, even mid-op, instead of outliving the gateway as an orphan.
     """
-    while True:
+    while os.getppid() == parent_pid:
+        try:
+            if not control.poll(interval_s):
+                continue
+        except (OSError, EOFError):
+            break
         frame = _recv(control)
         if frame is None:
-            return
+            break
         if not _send(control, {"id": frame.get("id"), "op": "pong", "pid": os.getpid()}):
-            return
+            break
+    os._exit(0)
+
+
+def _release_inherited_fds(keep) -> None:
+    """Point every descriptor the forked replica does not own at /dev/null.
+
+    A fork copies all of the gateway's descriptors: the parent-side ends of
+    this replica's own pipes, other replicas' pipes, the listening socket,
+    client connections.  Held here, they keep the gateway's death from
+    reaching the replica as EOF and its port from being bound again.
+    ``dup2`` drops them but keeps their numbers taken, so a stale object of
+    the forked image that still owns one can never close or write a file
+    this process opens later (a plain close would free the number).
+    """
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    try:
+        inherited = [int(name) for name in os.listdir(fd_dir)]
+    except OSError:
+        return  # no descriptor listing on this platform
+    # opened after the listing, so it takes the listing's own (closed) number
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in inherited:
+        if fd > 2 and fd != null and fd not in keep:
+            os.dup2(null, fd)
+    os.close(null)
 
 
 # ----------------------------------------------------------------------
@@ -175,17 +208,23 @@ def _error_reply(frame_id, exc: BaseException) -> dict:
 def worker_main(work, control, store_root: str, model: str, options: Optional[dict] = None) -> None:
     """Serve one model replica over the given pipes until the gateway hangs up.
 
-    Runs as the target of a forked ``multiprocessing.Process``; any
-    exception during model load is fatal (the supervisor's readiness
+    Runs as the target of a forked ``multiprocessing.Process``; its first
+    act drops every inherited descriptor except its two pipes and stdio.
+    Any exception during model load is fatal (the supervisor's readiness
     deadline catches the death and applies its restart budget).
     """
+    _release_inherited_fds(keep={work.fileno(), control.fileno()})
+    parent_pid = os.getppid()
     options = dict(options or {})
     # the forked child inherits the parent's signal dispositions (the CLI
     # installs a SIGTERM drain handler); workers must die plainly instead
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     threading.Thread(
-        target=_serve_control, args=(control,), name="worker-heartbeat", daemon=True
+        target=_serve_control,
+        args=(control, parent_pid, float(options.get("heartbeat_interval_s", 0.25))),
+        name="worker-heartbeat",
+        daemon=True,
     ).start()
     state = _WorkerState(store_root, model, options)
     handlers = {

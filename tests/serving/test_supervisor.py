@@ -239,8 +239,10 @@ def test_session_proxy_accepts_raw_lap_records(supervisor, store_root, race):
         "event": race.event,
         "year": race.year,
     }
-    info = supervisor.session_open("deepar", "sess-test", document)
-    proxy = RaceSessionProxy(supervisor, "deepar", "sess-test", info)
+    proxy = supervisor.open_session("deepar", "sess-test", document)
+    assert isinstance(proxy, RaceSessionProxy)
+    assert (proxy.model, proxy.session_id) == ("deepar", "sess-test")
+    assert (proxy.latest_lap, proxy.laps_observed, proxy.forecasts_emitted) == (0, 0, 0)
     streamed = []
     for lap, records in race.iter_laps():
         emitted, replayed = proxy.apply_lap(lap, list(records))

@@ -7,19 +7,24 @@ invisible to well-behaved clients: byte-identical forecasts, structured
 session failover that resumes a live race bitwise exactly.
 """
 
+import json
 import os
+import threading
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro
 from repro.artifacts import ArtifactStore
 from repro.data import build_race_features
 from repro.models import DeepARForecaster
+from repro.profiling.chaos import kill_gateway
 from repro.serving import ForecastClient, ForecastService
 from repro.serving.resilience import RetryPolicy, WorkerRestartingError
 from repro.serving.server import ForecastGateway, ForecastServer, ServerConfig
+from repro.serving.smoke import _spawn_server
 from repro.simulation import LiveRaceForecaster, RaceSimulator, track_for_year
 
 DEEP_KWARGS = dict(
@@ -260,3 +265,63 @@ def test_http_session_resumes_byte_identically_across_worker_kill(
     assert not any(
         name.startswith(session.session_id) for name in os.listdir(gateway.journal_dir)
     )
+
+
+# ----------------------------------------------------------------------
+# a SIGKILLed gateway takes its replicas and its port with it
+# ----------------------------------------------------------------------
+HEARTBEAT_TIMEOUT_S = 1.0
+
+
+@pytest.fixture()
+def killed_gateway(store_root, tiny_series, tmp_path, monkeypatch):
+    """A ``repro-serve`` subprocess with two replicas, SIGKILLed.
+
+    Yields ``(replica pids, replicas alive two heartbeat deadlines later,
+    port bindable right after the kill)``.
+    """
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    monkeypatch.setenv(
+        "PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    )
+    config = tmp_path / "serve.json"
+    config.write_text(
+        json.dumps(
+            {
+                "store": store_root,
+                "port": 0,
+                "capacity": 2,
+                "workers": True,
+                "batch_window_ms": 2.0,
+                "heartbeat_interval_s": 0.1,
+                "heartbeat_timeout_s": HEARTBEAT_TIMEOUT_S,
+                "worker_backoff_s": 0.02,
+            }
+        )
+    )
+    process, port = _spawn_server(str(config))
+    threading.Thread(target=process.stdout.read, daemon=True).start()
+    try:
+        client = ForecastClient(port=port)
+        forecaster = ForecastService(ArtifactStore(store_root)).load("deepar").forecaster
+        # no preload: both replicas fork after the port is bound, so each
+        # inherits the listening socket, and the second the first's pipes
+        for model in ("deepar", "deepar-b"):
+            client.forecast([_named(forecaster, tiny_series[0], 20, 1, model=model)])
+        yield kill_gateway(process, client, 2 * HEARTBEAT_TIMEOUT_S)
+    finally:
+        process.kill()
+        process.wait()
+
+
+def test_replicas_exit_within_two_heartbeat_deadlines_of_a_gateway_sigkill(
+    killed_gateway,
+):
+    pids, orphans, _ = killed_gateway
+    assert len(pids) == 2
+    assert orphans == []
+
+
+def test_port_binds_again_right_after_a_gateway_sigkill(killed_gateway):
+    _, _, port_free = killed_gateway
+    assert port_free

@@ -1,9 +1,10 @@
 """Sanity checks on the CI pipeline and packaging/lint configuration.
 
 These tests are the repo-local stand-in for ``actionlint``: they parse the
-workflow YAML and assert the pipeline has the three jobs CI relies on
-(lint, the Python test matrix, and the benchmark smoke run) wired to the
-same commands the Makefile exposes locally.
+workflow YAML and assert the pipeline has the jobs CI relies on (lint,
+the Python test matrix, the scipy-free serving smoke, docs and the
+benchmark smoke run) wired to the same commands the Makefile exposes
+locally.
 """
 
 import pathlib
@@ -39,7 +40,14 @@ def test_workflow_parses_and_triggers():
 
 def test_workflow_has_lint_test_docs_and_bench_jobs():
     jobs = load_workflow()["jobs"]
-    assert set(jobs) == {"lint", "tests", "docs", "bench-smoke"}
+    assert set(jobs) == {"lint", "tests", "serving-no-scipy", "docs", "bench-smoke"}
+
+
+def test_serving_no_scipy_job_installs_no_scipy_and_runs_the_smoke():
+    lines = job_run_lines(load_workflow()["jobs"]["serving-no-scipy"])
+    installs = [line for line in lines if "pip install" in line]
+    assert installs and not any("scipy" in line for line in installs)
+    assert any("python -m repro.serving.smoke" in line for line in lines)
 
 
 def test_test_job_runs_tier1_on_python_matrix():
