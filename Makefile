@@ -69,14 +69,15 @@ bench-learn:
 # seed 1..PAIRS, one perfbench run of each side, the side that runs first
 # alternating by seed, each from its own source tree (PYTHONPATH cleared);
 # the last stdout line of every run goes to parent.jsonl / change.jsonl in
-# a temp dir outside the tree, then tools/bench_compare.py judges the pairs
+# a temp dir outside the tree (removed on exit), then tools/bench_compare.py
+# judges the pairs
 PAIRS ?= 5
 SECONDS ?= 10
 WORKLOAD ?= forecast-gateway
 
 bench-pairs:
 	@test -n "$(PARENT)" || { echo "bench-pairs: set PARENT=<checkout of the parent commit>" >&2; exit 2; }
-	@out=$$(mktemp -d); echo "bench-pairs: runs in $$out"; \
+	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; echo "bench-pairs: runs in $$out"; \
 	for seed in $$(seq 1 $(PAIRS)); do \
 		if [ $$((seed % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi; \
 		for side in $$order; do \

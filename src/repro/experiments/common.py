@@ -41,7 +41,7 @@ __all__ = [
 
 _DATASET_CACHE: Dict[Tuple, RacingDataset] = {}
 _FEATURE_CACHE: Dict[Tuple, List[CarFeatureSeries]] = {}
-_MODEL_CACHE: Dict[Tuple, RankForecaster] = {}
+_MODEL_CACHE: Dict[str, RankForecaster] = {}
 
 
 def clear_caches() -> None:
@@ -173,29 +173,27 @@ def train_model(
     val_series: Optional[Sequence[CarFeatureSeries]] = None,
     cache_tag: str = "",
 ) -> RankForecaster:
-    """Build and fit a model, caching the fitted instance per (name, config, tag).
+    """Build and fit a model, caching the fitted instance per artifact name.
 
-    With ``config.artifacts_dir`` set, the fitted model is additionally
-    registered in an on-disk :class:`~repro.artifacts.ArtifactStore` keyed
-    by model family, constructor-config hash and training-data fingerprint.
-    Experiments sharing a fitted model — across processes, or across
-    ``runner`` invocations — then load the artifact instead of refitting.
+    Both caches key on one name: model family, constructor-config hash,
+    training-data fingerprint and ``cache_tag``.  The in-process cache
+    returns the same fitted instance for a repeated call; with
+    ``config.artifacts_dir`` set, the fitted model is also registered in
+    an on-disk :class:`~repro.artifacts.ArtifactStore` under that name, so
+    experiments sharing a fitted model — across processes, or across
+    ``runner`` invocations — load the artifact instead of refitting.
     """
-    key = (name, config.profile, config.encoder_length, config.epochs, cache_tag)
-    if key in _MODEL_CACHE:
-        return _MODEL_CACHE[key]
     model = build_model(name, config)
+    fingerprint = fingerprint_series(train_series, extra=val_series)
+    artifact_name = _artifact_name(model, fingerprint, cache_tag)
+    if artifact_name in _MODEL_CACHE:
+        return _MODEL_CACHE[artifact_name]
     store = ArtifactStore(config.artifacts_dir) if config.artifacts_dir else None
-    artifact_name, fingerprint = "", ""
-    if store is not None:
-        fingerprint = fingerprint_series(train_series, extra=val_series)
-        artifact_name = _artifact_name(model, fingerprint, cache_tag)
-        if artifact_name in store:
-            model = store.load_model(artifact_name)
-            _MODEL_CACHE[key] = model
-            return model
-    model.fit(list(train_series), list(val_series) if val_series else None)
-    if store is not None:
-        store.save_model(artifact_name, model, data_fingerprint=fingerprint)
-    _MODEL_CACHE[key] = model
+    if store is not None and artifact_name in store:
+        model = store.load_model(artifact_name)
+    else:
+        model.fit(list(train_series), list(val_series) if val_series else None)
+        if store is not None:
+            store.save_model(artifact_name, model, data_fingerprint=fingerprint)
+    _MODEL_CACHE[artifact_name] = model
     return model

@@ -10,7 +10,9 @@ state and emits the parameters of a Gaussian predictive distribution:
 
 Training (Algorithm 1) maximises the log-likelihood of the observed targets
 over the decoder steps with optional per-instance weights; forecasting
-(Algorithm 2) feeds Monte-Carlo samples back into the recurrence.
+(Algorithm 2) feeds Monte-Carlo samples back into the recurrence.  That
+decode runs in the fleet engine (``FleetForecaster``), reached through
+the forecaster wrappers' ``fleet_engine`` in :mod:`repro.models.deep.ranknet`.
 
 Training runs on the fused full-sequence engine: one
 ``forward_sequence`` pass through the recurrent stack (all input
@@ -30,16 +32,13 @@ head covering every dimension.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from ...data.scaling import MeanScaler
 from ...nn import Module, MultiGaussianOutput, StackedGRU, StackedLSTM
 from ...nn.losses import gaussian_nll_seq
-from ...nn.precision import normalize_precision
-from ...serving.engine import FleetForecaster
-from ...serving.requests import ForecastRequest
 
 __all__ = ["RankSeqModel"]
 
@@ -100,7 +99,6 @@ class RankSeqModel(Module):
         self.head = MultiGaussianOutput(hidden_dim, target_dim, rng=rng, name="head")
         self.scaler = MeanScaler()
         self.rng = rng
-        self._fleet_engines: Dict[str, "FleetForecaster"] = {}
 
     # ------------------------------------------------------------------
     # helpers
@@ -176,63 +174,3 @@ class RankSeqModel(Module):
     def validation_loss(self, batch: Dict[str, np.ndarray]) -> float:
         """Forward-only loss on the cache-free path (no BPTT tensors)."""
         return self._forward_loss(batch, with_backward=False)
-
-    # ------------------------------------------------------------------
-    # forecasting (Algorithm 2)
-    # ------------------------------------------------------------------
-    def fleet_engine(self, precision: Optional[str] = None) -> "FleetForecaster":
-        """Lazily constructed single-model fleet engine (shared weights).
-
-        One engine is kept per precision tier; the float64 engine shares
-        the training weights, lower tiers run a converted replica (see
-        :mod:`repro.nn.precision`).
-        """
-        precision = normalize_precision(precision)
-        engine = self._fleet_engines.get(precision)
-        if engine is None:
-            engine = FleetForecaster(self, mode="exact", precision=precision)
-            self._fleet_engines[precision] = engine
-        return engine
-
-    def forecast_samples(
-        self,
-        history_target: np.ndarray,
-        history_covariates: np.ndarray,
-        future_covariates: np.ndarray,
-        n_samples: int = 100,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Draw ``n_samples`` Monte-Carlo trajectories of the future target.
-
-        Thin single-car wrapper over the fleet inference engine
-        (:class:`repro.serving.FleetForecaster`): warm-up runs once on a
-        single batch row (the teacher-forced state is deterministic, so it
-        is replicated across samples), then the decode loop advances all
-        ``n_samples`` trajectories together.  Forecasting many cars, plans
-        or origins at once is much faster through
-        ``fleet_engine().submit(...)`` — the results are byte-identical
-        given the same per-request RNG streams.
-
-        Parameters
-        ----------
-        history_target:
-            ``(L0,)`` or ``(L0, target_dim)`` observed targets.
-        history_covariates:
-            ``(L0, num_covariates)`` covariates aligned with the history.
-        future_covariates:
-            ``(H, num_covariates)`` covariates for the forecast horizon.
-
-        Returns
-        -------
-        samples:
-            ``(n_samples, H)`` trajectories of the *first* target dimension
-            (the rank), on the original scale.
-        """
-        request = ForecastRequest(
-            history_target=history_target,
-            history_covariates=history_covariates,
-            future_covariates=future_covariates,
-            n_samples=n_samples,
-            rng=rng if rng is not None else self.rng,
-        )
-        return self.fleet_engine().submit([request])[0]

@@ -220,12 +220,9 @@ class DeepForecasterBase(RankForecaster):
         low-precision replica is converted when its engine is built, and a
         carry-mode cache holds states computed under the old weights.
         Consumers therefore resolve engines through :meth:`fleet_engine`,
-        which builds a fresh one on next use.  The model's own
-        single-model engines (``RankSeqModel.fleet_engine``) go too.
+        which builds a fresh one on next use.
         """
         self._fleet_engines = {}
-        if hasattr(self.model, "_fleet_engines"):
-            self.model._fleet_engines = {}
 
     def fine_tune(
         self,
@@ -301,17 +298,11 @@ class DeepForecasterBase(RankForecaster):
             raise RuntimeError(f"{self.name} must be fit before forecasting")
         if origin < 1 or origin >= len(series):
             raise IndexError(f"origin {origin} out of range")
-        history_target = self._history_target(series, origin)
-        history_cov = self._history_covariates(series, origin)
+        # exact whatever fleet_mode says, and on the forecaster's own stream
+        # (forecast_fleet spawns children), so consecutive calls continue it
         future_cov = self._future_covariates(series, origin, horizon)
-        samples = self.model.forecast_samples(
-            self._target_history_matrix(series, origin, history_target),
-            history_cov,
-            future_cov,
-            n_samples=n_samples,
-            rng=self.rng,
-        )
-        samples = clip_rank(samples)
+        request = self._fleet_request(series, origin, future_cov, n_samples, self.rng)
+        samples = clip_rank(self.fleet_engine("exact").submit([request])[0])
         return ProbabilisticForecast(
             samples=samples, origin=origin, race_id=series.race_id, car_id=series.car_id
         )

@@ -3,14 +3,17 @@
 The paper compares the LSTM-based RankNet with a Transformer implementation
 (§IV-I): multi-head attention with 8 heads and model dimension 32, same
 probabilistic output and the same covariate handling.  This module provides
-:class:`TransformerSeqModel`, which exposes the same training / forecasting
-interface as :class:`repro.models.deep.rankmodel.RankSeqModel` so the two
-backbones are interchangeable inside the forecaster wrappers.
+:class:`TransformerSeqModel`, which exposes the same training interface as
+:class:`repro.models.deep.rankmodel.RankSeqModel` so the two backbones are
+interchangeable inside the forecaster wrappers.  Forecasting runs in the
+fleet engine (``FleetForecaster``, reached through the wrappers'
+``fleet_engine``), which decodes through ``_encode`` / ``_decode`` and the
+Gaussian ``heads``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -181,57 +184,3 @@ class TransformerSeqModel(Module):
 
     def validation_loss(self, batch: Dict[str, np.ndarray]) -> float:
         return self._forward_loss(batch, with_backward=False)
-
-    # ------------------------------------------------------------------
-    def forecast_samples(
-        self,
-        history_target: np.ndarray,
-        history_covariates: np.ndarray,
-        future_covariates: np.ndarray,
-        n_samples: int = 100,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Monte-Carlo forecast; same contract as ``RankSeqModel.forecast_samples``."""
-        rng = rng or self.rng
-        history_target = np.asarray(history_target, dtype=np.float64)
-        if history_target.ndim == 1:
-            history_target = history_target[:, None]
-        history_covariates = np.asarray(history_covariates, dtype=np.float64)
-        future_covariates = np.asarray(future_covariates, dtype=np.float64)
-        horizon = future_covariates.shape[0]
-        l0 = history_target.shape[0]
-
-        was_training = self.training
-        self.eval()
-        scale = np.abs(history_target).mean(axis=0) + 1.0
-        z_hist = history_target / scale
-
-        enc_tokens = np.concatenate([z_hist[0 : l0 - 1], history_covariates[1:l0]], axis=1)
-        enc_tokens = np.tile(enc_tokens[None, :, :], (n_samples, 1, 1))
-        memory = self._encode(enc_tokens)
-        self._clear_all_caches_keep_none()
-
-        samples = np.empty((n_samples, horizon), dtype=np.float64)
-        z_generated = [np.tile(z_hist[-1][None, :], (n_samples, 1))]
-        for h in range(horizon):
-            # decoder tokens built from the last observed value + samples so far
-            tokens = []
-            for step in range(h + 1):
-                cov = np.tile(future_covariates[step][None, :], (n_samples, 1))
-                tokens.append(np.concatenate([z_generated[step], cov], axis=1))
-            dec_tokens = np.stack(tokens, axis=1)
-            dec_out = self._decode(dec_tokens, memory)
-            h_last = dec_out[:, -1, :]
-            z_next = np.empty((n_samples, self.target_dim))
-            for d, head in enumerate(self.heads):
-                params = head.forward(h_last)
-                z_next[:, d] = params.mu + params.sigma * rng.standard_normal(n_samples)
-            self._clear_all_caches_keep_none()
-            samples[:, h] = z_next[:, 0] * scale[0]
-            z_generated.append(z_next)
-            # re-encode is not needed; memory reused
-        self.train(was_training)
-        return samples
-
-    def _clear_all_caches_keep_none(self) -> None:
-        self._clear_all_caches()

@@ -5,11 +5,11 @@ of the serving hot path: the rolling-origin Monte-Carlo forecast workload
 (Fig. 9 style — every car of the field forecast at every origin).  Three
 strategies are timed on an identical synthetic workload:
 
-* ``per-car loop`` — one ``forecast_samples`` call per (car, origin): the
-  original implementation's access pattern, although each call already
-  runs on the engine's single-request path (at small workloads the fixed
-  256-row GEMM blocks make this a somewhat slow baseline; at evaluation
-  scale it is faster than the original per-car code was);
+* ``per-car loop`` — one single-request engine submit per (car, origin):
+  the original implementation's access pattern on the engine's kernels (at
+  small workloads the fixed 256-row GEMM blocks make this a somewhat slow
+  baseline; at evaluation scale it is faster than the original per-car
+  code was);
 * ``fleet-exact`` — all cars of an origin in one engine submit (warm-up
   batched across cars, decode batched across cars x samples);
 * ``fleet-carry`` — additionally carries cached warm-up states between
@@ -104,19 +104,13 @@ def fleet_inference_breakdown(
 
     n_forecasts = n_cars * n_origins
 
-    # per-car loop (the seed access pattern)
+    # per-car loop (the seed access pattern): one single-request submit each
+    engine = FleetForecaster(model)
     streams = spawn_request_rngs(np.random.default_rng(seed), n_forecasts)
     t0 = time.perf_counter()
     for j, origin in enumerate(origins):
         for car in range(n_cars):
-            start = origin + 1 - encoder_length
-            model.forecast_samples(
-                targets[car][start : origin + 1],
-                covariates[car][start : origin + 1],
-                future,
-                n_samples=n_samples,
-                rng=streams[j * n_cars + car],
-            )
+            engine.submit([request(car, origin, streams[j * n_cars + car])])
     loop_s = time.perf_counter() - t0
 
     timings = [("per-car loop", loop_s)]

@@ -221,10 +221,9 @@ class FleetForecaster:
         """Run every request; returns one ``(n_samples, horizon)`` array each.
 
         Samples are trajectories of the first target dimension on the
-        original scale (same contract as ``forecast_samples``), in the
-        order the requests were submitted.  Raises ``RuntimeError`` when
-        another thread is inside ``submit`` on this engine (the decode
-        workspace is shared by every submit).
+        original scale, in the order the requests were submitted.  Raises
+        ``RuntimeError`` when another thread is inside ``submit`` on this
+        engine (the decode workspace is shared by every submit).
         """
         if not self._submit_lock.acquire(blocking=False):
             raise RuntimeError(

@@ -70,6 +70,22 @@ def test_cache_tag_separates_artifacts(tmp_path, tiny_series):
     assert any(name.endswith("-event-Iowa") for name in store.names())
 
 
+def test_in_memory_cache_keys_on_the_whole_config_and_the_data(tiny_series):
+    # no store and no clear_caches(): the in-process cache alone must tell
+    # two configs apart that differ only in hidden_dim
+    small = ExperimentConfig(encoder_length=12, epochs=1, max_train_windows=60, hidden_dim=4)
+    large = dc_replace(small, hidden_dim=8)
+    a = common.train_model("DeepAR", small, tiny_series[:4])
+    b = common.train_model("DeepAR", large, tiny_series[:4])
+    assert a is not b
+    assert (a.hidden_dim, b.hidden_dim) == (4, 8)
+    assert a.model.hidden_dim == 4 and b.model.hidden_dim == 8
+    # ... and two training sets, while a repeated call still hits the cache
+    c = common.train_model("DeepAR", small, tiny_series[:3])
+    assert c is not a
+    assert common.train_model("DeepAR", small, tiny_series[:4]) is a
+
+
 def test_no_artifacts_dir_means_no_store_io(tmp_path, tiny_series):
     config = ExperimentConfig(ml_max_instances=400)
     common.train_model("CurRank", config, tiny_series[:4])

@@ -14,7 +14,10 @@ from repro.models import (
     TransformerSeqModel,
     plan_future_covariates,
 )
+from repro.models.base import clip_rank
+from repro.nn.checkpoint import rng_from_state, rng_state
 from repro.nn.gradcheck import numerical_gradient, relative_error
+from repro.serving import FleetForecaster, ForecastRequest
 from repro.simulation import RaceSimulator, track_for_year
 
 
@@ -107,7 +110,8 @@ def test_rankseq_forecast_samples_shape_and_scale(tiny_series):
     hist_t = s.rank[:20]
     hist_c = s.covariates[:20]
     future_c = s.covariates[20:26]
-    samples = model.forecast_samples(hist_t, hist_c, future_c, n_samples=30)
+    request = ForecastRequest(hist_t, hist_c, future_c, n_samples=30)
+    samples = FleetForecaster(model).submit([request])[0]
     assert samples.shape == (30, 6)
     assert np.all(np.isfinite(samples))
 
@@ -121,10 +125,11 @@ def test_rankseq_multivariate_target_dim(tiny_batch):
     model.zero_grad()
     loss = model.loss_and_backward(batch)
     assert np.isfinite(loss)
-    samples = model.forecast_samples(
+    request = ForecastRequest(
         np.tile(tiny_batch["target"][0][:12, None], (1, 3)),
         np.zeros((12, 0)), np.zeros((3, 0)), n_samples=5,
     )
+    samples = FleetForecaster(model).submit([request])[0]
     assert samples.shape == (5, 3)
 
 
@@ -229,6 +234,25 @@ def test_ranknet_forecast_requires_fit(tiny_series):
         model.forecast(tiny_series[0], origin=30, horizon=2)
 
 
+def test_forecast_runs_on_the_forecasters_one_exact_engine(tiny_series):
+    model = RankNetForecaster(variant="oracle", **_tiny_kwargs()).fit(tiny_series[:6])
+    series, origin, horizon = tiny_series[7], 30, 3
+    # the same request on an engine of its own, under a copy of the stream
+    stream = rng_from_state(rng_state(model.rng))
+    future = model._future_covariates(series, origin, horizon)
+    request = model._fleet_request(series, origin, future, 10, stream)
+    expected = clip_rank(FleetForecaster(model.model).submit([request])[0])
+
+    fc = model.forecast(series, origin, horizon, n_samples=10)
+    assert fc.samples.tobytes() == expected.tobytes()
+    # forecast() draws from the forecaster's own stream, not a spawned child
+    assert rng_state(model.rng) == rng_state(stream)
+
+    model.forecast_fleet([(series, origin + 1, horizon)], n_samples=10)
+    assert list(model._fleet_engines) == [("exact", "float64")]
+    assert model.fleet_engine().stats["submits"] == 2
+
+
 def test_ranknet_oracle_pads_future_covariates_at_race_end(tiny_series):
     model = RankNetForecaster(variant="oracle", **_tiny_kwargs())
     model.fit(tiny_series[:6])
@@ -253,7 +277,8 @@ def test_transformer_seq_model_loss_and_forecast(tiny_batch):
     hist_t = tiny_batch["target"][0][:12]
     hist_c = tiny_batch["covariates"][0][:12]
     fut_c = tiny_batch["covariates"][0][12:]
-    samples = model.forecast_samples(hist_t, hist_c, fut_c, n_samples=8)
+    request = ForecastRequest(hist_t, hist_c, fut_c, n_samples=8)
+    samples = FleetForecaster(model).submit([request])[0]
     assert samples.shape == (8, 2)
 
 

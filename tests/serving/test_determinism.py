@@ -1,4 +1,4 @@
-"""Seeded determinism of the per-car wrapper and the fleet-batched path.
+"""Seeded determinism of the per-car loop and the fleet-batched path.
 
 The contract: with per-request RNG streams spawned from the same root seed
 (``numpy.random.Generator.spawn``), forecasts are byte-identical no matter
@@ -43,8 +43,9 @@ def test_same_seed_same_forecasts_loop_vs_fleet(fleet_inputs, backbone):
                          decoder_length=2, rng=1, backbone=backbone)
     future = np.zeros((2, N_COV))
     streams = spawn_request_rngs(np.random.default_rng(123), len(targets))
+    engine = FleetForecaster(model)
     looped = [
-        model.forecast_samples(t, c, future, n_samples=11, rng=s)
+        engine.submit([ForecastRequest(t, c, future, n_samples=11, rng=s)])[0]
         for t, c, s in zip(targets, covs, streams)
     ]
     fleet = FleetForecaster(model).submit(build_requests(targets, covs, seed=123))

@@ -45,8 +45,9 @@ def test_fleet_batch_matches_per_car_loop_bitwise(backbone):
     future = np.zeros((3, N_COV))
 
     loop_streams = spawn_request_rngs(np.random.default_rng(7), 6)
+    engine = FleetForecaster(model)
     looped = [
-        model.forecast_samples(t, c, future, n_samples=9, rng=s)
+        engine.submit([ForecastRequest(t, c, future, n_samples=9, rng=s)])[0]
         for t, c, s in zip(targets, covs, loop_streams)
     ]
     fleet = FleetForecaster(model).submit(make_requests(targets, covs))

@@ -167,14 +167,12 @@ def test_fine_tune_drops_engines_so_every_tier_serves_the_new_weights():
 
     for precision in PRECISIONS:  # build (and convert) every tier's replica
         forecaster.fleet_engine(precision=precision).submit([request(1)])
-        forecaster.model.fleet_engine(precision=precision).submit([request(1)])
     forecaster.fine_tune(series[4:6], epochs=1, lr=1e-2)
     for precision in PRECISIONS:
-        for engine in (forecaster.fleet_engine(precision=precision),
-                       forecaster.model.fleet_engine(precision=precision)):
-            fresh = FleetForecaster(forecaster.model, mode=engine.mode, precision=precision)
-            got = engine.submit([request(2)])[0]
-            assert got.tobytes() == fresh.submit([request(2)])[0].tobytes(), precision
+        engine = forecaster.fleet_engine(precision=precision)
+        fresh = FleetForecaster(forecaster.model, mode=engine.mode, precision=precision)
+        got = engine.submit([request(2)])[0]
+        assert got.tobytes() == fresh.submit([request(2)])[0].tobytes(), precision
 
 
 @pytest.mark.parametrize("backbone", ["lstm", "gru"])
