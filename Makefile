@@ -14,7 +14,7 @@ help:
 	@echo "  format          ruff format (in place)"
 	@echo "  bench           benchmark suite (pytest benchmarks/), refreshes benchmarks/results/"
 	@echo "  bench-smoke     quick table5 experiment profile"
-	@echo "  bench-train     fused training-pass timings (train + cache-free eval)"
+	@echo "  bench-train     fused training-pass timings (train + cache-free eval), pit-fit, make-windows"
 	@echo "  bench-decode    fused warm-up/decode timings per shape + page faults per submit"
 	@echo "  bench-precision float32/int8 precision tiers: speedup + parity profile"
 	@echo "  bench-serve     serving-gateway overhead/isolation benchmark"

@@ -141,10 +141,12 @@ def next_pit_targets(
 ) -> List[dict]:
     """PitModel training instances for one car.
 
-    For every lap that is not itself a pit lap, the target is the number of
-    laps until the car's next pit stop (clipped to ``max_horizon``); laps
-    after the final stop (no next pit observed) are skipped.  Features are
-    the pit-stop-related covariates of Table I.
+    For every lap before the car's final stop, the target is the number of
+    laps until the next pit stop strictly after it (clipped to
+    ``max_horizon``).  Pit laps are kept: a pit lap's target is the
+    distance to the following stop.  Laps from the final stop on (no later
+    pit observed) are skipped, and a car that never pits yields no
+    instance.  Features are the pit-stop-related covariates of Table I.
     """
     pit_positions = np.where(series.is_pit)[0]
     instances: List[dict] = []

@@ -136,6 +136,12 @@ def make_windows(
 ) -> WindowDataset:
     """Build a :class:`WindowDataset` from many car series.
 
+    Each series' windows are cut in one vectorised pass (one ``np.take``
+    of a window-index matrix from the left-padded rank and covariate
+    arrays) and written once into the preallocated output arrays; the result equals cutting every
+    window with :func:`extract_window` and weighting it with
+    :func:`rank_change_weight`.
+
     Parameters
     ----------
     min_history:
@@ -149,54 +155,57 @@ def make_windows(
         Optional pre-existing mapping ``(event, car_id) -> index`` so train
         and test datasets share embedding indices.
     """
+    if encoder_length < 1:
+        raise ValueError(f"encoder_length must be >= 1, got {encoder_length}")
     if min_history is None:
         min_history = encoder_length
     min_history = max(int(min_history), 1)
     vocab: Dict[Tuple[str, int], int] = car_vocabulary if car_vocabulary is not None else {}
 
-    targets: List[np.ndarray] = []
-    covariates: List[np.ndarray] = []
-    car_index: List[int] = []
-    weights: List[float] = []
-    meta: List[Tuple[str, int, int]] = []
-
+    # one origin range per series: encoders end at lap index ``origin``
+    plan: List[Tuple[CarFeatureSeries, range]] = []
     for series in all_series:
         key = (series.event, series.car_id)
         if key not in vocab:
             vocab[key] = len(vocab)
-        first_origin = min_history - 1
-        last_origin = len(series) - decoder_length - 1
-        for origin in range(first_origin, last_origin + 1, stride):
-            target, cov = extract_window(series, origin, encoder_length, decoder_length)
-            targets.append(target)
-            covariates.append(cov)
-            car_index.append(vocab[key])
-            future = target[encoder_length:]
-            anchor = target[encoder_length - 1]
-            weights.append(rank_change_weight(anchor, future, rank_change_loss_weight))
-            meta.append((series.race_id, series.car_id, origin))
+        plan.append((series, range(min_history - 1, len(series) - decoder_length, stride)))
 
-    if not targets:
-        empty_t = np.zeros((0, encoder_length + decoder_length))
-        empty_c = np.zeros((0, encoder_length + decoder_length, len(ALL_COVARIATES)))
-        return WindowDataset(
-            encoder_length=encoder_length,
-            decoder_length=decoder_length,
-            target=empty_t,
-            covariates=empty_c,
-            car_index=np.zeros(0, dtype=np.int64),
-            weight=np.zeros(0),
-            meta=[],
-            car_vocabulary=vocab,
-        )
+    total = encoder_length + decoder_length
+    count = sum(len(origins) for _, origins in plan)
+    target = np.empty((count, total))
+    covariates = np.empty((count, total, len(ALL_COVARIATES)))
+    car_index = np.empty(count, dtype=np.int64)
+    meta: List[Tuple[str, int, int]] = []
+    pad = encoder_length - 1
+    offsets = np.arange(total)
+    row = 0
+    for series, origins in plan:
+        if not origins:
+            continue
+        rows = slice(row, row + len(origins))
+        # left-pad by ``pad`` laps: the window of ``origin`` then covers
+        # padded indices ``origin .. origin + total - 1``
+        windows = np.arange(origins.start, origins.stop, origins.step)[:, None] + offsets
+        rank = np.zeros(pad + len(series))
+        rank[pad:] = series.rank
+        cov = np.zeros((pad + len(series), len(ALL_COVARIATES)))
+        cov[pad:] = series.covariates
+        np.take(rank, windows, out=target[rows], mode="clip")
+        np.take(cov, windows, axis=0, out=covariates[rows], mode="clip")
+        car_index[rows] = vocab[(series.event, series.car_id)]
+        meta += [(series.race_id, series.car_id, origin) for origin in origins]
+        row = rows.stop
 
+    # rank_change_weight, one column per decoder step
+    anchor = target[:, encoder_length - 1 : encoder_length]
+    changed = np.any(np.abs(target[:, encoder_length:] - anchor) > 0.5, axis=1)
     return WindowDataset(
         encoder_length=encoder_length,
         decoder_length=decoder_length,
-        target=np.stack(targets),
-        covariates=np.stack(covariates),
-        car_index=np.array(car_index, dtype=np.int64),
-        weight=np.array(weights, dtype=np.float64),
+        target=target,
+        covariates=covariates,
+        car_index=car_index,
+        weight=np.where(changed, float(rank_change_loss_weight), 1.0),
         meta=meta,
         car_vocabulary=vocab,
     )

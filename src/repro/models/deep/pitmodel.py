@@ -108,7 +108,7 @@ class PitModelMLP:
             batches = 0
             for start in range(0, n, self.batch_size):
                 idx = order[start : start + self.batch_size]
-                self.net.zero_grad()
+                optimizer.zero_grad()
                 params = self.net.forward(Xs[idx])
                 loss, d_mu, d_sigma = gaussian_nll(y[idx], params.mu, params.sigma)
                 self.net.backward(d_mu, d_sigma)

@@ -447,23 +447,7 @@ class RankNetForecaster(DeepForecasterBase):
 
     # -- joint variant: build the multivariate target from the full covariates
     def _make_batches(self, series_list, shuffle):
-        dataset = make_windows(
-            series_list,
-            encoder_length=self.encoder_length,
-            decoder_length=self.decoder_length,
-            stride=self.window_stride,
-            rank_change_loss_weight=self.rank_change_weight,
-        )
-        if len(dataset) > self.max_train_windows:
-            idx = self.rng.choice(len(dataset), size=self.max_train_windows, replace=False)
-            dataset = dataset.subset(np.sort(idx))
-        loader = BatchLoader(
-            dataset,
-            batch_size=self.batch_size,
-            shuffle=shuffle,
-            spec=self.feature_spec,
-            rng=self.rng,
-        )
+        dataset, loader = super()._make_batches(series_list, shuffle)
         if self.variant == "joint":
             track_idx = ALL_COVARIATES.index("track_status")
             lap_idx = ALL_COVARIATES.index("lap_status")

@@ -141,7 +141,28 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """ADAM optimizer (Kingma & Ba, 2014)."""
+    """ADAM optimizer (Kingma & Ba, 2014) over one flat moment vector.
+
+    The first and second moments of every parameter live in two flat
+    float64 vectors, one view per parameter, so a step gathers the
+    gradients into one buffer, runs the update as 13 in-place or ``out=``
+    ufunc calls over the whole vector, then does one ``p.data -= step``
+    per parameter.  ``p.grad`` and ``p.data`` are read by attribute on
+    every step, so rebinding ``p.data`` between steps (e.g.
+    ``Module.load_state_dict`` restoring the best weights) is safe.
+
+    Every element goes through the same float64 operations, in the same
+    order, as the textbook per-parameter loop, so the bytes match it::
+
+        g = grad + weight_decay * data        # only when weight_decay > 0
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + ((1 - beta2) * g) * g
+        data -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+
+    with ``bc1 = 1 - beta1**t`` and ``bc2 = 1 - beta2**t``.  The
+    checkpoint format is per parameter (slots ``m`` and ``v`` in
+    parameter order, plus ``t``), as for every optimizer here.
+    """
 
     def __init__(
         self,
@@ -157,21 +178,33 @@ class Adam(Optimizer):
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
         self._t = 0
+        size = sum(p.data.size for p in self.parameters)
+        # moments, gathered grads and two scratch vectors
+        self._m, self._v, self._g, self._step, self._den = np.zeros((5, size))
+        self._m_views = self._views(self._m)
+        self._v_views = self._views(self._v)
+        self._step_views = self._views(self._step)
+        self._index = {id(p): i for i, p in enumerate(self.parameters)}
+        if len(self._index) != len(self.parameters):
+            raise ValueError("Adam received the same parameter twice")
+
+    def _views(self, flat: np.ndarray) -> List[np.ndarray]:
+        views, start = [], 0
+        for p in self.parameters:
+            views.append(flat[start : start + p.data.size].reshape(p.data.shape))
+            start += p.data.size
+        return views
 
     def _slot_names(self) -> List[str]:
         return ["m", "v"]
 
     def _get_slot(self, name: str, param: Parameter) -> np.ndarray:
-        store = self._m if name == "m" else self._v
-        value = store.get(id(param))
-        return value if value is not None else np.zeros_like(param.data)
+        views = self._m_views if name == "m" else self._v_views
+        return views[self._index[id(param)]]
 
     def _set_slot(self, name: str, param: Parameter, value: np.ndarray) -> None:
-        store = self._m if name == "m" else self._v
-        store[id(param)] = value
+        self._get_slot(name, param)[...] = value
 
     def state_dict(self) -> Dict:
         state = super().state_dict()
@@ -186,19 +219,24 @@ class Adam(Optimizer):
         self._t += 1
         bias_c1 = 1.0 - self.beta1 ** self._t
         bias_c2 = 1.0 - self.beta2 ** self._t
-        for p in self.parameters:
-            grad = p.grad
-            if self.weight_decay > 0.0:
-                grad = grad + self.weight_decay * p.data
-            m = self._m.get(id(p))
-            v = self._v.get(id(p))
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-            self._m[id(p)] = m
-            self._v[id(p)] = v
-            m_hat = m / bias_c1
-            v_hat = v / bias_c2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, g, step, den = self._m, self._v, self._g, self._step, self._den
+        np.concatenate([p.grad.ravel() for p in self.parameters], out=g)
+        if self.weight_decay > 0.0:
+            np.concatenate([p.data.ravel() for p in self.parameters], out=den)
+            den *= self.weight_decay
+            g += den
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=step)
+        m += step
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=step)
+        step *= g
+        v += step
+        np.divide(m, bias_c1, out=step)
+        step *= self.lr
+        np.divide(v, bias_c2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        step /= den
+        for p, delta in zip(self.parameters, self._step_views):
+            p.data -= delta

@@ -36,8 +36,6 @@ class TrainableModel(Protocol):
 
     def parameters(self): ...
 
-    def zero_grad(self) -> None: ...
-
     def train(self, flag: bool = True): ...
 
     def eval(self): ...
@@ -209,7 +207,7 @@ class Trainer:
             epoch_losses: List[float] = []
             epoch_norms: List[float] = []
             for batch in train_batches():
-                self.model.zero_grad()
+                self.optimizer.zero_grad()
                 loss = self.model.loss_and_backward(batch)
                 norm = clip_grad_norm(self.optimizer.parameters, self.clip_norm)
                 self.optimizer.step()

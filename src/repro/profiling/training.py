@@ -9,6 +9,16 @@ workload are timed on two passes
 * ``fused-eval`` — the cache-free validation pass (forward only, no BPTT
   tensors).
 
+Two more rows time the per-step overhead around the backbone on one
+simulated race (60 laps, 20 cars, the ``train`` benchmark's shape):
+
+* ``pit-fit`` — one PitModel MLP training step (forward, backward,
+  gradient clip, Adam), in microseconds;
+* ``make-windows`` — one ``make_windows`` call (encoder 30, decoder 2),
+  in milliseconds.
+
+Each row is the median over repeats, with the quartiles.
+
 The comparison against the stepwise reference BPTT
 (``tests/reference/training.py``) is gated in
 ``benchmarks/test_bench_training.py``.
@@ -21,14 +31,22 @@ exactly that.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
 import numpy as np
 
+from ..data import build_race_features, make_windows
+from ..models.deep.pitmodel import PitModelMLP
 from ..models.deep.rankmodel import RankSeqModel
+from ..simulation import RaceSimulator, track_for_year
 
-__all__ = ["TrainingMeasurement", "training_breakdown", "synthetic_batches"]
+__all__ = [
+    "TrainingMeasurement",
+    "training_breakdown",
+    "synthetic_batches",
+    "step_overhead_breakdown",
+]
 
 
 @dataclass
@@ -126,6 +144,44 @@ def training_breakdown(
     ]
 
 
+def _median_and_quartiles(samples: List[float]) -> Dict[str, object]:
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median": round(float(median), 3), "iqr": [round(float(q1), 3), round(float(q3), 3)]}
+
+
+def step_overhead_breakdown(repeats: int = 7, seed: int = 0) -> List[Dict[str, object]]:
+    """``pit-fit`` (us per PitModel step) and ``make-windows`` (ms per call)
+    rows on one simulated race; see the module docstring."""
+    track = replace(track_for_year("Indy500", 2018), total_laps=60, num_cars=20)
+    race = RaceSimulator(track, event="Indy500", year=2018, seed=seed).run()
+    series = build_race_features(race)
+
+    step_us: List[float] = []
+    steps = 0
+    for _ in range(repeats):
+        pit = PitModelMLP(epochs=10, seed=seed)
+        n = len(pit._build_dataset(series)[1])
+        steps = pit.epochs * -(-n // pit.batch_size)
+        t0 = time.perf_counter()
+        pit.fit(series)
+        step_us.append((time.perf_counter() - t0) / steps * 1e6)
+
+    windows_ms: List[float] = []
+    windows = 0
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        windows = len(make_windows(series, encoder_length=30, decoder_length=2,
+                                   rank_change_loss_weight=9.0))
+        windows_ms.append((time.perf_counter() - t0) * 1e3)
+
+    return [
+        {"workload": "pit-fit", "unit": "us/step", "steps": steps, "repeats": repeats,
+         **_median_and_quartiles(step_us)},
+        {"workload": "make-windows", "unit": "ms/call", "windows": windows, "repeats": repeats,
+         **_median_and_quartiles(windows_ms)},
+    ]
+
+
 def _main() -> None:  # pragma: no cover - exercised by the CI bench smoke job
     from .report import write_bench_json
 
@@ -137,7 +193,12 @@ def _main() -> None:  # pragma: no cover - exercised by the CI bench smoke job
         print(
             f"{row['strategy']:<12}{row['wall_ms']:>10.1f}{row['instances_per_s']:>10.1f}"
         )
-    print(f"wrote {write_bench_json('training', rows)}")
+    overhead = step_overhead_breakdown()
+    print("Per-step overhead (simulated race, 60 laps x 20 cars): median [IQR]")
+    for row in overhead:
+        low, high = row["iqr"]
+        print(f"{row['workload']:<14}{row['median']:>10.1f} {row['unit']:<8} [{low:.1f}-{high:.1f}]")
+    print(f"wrote {write_bench_json('training', rows + overhead)}")
 
 
 if __name__ == "__main__":  # pragma: no cover

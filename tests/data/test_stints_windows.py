@@ -92,6 +92,15 @@ def test_next_pit_targets_decrease_towards_pit(series_list):
         assert inst["features"].shape == (5,)
 
 
+def test_next_pit_targets_keep_pit_laps_until_the_final_stop(series_list):
+    s = next(s for s in series_list if np.flatnonzero(s.is_pit).size >= 2)
+    pits = np.flatnonzero(s.is_pit)
+    by_lap = {inst["lap_index"]: inst["target"] for inst in next_pit_targets(s, max_horizon=10**6)}
+    assert sorted(by_lap) == list(range(pits[-1]))
+    for first, following in zip(pits[:-1], pits[1:]):
+        assert by_lap[first] == float(following - first)
+
+
 def test_next_pit_targets_empty_for_car_without_pits(race, series_list):
     s = series_list[0]
     import copy

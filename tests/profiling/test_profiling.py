@@ -23,9 +23,28 @@ from repro.profiling import (
 )
 
 
+def best_of_rounds(measure, key, cost, rounds=3):
+    """Each point's cheapest reading over ``rounds`` calls of ``measure``.
+
+    A call measures every point once, so the rounds interleave the points
+    and a burst of load from another process slows one reading of each,
+    not every reading of one point.
+    """
+    best = {}
+    for _ in range(rounds):
+        for point in measure():
+            if key(point) not in best or cost(point) < cost(best[key(point)]):
+                best[key(point)] = point
+    return list(best.values())
+
+
 @pytest.fixture(scope="module")
 def measurements():
-    return benchmark_kernels(batch_sizes=(32, 512), min_repeats=3, target_seconds=0.01)
+    return best_of_rounds(
+        lambda: benchmark_kernels(batch_sizes=(32, 512), min_repeats=3, target_seconds=0.01),
+        key=lambda m: (m.kernel, m.batch_size),
+        cost=lambda m: m.us_per_call,
+    )
 
 
 def test_kernel_workload_counts():
@@ -120,7 +139,11 @@ def test_fig10_shape_gpu_cudnn_fastest_and_ve_beats_cpu_at_large_batch():
 
 
 def test_measured_cpu_training_speed_improves_with_batch():
-    points = measure_cpu_training_speed(batch_sizes=(16, 128), seq_len=12, repeats=1)
+    points = best_of_rounds(
+        lambda: measure_cpu_training_speed(batch_sizes=(16, 128), seq_len=12, repeats=1),
+        key=lambda p: p.batch_size,
+        cost=lambda p: p.us_per_sample,
+    )
     by = {p.batch_size: p.us_per_sample for p in points}
     assert by[128] < by[16]
     assert all(p.source == "measured" for p in points)
@@ -182,3 +205,16 @@ def test_fleet_inference_breakdown_rows():
     # in benchmarks/test_bench_fleet_inference.py on a full-size workload
     assert exact.speedup_vs_loop > 0.0
     assert carry.speedup_vs_loop > 0.0
+
+
+def test_step_overhead_rows():
+    from repro.profiling.training import step_overhead_breakdown
+
+    pit, windows = step_overhead_breakdown(repeats=2)
+    assert (pit["workload"], pit["unit"]) == ("pit-fit", "us/step")
+    assert (windows["workload"], windows["unit"]) == ("make-windows", "ms/call")
+    assert pit["steps"] > 0 and windows["windows"] > 0
+    for row in (pit, windows):
+        low, high = row["iqr"]
+        assert row["repeats"] == 2
+        assert 0.0 < low <= row["median"] <= high
