@@ -1,4 +1,8 @@
-"""Training-efficiency substrate: kernel benchmarks, roofline, device models."""
+"""Training-efficiency substrate: kernel benchmarks, roofline, device models.
+
+The ``python -m`` reports (``training``, ``decode``, ``precision``) are not
+imported here: runpy would find them loaded already and warn.
+"""
 
 from .batchscaling import (
     BatchScalingPoint,
@@ -7,8 +11,6 @@ from .batchscaling import (
     measure_cpu_training_speed,
 )
 from .breakdown import BreakdownEntry, cpu_kernel_shares, hybrid_breakdown, offload_fraction_for_batch
-from .decode import DECODE_WORKLOADS, DecodeMeasurement, decode_breakdown, steady_state_faults
-from .precision import PrecisionMeasurement, precision_breakdown
 from .report import bench_output_dir, host_fingerprint, write_bench_json
 from .devices import DEVICES, DeviceModel, TABLE8_SPECS
 from .inference import InferenceMeasurement, fleet_inference_breakdown
@@ -27,7 +29,6 @@ from .roofline import (
     attainable_gflops,
     roofline_points,
 )
-from .training import TrainingMeasurement, training_breakdown
 
 __all__ = [
     "BatchScalingPoint",
@@ -38,12 +39,6 @@ __all__ = [
     "cpu_kernel_shares",
     "hybrid_breakdown",
     "offload_fraction_for_batch",
-    "DECODE_WORKLOADS",
-    "DecodeMeasurement",
-    "decode_breakdown",
-    "steady_state_faults",
-    "PrecisionMeasurement",
-    "precision_breakdown",
     "bench_output_dir",
     "host_fingerprint",
     "write_bench_json",
@@ -52,8 +47,6 @@ __all__ = [
     "TABLE8_SPECS",
     "InferenceMeasurement",
     "fleet_inference_breakdown",
-    "TrainingMeasurement",
-    "training_breakdown",
     "KernelMeasurement",
     "KernelSpec",
     "LSTM_KERNELS",

@@ -1,14 +1,16 @@
-"""Per-car warm-up state cache for the fleet engine's ``carry`` mode."""
+"""Serving caches: the fleet engine's ``carry``-mode warm-up states, and
+the residency policy of served models shared by ``ForecastService``
+(in-process models) and ``WorkerSupervisor`` (worker replicas)."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, List, Optional
 
 import numpy as np
 
-__all__ = ["CachedWarmup", "WarmupStateCache"]
+__all__ = ["CachedWarmup", "PinnedLRU", "WarmupStateCache"]
 
 
 @dataclass
@@ -74,3 +76,108 @@ class WarmupStateCache:
             "carries": self.carries,
             "evictions": self.evictions,
         }
+
+
+class PinnedLRU:
+    """Capacity-bounded LRU of named residents, with nested pins.
+
+    A pinned resident is never evicted or removed (a live session pins its
+    model so that LRU pressure cannot reset its carried warm-up states).
+    Not thread-safe: the owner calls it under its own lock and disposes of
+    the victims :meth:`add` hands back.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = int(capacity)
+        self._residents: "OrderedDict[str, object]" = OrderedDict()  # LRU first
+        self._pins: Dict[str, int] = {}
+        self._stats = {"loads": 0, "hits": 0, "evictions": 0, "touches": 0}
+
+    def peek(self, name: str):
+        """The resident ``name`` (or ``None``), recency untouched."""
+        return self._residents.get(name)
+
+    def hit(self, name: str):
+        value = self._residents.get(name)
+        if value is not None:
+            self._residents.move_to_end(name)
+            self._stats["hits"] += 1
+        return value
+
+    def touch(self, name: str) -> bool:
+        if name not in self._residents:
+            return False
+        self._residents.move_to_end(name)
+        self._stats["touches"] += 1
+        return True
+
+    def check_room(self, names: List[str]) -> None:
+        """Refuse (``ValueError``) distinct ``names`` that cannot all be
+        resident at once beside the pinned residents outside them."""
+        pinned = sorted(n for n in self._pins if n not in names)
+        free = self.capacity - len(pinned)
+        if len(names) > free:
+            raise ValueError(
+                f"cannot hold {sorted(names)} at once: {free} of {self.capacity} "
+                f"capacity slots are free, the rest are held by pinned models "
+                f"{pinned}; raise the capacity, split the batch or close the "
+                "sessions pinning them"
+            )
+
+    def add(self, name: str, value) -> list:
+        """Add the most-recently-used resident; returns the evicted values."""
+        self.check_room([name])
+        self._residents[name] = value
+        self._residents.move_to_end(name)
+        self._stats["loads"] += 1
+        victims = []
+        while len(self._residents) > self.capacity:
+            victim = next(n for n in self._residents if n not in self._pins)
+            victims.append(self._residents.pop(victim))
+            self._stats["evictions"] += 1
+        return victims
+
+    def remove(self, name: str):
+        if name in self._pins:
+            raise ValueError(
+                f"model {name!r} is pinned by {self._pins[name]} active consumer(s) "
+                "and cannot be unloaded"
+            )
+        return self._residents.pop(name, None)
+
+    def clear(self) -> list:
+        values = self.values()
+        self._residents.clear()
+        self._pins.clear()
+        return values
+
+    def pin(self, name: str) -> None:
+        if name not in self._residents:
+            raise KeyError(f"cannot pin {name!r}: it is not resident")
+        self._pins[name] = self._pins.get(name, 0) + 1
+
+    def unpin(self, name: str) -> bool:
+        if name not in self._pins:
+            return False
+        self._pins[name] -= 1
+        if not self._pins[name]:
+            del self._pins[name]
+        return True
+
+    def pin_count(self, name: str) -> int:
+        return self._pins.get(name, 0)
+
+    def pinned(self) -> List[str]:
+        return sorted(self._pins)
+
+    def names(self) -> List[str]:
+        return list(self._residents)
+
+    def values(self) -> list:
+        return list(self._residents.values())
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        return dict(self._stats)

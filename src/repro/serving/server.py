@@ -770,11 +770,8 @@ class ForecastGateway:
         )
 
     def _handle_alias_promote(self, body, alias: str) -> dict:
-        document = wire.check_envelope(body, kind="alias-promote")
-        target = document.get("target")
-        if not isinstance(target, str) or not target:
-            raise WireError("malformed_request", "alias-promote needs a 'target' model name")
-        note = document.get("note", "")
+        target = wire.name_from_wire(body, "alias-promote", field="target")
+        note = body.get("note", "")
         # imported lazily: repro.learning is a consumer of the serving
         # stack; importing it at module load would be circular
         from ..learning.promote import PromotionManager
@@ -925,11 +922,13 @@ class ForecastGateway:
         return wire.envelope("scenario-results", events=events)
 
     def _handle_strategy_sweep(self, body, **_) -> dict:
-        parsed = wire.sweep_request_from_wire(body)
+        # only the envelope and the model name here: the executor parses
+        # the rest (series arrays included) once, in-process or in the worker
+        model = wire.name_from_wire(body, "sweep-request")
         deadline = self._deadline_from(body)
         # resolve an alias to its target so aliased and direct sweeps
         # serialize on the same per-model lock / worker
-        model = self._registered(parsed["model"])
+        model = self._registered(model)
         if deadline is not None:
             deadline.check(f"strategy sweep for model {model!r}")
         timeout_s = None if deadline is None else max(deadline.remaining(), 1e-3)
@@ -955,16 +954,13 @@ class ForecastGateway:
         pinned rolls back everything done so far: the registration, the
         executor-side session, the pin and a half-written journal.
         """
-        document = wire.check_envelope(body, kind="session-open")
-        model = document.get("model")
-        if not isinstance(model, str) or not model:
-            raise WireError("malformed_request", "session-open needs a 'model' name")
+        model = wire.name_from_wire(body, "session-open")
         known = {
             "schema_version", "kind", "model", "horizon", "n_samples", "min_history",
             "delay", "start", "stop", "stride", "event", "year", "rng",
             "idempotency_key", "deadline_ms", "precision",
         }
-        unknown = sorted(set(document) - known)
+        unknown = sorted(set(body) - known)
         if unknown:
             raise WireError(
                 "malformed_request", f"unknown session-open field(s): {', '.join(unknown)}"
@@ -985,7 +981,7 @@ class ForecastGateway:
             raise WireError("capacity_exhausted", str(exc), status=409) from exc
         with ExitStack() as rollback:
             rollback.callback(self.executor.unpin, model)
-            session = self.executor.open_session(model, sid, document)
+            session = self.executor.open_session(model, sid, body)
             rollback.callback(session.drop)
             try:
                 managed = self.sessions.open(session, model=model, session_id=sid)
@@ -1001,7 +997,7 @@ class ForecastGateway:
                     # acknowledged; a recovered session's file already has
                     # it, and a failed recovery keeps its file for the report
                     rollback.callback(journal.close, remove=True)
-                    journal.record_open(document)
+                    journal.record_open(body)
                 managed.journal = journal
             rollback.pop_all()
         return managed

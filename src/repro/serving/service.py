@@ -7,19 +7,13 @@ one into memory and hands back a :class:`ModelHandle`, and each loaded
 model owns its :class:`~repro.serving.engine.FleetForecaster` so that
 concurrent workloads over different models never share warm-up caches.
 
-Memory is bounded by a capacity knob: the service keeps at most
-``capacity`` models resident and unloads the least-recently-used one when
-a load would exceed it.  Because fitted models are durable artifacts, an
-evicted model costs one disk read to bring back — not a refit.
-
-LRU accounting covers *serving*, not just loading: :meth:`submit` marks
-every routed model most-recently-used again when its engine pass
-completes, :meth:`touch` lets long-lived consumers (the HTTP gateway's
-lap-streaming sessions) refresh a model they use without re-loading it,
-and :meth:`pin`/:meth:`unpin` exclude a model from eviction entirely while
-stateful work (a live session carrying warm-up states) depends on that
-exact resident instance — evicting it would silently reset the carried
-states on reload.
+Residency is a :class:`~repro.serving.cache.PinnedLRU`, the policy the
+worker pool uses too: at most ``capacity`` models, the least-recently-used
+unpinned one evicted (one disk read to bring back, not a refit).
+:meth:`submit` re-promotes every routed model when its engine pass
+completes, :meth:`touch` refreshes a model held by a long-lived consumer,
+and :meth:`pin` keeps the instance whose warm-up states a live session
+carries.
 
 Batches of :class:`~repro.serving.requests.NamedForecastRequest` are
 routed per model: requests naming the same model are grouped and submitted
@@ -40,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..artifacts import ArtifactAliasError, ArtifactStore
+from .cache import PinnedLRU
 from .engine import FleetForecaster
 from .requests import NamedForecastRequest
 
@@ -95,26 +90,17 @@ class ForecastService:
         mode: str = "exact",
         verify: bool = True,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        self._models = PinnedLRU(capacity)  # name -> ModelHandle
         self.store = store if isinstance(store, ArtifactStore) else ArtifactStore(store)
         self.capacity = int(capacity)
         self.mode = mode
         self.verify = bool(verify)
-        self._resident: "OrderedDict[str, ModelHandle]" = OrderedDict()
-        self._pins: Dict[str, int] = {}
         # guards the registry (residency, pins, LRU order, stats) — not the
         # engine passes themselves, which run outside it so that different
         # models can forecast concurrently.  Callers running *the same*
         # model concurrently must serialize externally (the gateway's
         # executor holds a per-model lock / routes to a per-model worker).
         self._registry_lock = threading.RLock()
-        self._stats: Dict[str, int] = {
-            "loads": 0,
-            "hits": 0,
-            "evictions": 0,
-            "touches": 0,
-        }
 
     # ------------------------------------------------------------------
     # model lifecycle
@@ -133,81 +119,44 @@ class ForecastService:
         """
         with self._registry_lock:
             name = self.store.resolve(name)
-            handle = self._resident.get(name)
+            handle = self._models.hit(name)
             if handle is not None:
-                self._resident.move_to_end(name)
-                self._stats["hits"] += 1
                 return handle
-            if len(self._pins) >= self.capacity:
-                raise ValueError(
-                    f"cannot load {name!r}: all {self.capacity} capacity slots are "
-                    f"held by pinned models {sorted(self._pins)}; raise the capacity "
-                    "or close the sessions pinning them"
-                )
+            self._models.check_room([name])
             forecaster = self.store.load_model(name, verify=self.verify)
             handle = ModelHandle(
                 name=name,
                 forecaster=forecaster,
                 entry=self.store.entry(name),
             )
-            self._resident[name] = handle
-            self._stats["loads"] += 1
-            while len(self._resident) > self.capacity:
-                victim = next((n for n in self._resident if n not in self._pins), None)
-                if victim is None:  # unreachable given the pre-load pin guard
-                    break
-                del self._resident[victim]
-                self._stats["evictions"] += 1
+            self._models.add(name, handle)  # evicted handles are simply dropped
             return handle
 
     def touch(self, name: str) -> bool:
-        """Mark a resident model most-recently-used without reloading it.
-
-        The refresh path for consumers that hold a model across many uses
-        (a lap-streaming session, a long rolling evaluation) — without it,
-        a model can sit at the LRU end while actively serving and be
-        evicted by unrelated loads.  Returns whether the model was
-        resident.
-        """
+        """Mark a resident model most-recently-used without reloading it
+        (for consumers holding it across many uses); returns whether it
+        was resident."""
         with self._registry_lock:
-            name = self.store.resolve(name)
-            if name not in self._resident:
-                return False
-            self._resident.move_to_end(name)
-            self._stats["touches"] += 1
-            return True
+            return self._models.touch(self.store.resolve(name))
 
     def pin(self, name: str) -> ModelHandle:
-        """Load the named model and exclude it from LRU eviction.
-
-        Pins nest (one per open session); a model stays pinned until every
-        :meth:`unpin` matched its :meth:`pin`.  Pinning matters for carry-
-        mode consumers: their warm-up states live on the resident engine
-        instance, so a silent evict-and-reload would reset them.
-        """
+        """Load the named model and exclude it from LRU eviction until
+        every :meth:`pin` (one per open session) is matched by :meth:`unpin`."""
         with self._registry_lock:
             name = self.store.resolve(name)
             handle = self.load(name)
-            self._pins[name] = self._pins.get(name, 0) + 1
+            self._models.pin(name)
             return handle
 
     def unpin(self, name: str) -> bool:
         """Release one pin on the named model; returns whether it was pinned."""
         with self._registry_lock:
-            name = self.store.resolve(name)
-            count = self._pins.get(name)
-            if count is None:
-                return False
-            if count <= 1:
-                del self._pins[name]
-            else:
-                self._pins[name] = count - 1
-            return True
+            return self._models.unpin(self.store.resolve(name))
 
     def pinned(self) -> List[str]:
         """Names currently excluded from eviction, sorted."""
         with self._registry_lock:
-            return sorted(self._pins)
+            return self._models.pinned()
 
     def unload(self, name: str) -> bool:
         """Drop the named model from memory; returns whether it was resident.
@@ -233,17 +182,12 @@ class ForecastService:
                     f"{', '.join(repr(a) for a in referencing)} and cannot be "
                     "unloaded while they point at it"
                 )
-            if name in self._pins:
-                raise ValueError(
-                    f"model {name!r} is pinned by {self._pins[name]} active consumer(s) "
-                    "and cannot be unloaded"
-                )
-            return self._resident.pop(name, None) is not None
+            return self._models.remove(name) is not None
 
     def loaded(self) -> List[str]:
         """Resident model names, least-recently-used first."""
         with self._registry_lock:
-            return list(self._resident)
+            return self._models.names()
 
     def available(self) -> List[str]:
         """Every artifact name the underlying store can serve."""
@@ -252,7 +196,7 @@ class ForecastService:
     @property
     def stats(self) -> Dict[str, int]:
         with self._registry_lock:
-            return dict(self._stats)
+            return self._models.stats
 
     # ------------------------------------------------------------------
     # forecasting
@@ -296,15 +240,8 @@ class ForecastService:
             order.setdefault((resolved[named.model], named.precision), []).append(i)
         names = OrderedDict((model, None) for model, _ in order)
         with self._registry_lock:
-            # slots held by pinned models outside this batch are not available —
-            # loading past them would evict a batch-mate mid-flight instead
-            reserved = sum(1 for name in self._pins if name not in names)
-            if len(names) > self.capacity - reserved:
-                raise ValueError(
-                    f"batch names {len(names)} distinct models, but only "
-                    f"{self.capacity - reserved} of {self.capacity} slots are free "
-                    f"({reserved} pinned); raise the capacity or split the batch"
-                )
+            # loading past the free slots would evict a batch-mate mid-flight
+            self._models.check_room(list(names))
             handles = {name: self.load(name) for name in names}
         outputs: List[Optional[np.ndarray]] = [None] * len(requests)
         for (name, precision), indices in order.items():

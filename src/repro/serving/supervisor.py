@@ -52,6 +52,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from . import wire
+from .cache import PinnedLRU
 from .resilience import DeadlineExceededError, OverloadedError, WorkerRestartingError
 from .wire import WireError, emitted_from_wire
 from .workers import worker_main
@@ -94,8 +95,6 @@ class WorkerHandle:
         self.episode = 0  # consecutive crashes within min_uptime_s
         self.started_at: Optional[float] = None
         self.last_heartbeat: Optional[float] = None
-        self.last_used = 0.0
-        self.pins = 0
         self.last_failure: Optional[str] = None
 
     @property
@@ -103,7 +102,7 @@ class WorkerHandle:
         process = self.process
         return None if process is None else process.pid
 
-    def describe(self) -> dict:
+    def describe(self, pins: int) -> dict:
         now = time.monotonic()
         return {
             "model": self.model,
@@ -112,7 +111,7 @@ class WorkerHandle:
             "restarts": self.restarts,
             "episode": self.episode,
             "queue_depth": self.depth,
-            "pinned": self.pins,
+            "pinned": pins,
             "uptime_s": None if self.started_at is None else round(now - self.started_at, 3),
             "last_heartbeat_age_s": (
                 None if self.last_heartbeat is None else round(now - self.last_heartbeat, 3)
@@ -141,14 +140,12 @@ class WorkerSupervisor:
         spawn_timeout_s: float = 60.0,
         on_worker_restarted: Optional[Callable[[str], None]] = None,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        self._replicas = PinnedLRU(capacity)  # model -> WorkerHandle
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if restart_budget < 1:
             raise ValueError("restart_budget must be >= 1")
         self.store_root = str(store_root)
-        self.capacity = int(capacity)
         self.queue_limit = int(queue_limit)
         self.restart_budget = int(restart_budget)
         self.backoff_base_s = float(backoff_base_s)
@@ -165,7 +162,6 @@ class WorkerSupervisor:
         }
         self._ctx = _fork_context()
         self._lock = threading.RLock()
-        self._handles: Dict[str, WorkerHandle] = {}
         self._closed = False
         self._stop = threading.Event()
         self._monitor: Optional[threading.Thread] = None
@@ -177,40 +173,29 @@ class WorkerSupervisor:
     def ensure(self, model: str) -> WorkerHandle:
         """The live handle for ``model``, spawning its worker if needed.
 
-        Mirrors ``ForecastService.load`` semantics: capacity-bounded with
-        LRU eviction of unpinned replicas; all slots pinned raises
-        ``ValueError`` (the gateway maps it to ``capacity_exhausted``).
+        Residency is ``ForecastService.load``'s, one ``PinnedLRU``: all
+        slots pinned raises ``ValueError`` (the gateway maps it to
+        ``capacity_exhausted``).
         """
         model = str(model)
-        victim: Optional[WorkerHandle] = None
+        victims: List[WorkerHandle] = []
         with self._lock:
             if self._closed:
                 raise RuntimeError("worker supervisor is closed")
-            handle = self._handles.get(model)
-            creator = False
-            if handle is None:
-                if len(self._handles) >= self.capacity:
-                    candidates = [h for h in self._handles.values() if h.pins == 0]
-                    if not candidates:
-                        raise ValueError(
-                            f"cannot start a worker for {model!r}: all {self.capacity} "
-                            f"replica slots are held by pinned models "
-                            f"{sorted(self._handles)}; raise the capacity or close "
-                            "the sessions pinning them"
-                        )
-                    victim = min(candidates, key=lambda h: h.last_used)
-                    del self._handles[victim.model]
-                handle = self._handles[model] = WorkerHandle(model)
-                creator = True
-        if victim is not None:
+            handle = self._replicas.hit(model)
+            creator = handle is None
+            if creator:
+                handle = WorkerHandle(model)
+                victims = self._replicas.add(model, handle)
+        for victim in victims:
             self._kill_process(victim)
         if creator:
             try:
                 self._spawn_into(handle)
             except Exception:
                 with self._lock:
-                    if self._handles.get(model) is handle:
-                        del self._handles[model]
+                    if self._replicas.peek(model) is handle:
+                        self._replicas.remove(model)
                 handle.state = FAILED
                 handle.ready.set()
                 self._kill_process(handle)
@@ -224,74 +209,68 @@ class WorkerSupervisor:
         if not handle.ready.wait(self.spawn_timeout_s):
             raise RuntimeError(f"worker for model {model!r} never became ready")
         with self._lock:
-            if self._handles.get(model) is not handle:
+            if self._replicas.peek(model) is not handle:
                 # the concurrent spawn failed and removed the handle
                 raise RuntimeError(f"worker for model {model!r} failed to start")
         return handle
 
     def pin(self, model: str) -> WorkerHandle:
-        handle = self.ensure(model)
-        with self._lock:
-            handle.pins += 1
-        return handle
+        while True:
+            handle = self.ensure(model)
+            with self._lock:
+                # a concurrent ensure may have evicted it since: pin a live one
+                if self._replicas.peek(handle.model) is handle:
+                    self._replicas.pin(handle.model)
+                    return handle
 
     def unpin(self, model: str) -> bool:
         with self._lock:
-            handle = self._handles.get(str(model))
-            if handle is None or handle.pins == 0:
-                return False
-            handle.pins -= 1
-            return True
+            return self._replicas.unpin(str(model))
 
     def touch(self, model: str) -> None:
         with self._lock:
-            handle = self._handles.get(str(model))
-            if handle is not None:
-                handle.last_used = time.monotonic()
+            self._replicas.touch(str(model))
 
     def stop(self, model: str) -> bool:
         """Stop and forget the named replica; pinned replicas refuse."""
         with self._lock:
-            handle = self._handles.get(str(model))
-            if handle is None:
-                return False
-            if handle.pins > 0:
-                raise ValueError(
-                    f"model {model!r} is pinned by {handle.pins} active consumer(s) "
-                    "and cannot be unloaded"
-                )
-            del self._handles[str(model)]
+            handle = self._replicas.remove(str(model))
+        if handle is None:
+            return False
         self._kill_process(handle)
         return True
 
     def models(self) -> List[str]:
+        """Resident replicas, least-recently-used first."""
         with self._lock:
-            return sorted(self._handles)
+            return self._replicas.names()
 
     def pinned(self) -> List[str]:
         with self._lock:
-            return sorted(m for m, h in self._handles.items() if h.pins > 0)
+            return self._replicas.pinned()
 
     def describe(self) -> List[dict]:
         with self._lock:
-            handles = sorted(self._handles.values(), key=lambda h: h.model)
-            return [h.describe() for h in handles]
+            handles = sorted(self._replicas.values(), key=lambda h: h.model)
+            return [h.describe(self._replicas.pin_count(h.model)) for h in handles]
 
     @property
     def stats(self) -> Dict[str, int]:
         with self._lock:
-            return dict(self._stats)
+            return self._replicas.stats
 
-    #: the health document's ``worker_pool`` block
-    worker_pool = stats
+    @property
+    def worker_pool(self) -> Dict[str, int]:
+        """The health document's ``worker_pool`` block: pool counters."""
+        with self._lock:
+            return dict(self._stats)
 
     def close(self) -> None:
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            handles = list(self._handles.values())
-            self._handles.clear()
+            handles = self._replicas.clear()
         self._stop.set()
         monitor = self._monitor
         if monitor is not None:
@@ -313,9 +292,9 @@ class WorkerSupervisor:
     def _signal_worker(self, model: str, signum: int) -> Optional[int]:
         with self._lock:
             if model:
-                candidates = [self._handles.get(str(model))]
+                candidates = [self._replicas.peek(str(model))]
             else:
-                candidates = [self._handles[m] for m in sorted(self._handles)]
+                candidates = sorted(self._replicas.values(), key=lambda h: h.model)
             target = next(
                 (h for h in candidates if h is not None and h.state == LIVE and h.pid),
                 None,
@@ -366,7 +345,7 @@ class WorkerSupervisor:
     ) -> dict:
         model = str(model)
         with self._lock:
-            handle = self._handles.get(model)
+            handle = self._replicas.peek(model)
         if handle is None:
             handle = self.ensure(model)
         self.touch(model)
@@ -551,7 +530,7 @@ class WorkerSupervisor:
     def _monitor_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_interval_s):
             with self._lock:
-                live = [h for h in self._handles.values() if h.state == LIVE]
+                live = [h for h in self._replicas.values() if h.state == LIVE]
             for handle in live:
                 process = handle.process
                 if process is None:
@@ -571,7 +550,7 @@ class WorkerSupervisor:
         with self._lock:
             if self._closed or handle.state in (RESTARTING, FAILED):
                 return
-            if self._handles.get(handle.model) is not handle:
+            if self._replicas.peek(handle.model) is not handle:
                 return  # already stopped/evicted
             handle.state = RESTARTING
             handle.last_failure = reason
@@ -591,7 +570,7 @@ class WorkerSupervisor:
         model = handle.model
         while True:
             with self._lock:
-                if self._closed or self._handles.get(model) is not handle:
+                if self._closed or self._replicas.peek(model) is not handle:
                     break
                 episode = handle.episode
                 if episode > self.restart_budget:
@@ -607,7 +586,7 @@ class WorkerSupervisor:
                 # the supervisor may have been closed (or the replica
                 # stopped/evicted) during the backoff sleep — never respawn
                 # a worker nobody owns
-                if self._closed or self._handles.get(model) is not handle:
+                if self._closed or self._replicas.peek(model) is not handle:
                     break
             self._kill_process(handle)
             try:

@@ -167,6 +167,14 @@ def check_envelope(document, kind: Optional[str] = None) -> dict:
     return document
 
 
+def name_from_wire(document, kind: str, field: str = "model") -> str:
+    """The model name in a ``kind`` document's ``field``; checks nothing else."""
+    name = check_envelope(document, kind=kind).get(field)
+    if not isinstance(name, str) or not name:
+        raise WireError("malformed_request", f"{kind} needs a model name in {field!r}")
+    return name
+
+
 def _require(document: dict, field: str, kind: str):
     if field not in document:
         raise WireError("malformed_request", f"{kind} document is missing {field!r}")

@@ -1,8 +1,15 @@
 """Tests for the kernel benchmarks, roofline model, device models and breakdown."""
 
+import json
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.profiling import (
     DEFAULT_PLATFORM,
     DEVICES,
@@ -11,28 +18,59 @@ from repro.profiling import (
     TABLE8_SPECS,
     analytic_intensities,
     attainable_gflops,
-    benchmark_kernels,
     cpu_kernel_shares,
     device_training_speed,
     hybrid_breakdown,
     kernel_workload,
     lstm_flops_per_sample,
-    measure_cpu_training_speed,
     offload_fraction_for_batch,
     roofline_points,
 )
 
 
-def best_of_rounds(measure, key, cost, rounds=3):
-    """Each point's cheapest reading over ``rounds`` calls of ``measure``.
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
-    A call measures every point once, so the rounds interleave the points
+
+def _fresh_env(**overrides) -> dict:
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def single_thread_blas(expression):
+    """Three values of a ``repro.profiling`` expression (the rounds of
+    :func:`best_of_rounds`), computed in a fresh interpreter whose BLAS
+    runs one thread.
+
+    OpenBLAS fixes its thread count when numpy loads it, so the pin must be
+    in the environment before the interpreter starts; a two-thread GEMM on a
+    busy host can stall, and a wall-clock gate would read the stall.
+    """
+    script = (
+        "import pickle, sys\n"
+        "from repro.profiling import benchmark_kernels, measure_cpu_training_speed\n"
+        f"sys.stdout.buffer.write(pickle.dumps([{expression} for _ in range(3)]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=_fresh_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        capture_output=True,
+        timeout=300,
+        check=True,
+    )
+    return pickle.loads(done.stdout)
+
+
+def best_of_rounds(rounds, key, cost):
+    """Each point's cheapest reading over ``rounds`` (each one full measurement).
+
+    A round measures every point once, so the rounds interleave the points
     and a burst of load from another process slows one reading of each,
     not every reading of one point.
     """
     best = {}
-    for _ in range(rounds):
-        for point in measure():
+    for points in rounds:
+        for point in points:
             if key(point) not in best or cost(point) < cost(best[key(point)]):
                 best[key(point)] = point
     return list(best.values())
@@ -41,10 +79,34 @@ def best_of_rounds(measure, key, cost, rounds=3):
 @pytest.fixture(scope="module")
 def measurements():
     return best_of_rounds(
-        lambda: benchmark_kernels(batch_sizes=(32, 512), min_repeats=3, target_seconds=0.01),
+        single_thread_blas(
+            "benchmark_kernels(batch_sizes=(32, 512), min_repeats=3, target_seconds=0.01)"
+        ),
         key=lambda m: (m.kernel, m.batch_size),
         cost=lambda m: m.us_per_call,
     )
+
+
+def test_package_import_loads_no_runnable_report():
+    """``python -m repro.profiling.<report>`` must not find its module loaded
+    already (runpy warns, and the report would exist twice)."""
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import json, sys, repro.profiling; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro.'))))",
+        ],
+        env=_fresh_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    loaded = set(json.loads(done.stdout))
+    assert "repro.profiling.kernels" in loaded
+    for report in ("training", "decode", "precision"):
+        assert f"repro.profiling.{report}" not in loaded
 
 
 def test_kernel_workload_counts():
@@ -140,7 +202,7 @@ def test_fig10_shape_gpu_cudnn_fastest_and_ve_beats_cpu_at_large_batch():
 
 def test_measured_cpu_training_speed_improves_with_batch():
     points = best_of_rounds(
-        lambda: measure_cpu_training_speed(batch_sizes=(16, 128), seq_len=12, repeats=1),
+        single_thread_blas("measure_cpu_training_speed(batch_sizes=(16, 128), seq_len=12, repeats=1)"),
         key=lambda p: p.batch_size,
         cost=lambda p: p.us_per_sample,
     )

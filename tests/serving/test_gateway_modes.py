@@ -189,6 +189,7 @@ def _script(gateway, race, tiny_series):
         "sweep unsupported", "POST", "/v1/strategy/sweep",
         wire.sweep_request_to_wire("naive", series, [24], 5, rng=0),
     )
+    call("sweep malformed", "POST", "/v1/strategy/sweep", {**sweep, "origins": ["x"]})
 
     forecaster = ArtifactStore(gateway.store.root).load_model("deepar")
     requests = [
@@ -236,6 +237,9 @@ def test_scripted_sequence_is_identical_in_both_modes(fresh_store, race, tiny_se
     assert outcomes["load unknown"]["code"] == "unknown_model"
     assert outcomes["sweep"]["status"] == 200 and outcomes["sweep"]["sweep"]
     assert outcomes["sweep unsupported"]["code"] == "unsupported_family"
+    assert (outcomes["sweep malformed"]["status"], outcomes["sweep malformed"]["code"]) == (
+        400, "malformed_request"
+    )
     assert outcomes["forecast"]["per_result_codes"] == ["unknown_model"]
     assert len(outcomes["forecast"]["samples"]) == 2
     assert all(dtype == "<f8" for dtype, _, _ in outcomes["forecast"]["samples"])
@@ -259,6 +263,42 @@ def test_unknown_models_fail_the_same_in_both_modes(fresh_store, race, tiny_seri
             assert gateway.handle("GET", "/v1/models", None)[1]["loaded"] == []
         finally:
             gateway.close()
+
+
+def test_lru_eviction_order_is_identical_in_both_modes(fresh_store, tiny_series):
+    """One residency policy: a fresh load, a load of a resident model and a
+    forecast each make the model most recently used, in either mode."""
+    series = tiny_series[0]
+    forecaster = ArtifactStore(fresh_store).load_model("deepar")
+    request = ForecastClient.request(
+        "deepar",
+        forecaster._history_target(series, 20),
+        forecaster._history_covariates(series, 20),
+        forecaster._future_covariates(series, 20, 2),
+        n_samples=3,
+        rng=0,
+    )
+    forecast = ("POST", "/v1/forecast", wire.forecast_batch_to_wire([request]))
+    stages = [
+        (["deepar", forecast, "naive", "oracle"], ["naive", "oracle"]),
+        (["naive", "deepar"], ["deepar", "naive"]),
+        (["oracle", forecast, "naive"], ["deepar", "naive"]),
+    ]
+    catalogs = {}
+    for mode in MODES:
+        gateway = _gateway(fresh_store, mode, capacity=2)
+        try:
+            for stage, (steps, expected) in enumerate(stages):
+                for step in steps:
+                    if isinstance(step, str):
+                        step = ("POST", f"/v1/models/{step}/load", None)
+                    assert gateway.handle(*step)[0] == 200, (mode, stage)
+                catalogs[mode] = gateway.handle("GET", "/v1/models", None)[1]
+                assert sorted(catalogs[mode]["loaded"]) == expected, (mode, stage)
+        finally:
+            gateway.close()
+    assert catalogs["workers"]["loaded"] == catalogs["in-process"]["loaded"]  # LRU order
+    assert set(catalogs["workers"]["stats"]) == set(catalogs["in-process"]["stats"])
 
 
 def _pinned(gateway):

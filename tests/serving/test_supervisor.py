@@ -134,7 +134,7 @@ def test_full_worker_queue_sheds_with_retry_hint(supervisor):
     with pytest.raises(OverloadedError) as excinfo:
         supervisor.submit("naive", [])
     assert excinfo.value.detail["retry_after_ms"] >= 50
-    assert supervisor.stats["shed"] == 1
+    assert supervisor.worker_pool["shed"] == 1
     handle.depth = 0
     supervisor.submit("naive", [])  # drained queue accepts again
 
@@ -157,7 +157,7 @@ def test_killed_worker_restarts_with_a_new_pid(supervisor, store_root, tiny_seri
     entry = _describe(supervisor, "deepar")
     assert entry["pid"] != first_pid
     assert entry["last_failure"]  # the crash reason survives the restart
-    assert supervisor.stats["restarts"] == 1
+    assert supervisor.worker_pool["restarts"] == 1
     # the replacement replica serves byte-identical forecasts
     got = supervisor.submit("deepar", [_named(forecaster, series, 22, 17)])[0]
     np.testing.assert_array_equal(got, expected)
@@ -170,7 +170,7 @@ def test_hung_worker_misses_heartbeats_and_is_killed(supervisor):
         lambda: _describe(supervisor, "naive")["restarts"] >= 1
         and _describe(supervisor, "naive")["state"] == LIVE
     )
-    assert supervisor.stats["heartbeat_kills"] >= 1
+    assert supervisor.worker_pool["heartbeat_kills"] >= 1
     assert "heartbeat" in _describe(supervisor, "naive")["last_failure"]
 
 
