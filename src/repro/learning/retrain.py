@@ -1,10 +1,13 @@
 """Resumable retraining jobs: a training window in, a candidate artifact out.
 
 A :class:`RetrainJob` is the middle stage of the continuous-learning loop.
-It replicates the deep forecasters' ``fit()`` / ``fine_tune()`` sequence
-exactly — dataset assembly, model construction, field-size recording, the
-post-fit hooks — but routes the epoch loop through
-``Trainer(checkpoint_dir=, resume=)`` (:mod:`repro.nn.trainer`), so a job
+It trains through the deep forecasters' own training method — the one
+sequence behind ``fit()`` and ``fine_tune()`` (dataset assembly, model
+construction, field-size recording, the post-fit hooks) — and adds only
+what a job needs: per-epoch trainer checkpoints in the job directory,
+``resume=``, the forecaster RNG to checkpoint and an epoch cap
+(:mod:`repro.nn.trainer`).  An uninterrupted job therefore saves the same
+artifact as ``fit()`` (or ``fine_tune()`` for a ``base=`` job), and a job
 killed mid-training resumes **bit-exactly**:
 
 * the deterministic prelude (window subsampling, shuffle-loader setup,
@@ -34,7 +37,6 @@ import time
 from typing import Optional
 
 from ..artifacts import ArtifactStore
-from ..nn import Adam, Trainer
 from .windows import TelemetryAccumulator, TrainingWindow
 
 __all__ = ["RetrainJob", "make_forecaster", "FAMILY_CHOICES"]
@@ -170,61 +172,31 @@ class RetrainJob:
         truncated job writes no artifact; re-running with ``resume=True``
         (same ``job_dir``) completes it bit-exactly.
         """
+        from ..models.deep.ranknet import FINE_TUNE_EPOCHS
+
         forecaster = self._build_forecaster()
-        fine_tune = self.base is not None
-        if fine_tune:
-            # fine_tune's default epoch budget, overridable via config
-            total_epochs = int(self.config.get("epochs", 5))
+        warm_start = self.base is not None
+        if warm_start:
+            total_epochs = int(self.config.get("epochs", FINE_TUNE_EPOCHS))
         else:
             total_epochs = int(forecaster.epochs)
         max_epochs = total_epochs
-        interrupted = False
-        if stop_after_epochs is not None and int(stop_after_epochs) < total_epochs:
-            max_epochs = int(stop_after_epochs)
-            interrupted = True
+        if stop_after_epochs is not None:
+            max_epochs = min(int(stop_after_epochs), total_epochs)
         self._write_state("running", epochs=total_epochs, max_epochs=max_epochs)
 
-        train_series = self.window.train_series()
-        if fine_tune:
-            # mirror DeepForecasterBase.fine_tune: drop the engines built
-            # on the old weights, re-target the field, then the loaders
-            forecaster._drop_fleet_engines()
-            if train_series:
-                forecaster.record_field_size(train_series)
-            _, train_loader = forecaster._make_batches(train_series, shuffle=True)
-            optimizer = Adam(forecaster.model.parameters(), lr=forecaster.lr * 0.3)
-            # patience windows sized to the *total* job length, exactly as
-            # fine_tune sizes them — and identical between a truncated run
-            # and its resumed continuation, or the checkpoints diverge
-            lr_patience = max(total_epochs, 1)
-            stop_patience = max(total_epochs, 1)
-        else:
-            # mirror DeepForecasterBase.fit: loaders first (they consume
-            # subsample draws from the family RNG), then the model build
-            _, train_loader = forecaster._make_batches(train_series, shuffle=True)
-            forecaster.model = forecaster._build_model(
-                forecaster.feature_spec.num_covariates
-            )
-            forecaster._drop_fleet_engines()
-            forecaster.record_field_size(train_series)
-            optimizer = Adam(forecaster.model.parameters(), lr=forecaster.lr)
-            lr_patience = 10
-            stop_patience = max(total_epochs, 10)
-
-        trainer = Trainer(
-            forecaster.model,
-            optimizer=optimizer,
+        forecaster._train(
+            self.window.train_series(),
+            warm_start=warm_start,
+            epochs=total_epochs,
             max_epochs=max_epochs,
-            lr_patience=lr_patience,
-            early_stopping_patience=stop_patience,
             checkpoint_dir=self.job_dir,
             resume=self.resume,
             checkpoint_every=1,
             checkpoint_rng=forecaster.rng,
         )
-        forecaster.history_ = trainer.fit(forecaster._wrap_loader(train_loader))
 
-        if interrupted:
+        if max_epochs < total_epochs:
             record = {
                 "status": "interrupted",
                 "name": self.name,
@@ -235,8 +207,6 @@ class RetrainJob:
             self._write_state("interrupted", epochs=total_epochs, max_epochs=max_epochs)
             return record
 
-        if not fine_tune:
-            forecaster._post_fit(train_series)
         entry = self.store.save_model(
             self.name, forecaster, data_fingerprint=self.window.fingerprint
         )

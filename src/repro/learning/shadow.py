@@ -32,7 +32,7 @@ import numpy as np
 
 from ..data.features import build_race_features
 from ..evaluation.metrics import mae, sign_accuracy, top1_accuracy
-from ..serving.requests import ForecastRequest, NamedForecastRequest
+from ..serving.requests import NamedForecastRequest
 
 __all__ = ["ShadowEvaluator", "ShadowReport", "derive_task_seed"]
 
@@ -172,26 +172,15 @@ class ShadowEvaluator:
                     )
                     for model in (candidate, champion):
                         forecaster = handles[model].forecaster
-                        named.append(
-                            NamedForecastRequest(
-                                model=model,
-                                request=ForecastRequest(
-                                    history_target=forecaster._history_target(
-                                        series, origin
-                                    ),
-                                    history_covariates=forecaster._history_covariates(
-                                        series, origin
-                                    ),
-                                    future_covariates=forecaster._future_covariates(
-                                        series, origin, self.horizon
-                                    ),
-                                    n_samples=self.n_samples,
-                                    rng=task_seed,
-                                    key=(series.race_id, series.car_id),
-                                    origin=int(origin),
-                                ),
-                            )
+                        # sampled covariates (RankNet-MLP's pit plans) draw
+                        # from the task's stream too, never the model's own
+                        future = forecaster._future_covariates(
+                            series, origin, self.horizon, rng=np.random.default_rng(task_seed)
                         )
+                        request = forecaster._fleet_request(
+                            series, origin, future, self.n_samples, task_seed
+                        )
+                        named.append(NamedForecastRequest(model=model, request=request))
                     cars.append(int(series.car_id))
                 results = service.submit(named)
                 point: Dict[str, List[float]] = {candidate: [], champion: []}

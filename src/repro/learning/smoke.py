@@ -77,18 +77,14 @@ def _config(seed: int) -> str:
 
 
 def _named_batch(forecaster, series, model: str) -> List:
-    from ..serving.client import ForecastClient
+    from ..serving.requests import NamedForecastRequest
 
     return [
-        ForecastClient.request(
+        NamedForecastRequest(
             model,
-            forecaster._history_target(series, 20 + i),
-            forecaster._history_covariates(series, 20 + i),
-            forecaster._future_covariates(series, 20 + i, 2),
-            n_samples=7,
-            rng=seed,
-            key=(series.race_id, series.car_id),
-            origin=20 + i,
+            forecaster._fleet_request(
+                series, 20 + i, forecaster._future_covariates(series, 20 + i, 2), 7, seed
+            ),
         )
         for i, seed in enumerate(_SEEDS)
     ]

@@ -46,6 +46,10 @@ __all__ = [
     "TransformerForecaster",
 ]
 
+#: fine_tune's defaults: a few more epochs at a fraction of the fit learning rate
+FINE_TUNE_EPOCHS = 5
+FINE_TUNE_LR_SCALE = 0.3
+
 
 class DeepForecasterBase(RankForecaster):
     """Shared training / forecasting logic of the deep sequence forecasters."""
@@ -109,6 +113,8 @@ class DeepForecasterBase(RankForecaster):
     # dataset assembly
     # ------------------------------------------------------------------
     def _make_batches(self, series_list: Sequence[CarFeatureSeries], shuffle: bool):
+        """``(dataset, batches)``: the windows and a zero-argument callable
+        returning one epoch's batch stream (what :meth:`Trainer.fit` takes)."""
         dataset = make_windows(
             series_list,
             encoder_length=self.encoder_length,
@@ -126,18 +132,7 @@ class DeepForecasterBase(RankForecaster):
             spec=self.feature_spec,
             rng=self.rng,
         )
-        return dataset, loader
-
-    def _augment_batch(self, batch: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Hook for variants that need to reshape the batch (e.g. Joint)."""
-        return batch
-
-    def _wrap_loader(self, loader: BatchLoader):
-        def batches():
-            for batch in loader:
-                yield self._augment_batch(batch)
-
-        return batches
+        return dataset, loader.batches
 
     # ------------------------------------------------------------------
     def fit(
@@ -145,26 +140,81 @@ class DeepForecasterBase(RankForecaster):
         train_series: Sequence[CarFeatureSeries],
         val_series: Optional[Sequence[CarFeatureSeries]] = None,
     ) -> "DeepForecasterBase":
-        _, train_loader = self._make_batches(train_series, shuffle=True)
-        val_loader = None
-        if val_series:
-            _, val_loader = self._make_batches(val_series, shuffle=False)
-        self.model = self._build_model(self.feature_spec.num_covariates)
+        self._train(train_series, val_series, epochs=self.epochs)
+        return self
+
+    def fine_tune(
+        self,
+        train_series: Sequence[CarFeatureSeries],
+        val_series: Optional[Sequence[CarFeatureSeries]] = None,
+        epochs: int = FINE_TUNE_EPOCHS,
+        lr: Optional[float] = None,
+    ) -> "DeepForecasterBase":
+        """Continue training the fitted model on new data (transfer learning).
+
+        The paper lists transfer learning across events as future work; this
+        implements the simplest form — warm-starting from the already-trained
+        weights and running a few additional epochs at a (typically lower)
+        learning rate on the new event's races.
+        """
+        self._train(train_series, val_series, warm_start=True, epochs=epochs, lr=lr)
+        return self
+
+    def _train(
+        self,
+        train_series: Sequence[CarFeatureSeries],
+        val_series: Optional[Sequence[CarFeatureSeries]] = None,
+        *,
+        epochs: int,
+        warm_start: bool = False,
+        lr: Optional[float] = None,
+        max_epochs: Optional[int] = None,
+        **checkpointing,
+    ) -> TrainingHistory:
+        """The one training sequence behind :meth:`fit`, :meth:`fine_tune`
+        and :class:`repro.learning.RetrainJob`.
+
+        ``warm_start`` continues the current weights instead of building a
+        fresh backbone (``lr`` then defaults to the fit rate scaled by
+        ``FINE_TUNE_LR_SCALE``).  The LR and early-stopping patience are
+        sized from the total ``epochs`` budget, so a run capped at
+        ``max_epochs`` and its resumed continuation train alike.
+        ``checkpointing`` passes through to :class:`Trainer`.  The draws
+        from ``self.rng`` (window subsampling, then weight initialisation)
+        come in a fixed order, so a resumed job replays them identically.
+        """
+        if warm_start and self.model is None:
+            raise RuntimeError(f"{self.name} must be fit before fine-tuning")
+        # carried warm-up states and converted replicas predate the new weights
         self._drop_fleet_engines()
-        self.record_field_size(train_series)
+        # the model now targets this data's field (a warm start on no data keeps its own)
+        if train_series or not warm_start:
+            self.record_field_size(train_series)
+        _, train_batches = self._make_batches(train_series, shuffle=True)
+        val_batches = None
+        if val_series:
+            _, val_batches = self._make_batches(val_series, shuffle=False)
+        if warm_start:
+            lr = self.lr * FINE_TUNE_LR_SCALE if lr is None else lr
+            lr_patience = stop_patience = max(int(epochs), 1)
+        else:
+            self.model = self._build_model(self.feature_spec.num_covariates)
+            lr = self.lr if lr is None else lr
+            lr_patience, stop_patience = 10, max(int(epochs), 10)
+        capped = max_epochs is not None and int(max_epochs) < int(epochs)
         trainer = Trainer(
             self.model,
-            optimizer=Adam(self.model.parameters(), lr=self.lr),
-            max_epochs=self.epochs,
-            lr_patience=10,
-            early_stopping_patience=max(self.epochs, 10),
+            optimizer=Adam(self.model.parameters(), lr=lr),
+            max_epochs=int(max_epochs) if capped else int(epochs),
+            lr_patience=lr_patience,
+            early_stopping_patience=stop_patience,
+            **checkpointing,
         )
-        self.history_ = trainer.fit(
-            self._wrap_loader(train_loader),
-            self._wrap_loader(val_loader) if val_loader is not None else None,
-        )
-        self._post_fit(train_series)
-        return self
+        self.history_ = trainer.fit(train_batches, val_batches)
+        # a capped run leaves the auxiliary models to the run that completes it
+        if not (warm_start or capped):
+            self._post_fit(train_series)
+        return self.history_
 
     def _post_fit(self, train_series: Sequence[CarFeatureSeries]) -> None:
         """Hook for variants that train auxiliary models (e.g. the PitModel)."""
@@ -224,44 +274,6 @@ class DeepForecasterBase(RankForecaster):
         """
         self._fleet_engines = {}
 
-    def fine_tune(
-        self,
-        train_series: Sequence[CarFeatureSeries],
-        val_series: Optional[Sequence[CarFeatureSeries]] = None,
-        epochs: int = 5,
-        lr: Optional[float] = None,
-    ) -> "DeepForecasterBase":
-        """Continue training the fitted model on new data (transfer learning).
-
-        The paper lists transfer learning across events as future work; this
-        implements the simplest form — warm-starting from the already-trained
-        weights and running a few additional epochs at a (typically lower)
-        learning rate on the new event's races.
-        """
-        if self.model is None:
-            raise RuntimeError(f"{self.name} must be fit before fine-tuning")
-        # carried warm-up states and converted replicas predate the new weights
-        self._drop_fleet_engines()
-        # the model now targets the new event's field
-        if train_series:
-            self.record_field_size(train_series)
-        _, train_loader = self._make_batches(train_series, shuffle=True)
-        val_loader = None
-        if val_series:
-            _, val_loader = self._make_batches(val_series, shuffle=False)
-        trainer = Trainer(
-            self.model,
-            optimizer=Adam(self.model.parameters(), lr=lr if lr is not None else self.lr * 0.3),
-            max_epochs=int(epochs),
-            lr_patience=max(int(epochs), 1),
-            early_stopping_patience=max(int(epochs), 1),
-        )
-        self.history_ = trainer.fit(
-            self._wrap_loader(train_loader),
-            self._wrap_loader(val_loader) if val_loader is not None else None,
-        )
-        return self
-
     # ------------------------------------------------------------------
     # forecasting
     # ------------------------------------------------------------------
@@ -282,10 +294,23 @@ class DeepForecasterBase(RankForecaster):
         return covariates[..., idx]
 
     def _future_covariates(
-        self, series: CarFeatureSeries, origin: int, horizon: int
+        self,
+        series: CarFeatureSeries,
+        origin: int,
+        horizon: int,
+        rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        """Default: covariates unknown in the future -> zeros."""
+        """Covariates over the horizon; default: unknown in the future -> zeros.
+
+        A variant that samples them (RankNet-MLP's pit plans) draws from
+        ``rng``, default the model's own stream: served requests pass
+        their own stream, so they never draw from shared state.
+        """
         return np.zeros((horizon, self.feature_spec.num_covariates), dtype=np.float64)
+
+    def _plans_per_forecast(self) -> int:
+        """Sampled future-covariate plans one forecast averages over."""
+        return 1
 
     def forecast(
         self,
@@ -298,6 +323,8 @@ class DeepForecasterBase(RankForecaster):
             raise RuntimeError(f"{self.name} must be fit before forecasting")
         if origin < 1 or origin >= len(series):
             raise IndexError(f"origin {origin} out of range")
+        if self._plans_per_forecast() > 1:
+            return self.forecast_fleet([(series, origin, horizon)], n_samples=n_samples)[0]
         # exact whatever fleet_mode says, and on the forecaster's own stream
         # (forecast_fleet spawns children), so consecutive calls continue it
         future_cov = self._future_covariates(series, origin, horizon)
@@ -382,26 +409,31 @@ class DeepForecasterBase(RankForecaster):
         for series, origin, _ in tasks:
             if origin < 1 or origin >= len(series):
                 raise IndexError(f"origin {origin} out of range")
-        rngs = spawn_request_rngs(self.rng, len(tasks))
+        # several plans per task split the sample budget, one request each;
+        # the plans of one task share their warm-up (same key + origin)
+        plans = self._plans_per_forecast()
+        per_plan = max(n_samples // plans, 1) if plans > 1 else n_samples
+        slots = [
+            (series, int(origin), int(horizon))
+            for series, origin, horizon in tasks
+            for _ in range(plans)
+        ]
+        rngs = spawn_request_rngs(self.rng, len(slots))
         requests = [
             self._fleet_request(
-                series,
-                int(origin),
-                self._future_covariates(series, int(origin), int(horizon)),
-                n_samples,
-                rng,
+                series, origin, self._future_covariates(series, origin, horizon), per_plan, rng
             )
-            for (series, origin, horizon), rng in zip(tasks, rngs)
+            for (series, origin, horizon), rng in zip(slots, rngs)
         ]
         results = self.fleet_engine().submit(requests)
         return [
             ProbabilisticForecast(
-                samples=clip_rank(samples),
+                samples=clip_rank(np.vstack(results[i * plans : (i + 1) * plans])),
                 origin=int(origin),
                 race_id=series.race_id,
                 car_id=series.car_id,
             )
-            for (series, origin, _), samples in zip(tasks, results)
+            for i, (series, origin, _) in enumerate(tasks)
         ]
 
 
@@ -447,27 +479,29 @@ class RankNetForecaster(DeepForecasterBase):
 
     # -- joint variant: build the multivariate target from the full covariates
     def _make_batches(self, series_list, shuffle):
-        dataset, loader = super()._make_batches(series_list, shuffle)
-        if self.variant == "joint":
-            track_idx = ALL_COVARIATES.index("track_status")
-            lap_idx = ALL_COVARIATES.index("lap_status")
-            full_cov = dataset.covariates
-            base_loader = loader
+        dataset, batches = super()._make_batches(series_list, shuffle)
+        if self.variant != "joint":
+            return dataset, batches
+        # the loader does not expose a batch's rows, so joint batches are cut
+        # here: batch_size chunks of an order shuffled from the model's stream
+        lap = dataset.covariates[:, :, ALL_COVARIATES.index("lap_status")]
+        track = dataset.covariates[:, :, ALL_COVARIATES.index("track_status")]
+        cov = dataset.select_covariates(self.feature_spec)
 
-            def batches_with_joint():
-                for batch, rows in _iter_with_indices(base_loader, dataset):
-                    target = np.stack(
-                        [
-                            batch["target"],
-                            full_cov[rows][:, :, lap_idx],
-                            full_cov[rows][:, :, track_idx],
-                        ],
-                        axis=-1,
-                    )
-                    yield {**batch, "target": target}
+        def joint_batches():
+            order = np.arange(len(dataset))
+            if shuffle:
+                self.rng.shuffle(order)
+            for start in range(0, len(dataset), self.batch_size):
+                rows = order[start : start + self.batch_size]
+                yield {
+                    "target": np.stack([dataset.target[rows], lap[rows], track[rows]], axis=-1),
+                    "covariates": cov[rows],
+                    "car_index": dataset.car_index[rows],
+                    "weight": dataset.weight[rows],
+                }
 
-            loader = _JointLoaderProxy(base_loader, batches_with_joint)
-        return dataset, loader
+        return dataset, joint_batches
 
     def _post_fit(self, train_series: Sequence[CarFeatureSeries]) -> None:
         if self.variant == "mlp" and self.pit_model is None:
@@ -524,7 +558,7 @@ class RankNetForecaster(DeepForecasterBase):
         track = series.covariate("track_status")[start : origin + 1]
         return np.column_stack([history_target, lap, track])
 
-    def _future_covariates(self, series, origin, horizon):
+    def _future_covariates(self, series, origin, horizon, rng=None):
         if self.variant == "joint":
             return np.zeros((horizon, 0), dtype=np.float64)
         if self.variant == "oracle":
@@ -537,100 +571,15 @@ class RankNetForecaster(DeepForecasterBase):
         # mlp variant: sample a pit-stop plan
         if self.pit_model is None:
             raise RuntimeError("RankNet-MLP requires a fitted PitModel")
-        plan = self.pit_model.plan_covariates(series, origin, horizon, rng=self.rng)
+        plan = self.pit_model.plan_covariates(
+            series, origin, horizon, rng=self.rng if rng is None else rng
+        )
         return self._select(plan)
 
-    def forecast(self, series, origin, horizon, n_samples: int = 100):
-        if self.variant != "mlp" or self.pit_plans_per_forecast <= 1:
-            return super().forecast(series, origin, horizon, n_samples=n_samples)
-        return self.forecast_fleet([(series, origin, horizon)], n_samples=n_samples)[0]
-
-    def forecast_fleet(
-        self,
-        tasks: Sequence[Tuple[CarFeatureSeries, int, int]],
-        n_samples: int = 100,
-    ) -> List[ProbabilisticForecast]:
-        if self.variant != "mlp" or self.pit_plans_per_forecast <= 1:
-            return super().forecast_fleet(tasks, n_samples=n_samples)
-        # MLP variant: average over several sampled pit-stop plans so the
-        # uncertainty of the PitModel propagates into the rank forecast.
-        # All plans of all tasks go to the engine in one submit; the plans
-        # of one task share their warm-up (same key + origin).
-        tasks = list(tasks)
-        if self.model is None:
-            raise RuntimeError(f"{self.name} must be fit before forecasting")
-        if self.pit_model is None:
-            raise RuntimeError("RankNet-MLP requires a fitted PitModel")
-        if not tasks:
-            return []
-        for series, origin, _ in tasks:
-            if origin < 1 or origin >= len(series):
-                raise IndexError(f"origin {origin} out of range")
-        plans = self.pit_plans_per_forecast
-        per_plan = max(n_samples // plans, 1)
-        rngs = spawn_request_rngs(self.rng, len(tasks) * plans)
-        requests: List[ForecastRequest] = []
-        for i, (series, origin, horizon) in enumerate(tasks):
-            for p in range(plans):
-                future_cov = self._select(
-                    self.pit_model.plan_covariates(series, int(origin), int(horizon), rng=self.rng)
-                )
-                requests.append(
-                    self._fleet_request(
-                        series, int(origin), future_cov, per_plan, rngs[i * plans + p]
-                    )
-                )
-        results = self.fleet_engine().submit(requests)
-        forecasts: List[ProbabilisticForecast] = []
-        for i, (series, origin, _) in enumerate(tasks):
-            samples = clip_rank(np.vstack(results[i * plans : (i + 1) * plans]))
-            forecasts.append(
-                ProbabilisticForecast(
-                    samples=samples,
-                    origin=int(origin),
-                    race_id=series.race_id,
-                    car_id=series.car_id,
-                )
-            )
-        return forecasts
-
-
-class _JointLoaderProxy:
-    """Wraps a loader so iteration yields joint (multivariate-target) batches."""
-
-    def __init__(self, loader: BatchLoader, batches_fn) -> None:
-        self._loader = loader
-        self._batches_fn = batches_fn
-
-    def __iter__(self):
-        return iter(self._batches_fn())
-
-    def __len__(self):
-        return len(self._loader)
-
-
-def _iter_with_indices(loader: BatchLoader, dataset):
-    """Iterate a loader re-deriving the row indices of each batch.
-
-    The loader shuffles internally; to attach extra columns per batch we
-    re-implement its iteration order using the same RNG stream would be
-    fragile, so instead we iterate the dataset directly in fixed-size chunks
-    (shuffling is handled by re-shuffling indices here).
-    """
-    n = len(dataset)
-    order = np.arange(n)
-    if loader.shuffle:
-        loader.rng.shuffle(order)
-    cov = dataset.select_covariates(loader.spec)
-    for start in range(0, n, loader.batch_size):
-        rows = order[start : start + loader.batch_size]
-        batch = {
-            "target": dataset.target[rows],
-            "covariates": cov[rows],
-            "car_index": dataset.car_index[rows],
-            "weight": dataset.weight[rows],
-        }
-        yield batch, rows
+    def _plans_per_forecast(self) -> int:
+        # MLP averages over several sampled pit-stop plans, so the PitModel's
+        # uncertainty propagates into the rank forecast
+        return max(self.pit_plans_per_forecast, 1) if self.variant == "mlp" else 1
 
 
 class TransformerForecaster(RankNetForecaster):

@@ -60,18 +60,14 @@ def _timed(rows: List[Dict[str, object]], stage: str, fn, **detail):
 
 
 def _batch(forecaster, series, model: str):
-    from ..serving.client import ForecastClient
+    from ..serving.requests import NamedForecastRequest
 
     return [
-        ForecastClient.request(
+        NamedForecastRequest(
             model,
-            forecaster._history_target(series, 20 + i),
-            forecaster._history_covariates(series, 20 + i),
-            forecaster._future_covariates(series, 20 + i, 2),
-            n_samples=7,
-            rng=11 + i,
-            key=(series.race_id, series.car_id),
-            origin=20 + i,
+            forecaster._fleet_request(
+                series, 20 + i, forecaster._future_covariates(series, 20 + i, 2), 7, 11 + i
+            ),
         )
         for i in range(3)
     ]

@@ -41,6 +41,7 @@ from ..artifacts import ArtifactStore
 from ..data.features import build_race_features
 from ..models import DeepARForecaster
 from ..serving import ForecastClient, ForecastService
+from ..serving.requests import NamedForecastRequest
 from ..serving.server import ForecastServer, ServerConfig
 from ..simulation import RaceSimulator, track_for_year
 
@@ -102,15 +103,16 @@ def build_serving_fixture(root: str, seed: int = 5):
 def _request_batch(forecaster, series, n_requests: int, n_samples: int, horizon: int):
     origins = [16 + (i % 24) for i in range(n_requests)]
     return [
-        ForecastClient.request(
+        NamedForecastRequest(
             MODEL_NAME,
-            forecaster._history_target(series, origin),
-            forecaster._history_covariates(series, origin),
-            forecaster._future_covariates(series, origin, horizon),
-            n_samples=n_samples,
-            rng=1000 + i,
-            key=(series.race_id, series.car_id, i),
-            origin=origin,
+            forecaster._fleet_request(
+                series,
+                origin,
+                forecaster._future_covariates(series, origin, horizon),
+                n_samples,
+                1000 + i,
+                key=(series.race_id, series.car_id, i),
+            ),
         )
         for i, origin in enumerate(origins)
     ]

@@ -291,16 +291,15 @@ class ScenarioEngine:
             )
         # imported here: the feature pipeline must not burden sim-only runs
         from ..data.features import build_race_features
-        from ..serving.requests import ForecastRequest, NamedForecastRequest
+        from ..serving.requests import NamedForecastRequest
 
         fc = spec.forecast
         forecaster = self._resolve(fc.model)
-        for method in ("_history_target", "_history_covariates", "_future_covariates"):
-            if not hasattr(forecaster, method):
-                raise ScenarioError(
-                    f"model {fc.model!r} cannot serve scenario forecasts "
-                    "(needs a fleet-batched deep forecaster)"
-                )
+        if not hasattr(forecaster, "_fleet_request"):
+            raise ScenarioError(
+                f"model {fc.model!r} cannot serve scenario forecasts "
+                "(needs a fleet-batched deep forecaster)"
+            )
         series_list = build_race_features(race)
         requests: List[NamedForecastRequest] = []
         meta: List[Tuple[int, object]] = []
@@ -311,22 +310,21 @@ class ScenarioEngine:
                 request_seed = derive_seed(
                     seed, spec.name, job.label, "forecast", origin, int(series.car_id)
                 )
+                # sampled covariates (RankNet-MLP's pit plans) draw from the
+                # request's seed too, never from the resident model's stream
+                future = forecaster._future_covariates(
+                    series, origin, fc.horizon, rng=np.random.default_rng(request_seed)
+                )
+                request = forecaster._fleet_request(
+                    series,
+                    origin,
+                    future,
+                    fc.n_samples,
+                    request_seed,
+                    key=(series.race_id, int(series.car_id)),
+                )
                 requests.append(
-                    NamedForecastRequest(
-                        model=fc.model,
-                        precision=fc.precision,
-                        request=ForecastRequest(
-                            history_target=forecaster._history_target(series, origin),
-                            history_covariates=forecaster._history_covariates(series, origin),
-                            future_covariates=forecaster._future_covariates(
-                                series, origin, fc.horizon
-                            ),
-                            n_samples=fc.n_samples,
-                            rng=request_seed,
-                            key=(series.race_id, int(series.car_id)),
-                            origin=origin,
-                        ),
-                    )
+                    NamedForecastRequest(model=fc.model, precision=fc.precision, request=request)
                 )
                 meta.append((origin, series))
         outcomes = self._submit(requests)

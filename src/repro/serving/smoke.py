@@ -41,6 +41,7 @@ from ..models import DeepARForecaster
 from ..simulation import RaceSimulator, track_for_year
 from ..simulation.live import LiveRaceForecaster
 from .client import ForecastClient
+from .requests import NamedForecastRequest
 from .service import ForecastService
 
 MODEL_NAME = "smoke-deepar"
@@ -75,15 +76,11 @@ def _fit_store(root: str):
 
 def _named_batch(forecaster, series) -> List:
     return [
-        ForecastClient.request(
+        NamedForecastRequest(
             MODEL_NAME,
-            forecaster._history_target(series, 20 + i),
-            forecaster._history_covariates(series, 20 + i),
-            forecaster._future_covariates(series, 20 + i, 2),
-            n_samples=7,
-            rng=seed,
-            key=(series.race_id, series.car_id),
-            origin=20 + i,
+            forecaster._fleet_request(
+                series, 20 + i, forecaster._future_covariates(series, 20 + i, 2), 7, seed
+            ),
         )
         for i, seed in enumerate(_FORECAST_SEEDS)
     ]

@@ -56,19 +56,12 @@ class LiveRaceForecaster:
         self.min_history = int(min_history)
         self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         self.precision = normalize_precision(precision)
-        self._own_engine: Optional[FleetForecaster] = None
 
     @property
     def engine(self) -> FleetForecaster:
         """The carry-mode engine, resolved through the forecaster on every
         access so a re-fit or fine-tune never leaves stale weights/states."""
-        if hasattr(self.forecaster, "fleet_engine"):
-            return self.forecaster.fleet_engine(mode="carry", precision=self.precision)
-        if self._own_engine is None:
-            self._own_engine = FleetForecaster(
-                self.forecaster.model, mode="carry", precision=self.precision
-            )
-        return self._own_engine
+        return self.forecaster.fleet_engine(mode="carry", precision=self.precision)
 
     # ------------------------------------------------------------------
     def _requests_at(
@@ -79,11 +72,13 @@ class LiveRaceForecaster:
             s for s in series_list if self.min_history <= origin < len(s) - 1
         ]
         streams = spawn_request_rngs(self.rng, len(eligible))
+        # a sampled plan (RankNet-MLP) draws from the request's own stream,
+        # so a session's forecasts never depend on the resident model's state
         requests = [
             fc._fleet_request(
                 series,
                 origin,
-                fc._future_covariates(series, origin, self.horizon),
+                fc._future_covariates(series, origin, self.horizon, rng=stream),
                 self.n_samples,
                 stream,
             )

@@ -98,3 +98,38 @@ def test_fine_tune_jobs_only_accept_an_epoch_override(tmp_path, accumulator, win
     ).run()
     assert tuned["status"] == "completed"
     assert tuned["sha256"] != store.entry("base")["sha256"]
+
+
+@pytest.mark.parametrize("family", ["deepar", "ranknet-mlp"])
+def test_retrain_job_saves_the_same_artifact_as_fit_and_fine_tune(
+    tmp_path, accumulator, window, family
+):
+    """A job trains exactly as ``fit()`` / ``fine_tune()`` do in-process.
+
+    An uninterrupted job and ``make_forecaster(...).fit(...)`` save the
+    same manifest ``sha256``; so do a ``base=`` job with one epoch and
+    ``load_model(base).fine_tune(..., epochs=1)``.
+    """
+    store = ArtifactStore(str(tmp_path / "store"))
+    train = window.train_series()
+    job = RetrainJob(
+        store, accumulator, window.window_id, "job-fit",
+        family=family, config=TINY, job_dir=str(tmp_path / "job-fit"),
+    ).run()
+    fitted = store.save_model(
+        "direct-fit",
+        make_forecaster(family, TINY).fit(train),
+        data_fingerprint=window.fingerprint,
+    )
+    assert job["sha256"] == fitted["sha256"]
+
+    tuned_job = RetrainJob(
+        store, accumulator, window.window_id, "job-tune",
+        base="job-fit", config={"epochs": 1},
+    ).run()
+    tuned = store.save_model(
+        "direct-tune",
+        store.load_model("job-fit").fine_tune(train, epochs=1),
+        data_fingerprint=window.fingerprint,
+    )
+    assert tuned_job["sha256"] == tuned["sha256"]

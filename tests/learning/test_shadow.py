@@ -5,7 +5,7 @@ import pytest
 from repro.artifacts import ArtifactStore
 from repro.learning import ShadowEvaluator
 from repro.learning.shadow import ShadowReport, derive_task_seed
-from repro.models import DeepARForecaster
+from repro.models import DeepARForecaster, RankNetForecaster
 
 TINY = dict(
     encoder_length=12,
@@ -49,6 +49,18 @@ def test_shadow_report_is_deterministic(shadow_store, window):
     assert first.races == [races[0].race_id]
     assert set(first.scores["cand"]) == {"mae", "top1", "sign"}
     assert set(first.deltas) == {"mae", "top1", "sign"}
+
+
+def test_a_joint_candidate_is_scored(shadow_store, window):
+    # Joint models forecast [rank, lap_status, track_status]: their requests
+    # need the multivariate history the model shapes itself
+    joint = RankNetForecaster(variant="joint", seed=7, **TINY).fit(window.train_series())
+    shadow_store.save_model("joint-cand", joint)
+    report = ShadowEvaluator(shadow_store, n_samples=10, stride=8).evaluate(
+        "joint-cand", "champ", window.holdout_races(), seed=7
+    )
+    assert report.tasks > 0
+    assert set(report.scores["joint-cand"]) == {"mae", "top1", "sign"}
 
 
 def test_candidate_and_champion_must_be_distinct_artifacts(shadow_store, window):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import build_race_features
-from repro.models import DeepARForecaster
+from repro.models import DeepARForecaster, RankNetForecaster
 from repro.simulation import LiveRaceForecaster, RaceSimulator, track_for_year
 
 
@@ -76,3 +76,24 @@ def test_refit_rebinds_live_engine_to_new_model(race_and_forecaster):
     assert live.engine is not engine_before
     assert live.engine.model is forecaster.model
     assert live.forecast_at(series, origin=20)  # still serves forecasts
+
+
+def test_identical_mlp_sessions_on_one_model_emit_identical_forecasts(race_and_forecaster):
+    # RankNet-MLP samples pit plans: a session draws them from its requests'
+    # streams, so a second identically seeded session on the same resident
+    # model replays the first byte for byte
+    race, series, _ = race_and_forecaster
+    mlp = RankNetForecaster(variant="mlp", encoder_length=12, decoder_length=2, hidden_dim=8,
+                            epochs=1, batch_size=32, max_train_windows=100, seed=0)
+    mlp.fit(series[:4])
+
+    def run():
+        live = LiveRaceForecaster(mlp, horizon=8, n_samples=4, min_history=12, rng=5)
+        return list(live.stream(race, start=14, stop=30, stride=4))
+
+    first, second = run(), run()
+    assert [origin for origin, _ in first] == [origin for origin, _ in second]
+    for (_, a), (_, b) in zip(first, second):
+        assert a.keys() == b.keys()
+        for car in a:
+            assert a[car].tobytes() == b[car].tobytes()
