@@ -240,55 +240,86 @@ def _record_flag(record, canonical: str, status_field: str, status_true: str) ->
     return bool(value)
 
 
+#: (shift feature, the feature it shifts) pairs of Fig. 7 step 4
+_SHIFT_PAIRS = (
+    ("shift_track_status", "track_status"),
+    ("shift_lap_status", "lap_status"),
+    ("shift_total_pit_count", "total_pit_count"),
+)
+_SHIFTED = [ALL_COVARIATES.index(shifted) for shifted, _ in _SHIFT_PAIRS]
+
+
 class _LiveCarState:
-    """Growing per-car column lists plus the running feature counters."""
+    """One car's growing NumPy columns plus the running feature counters.
+
+    The columns — laps, the three targets and the covariate matrix in
+    :data:`ALL_COVARIATES` order — double their capacity when full, so a
+    lap costs one row write (and the in-place shift back-fill), and
+    :meth:`series` copies the leading ``n`` rows out.
+    """
 
     __slots__ = (
-        "laps", "rank", "lap_time", "time_behind_leader",
-        "pit", "caution", "pit_age", "caution_laps", "total_pits", "leader_pits",
-        "shift_caution", "shift_pit", "shift_total_pits",
+        "n", "laps", "rank", "lap_time", "time_behind_leader", "covariates",
         "_age_counter", "_caution_counter",
     )
 
-    def __init__(self) -> None:
-        for name in self.__slots__[:-2]:
-            setattr(self, name, [])
+    def __init__(self, capacity: int = 64) -> None:
+        self.n = 0
+        self.laps = np.empty(capacity, dtype=np.int64)
+        self.rank = np.empty(capacity, dtype=np.float64)
+        self.lap_time = np.empty(capacity, dtype=np.float64)
+        self.time_behind_leader = np.empty(capacity, dtype=np.float64)
+        self.covariates = np.empty((capacity, len(ALL_COVARIATES)), dtype=np.float64)
         self._age_counter = 0.0
         self._caution_counter = 0.0
 
+    @property
+    def last_lap(self) -> int:
+        return int(self.laps[self.n - 1])
+
+    def _grow(self) -> None:
+        for name in ("laps", "rank", "lap_time", "time_behind_leader", "covariates"):
+            old = getattr(self, name)
+            new = np.empty((2 * len(old),) + old.shape[1:], dtype=old.dtype)
+            new[: self.n] = old[: self.n]
+            setattr(self, name, new)
+
     def append(self, lap, record, tp, lp, shift_lag, shift_fill) -> None:
-        pit = _record_flag(record, "pit", "lap_status", "P")
-        caution = _record_flag(record, "caution", "track_status", "Y")
-        self.laps.append(int(lap))
-        self.rank.append(float(_record_field(record, "rank")))
-        self.lap_time.append(float(_record_field(record, "lap_time")))
-        self.time_behind_leader.append(float(_record_field(record, "time_behind_leader")))
-        self.pit.append(1.0 if pit else 0.0)
-        self.caution.append(1.0 if caution else 0.0)
+        pit = 1.0 if _record_flag(record, "pit", "lap_status", "P") else 0.0
+        caution = 1.0 if _record_flag(record, "caution", "track_status", "Y") else 0.0
+        rank = float(_record_field(record, "rank"))
+        lap_time = float(_record_field(record, "lap_time"))
+        behind = float(_record_field(record, "time_behind_leader"))
+        k = self.n
+        if k == len(self.laps):
+            self._grow()
+        self.laps[k] = lap
+        self.rank[k] = rank
+        self.lap_time[k] = lap_time
+        self.time_behind_leader[k] = behind
         # the same counter arithmetic as accumulate_age / caution_laps_since_pit
         if pit:
             self._age_counter = 0.0
             self._caution_counter = 0.0
-        self.pit_age.append(self._age_counter)
-        self._age_counter += 1.0
-        self.caution_laps.append(self._caution_counter)
-        if caution:
-            self._caution_counter += 1.0
-        self.total_pits.append(tp)
-        self.leader_pits.append(lp)
+        row = {
+            "track_status": caution,
+            "lap_status": pit,
+            "caution_laps": self._caution_counter,
+            "pit_age": self._age_counter,
+            "leader_pit_count": lp,
+            "total_pit_count": tp,
+        }
         # shift features hold the value ``shift_lag`` positions ahead: pad the
         # new tail position with the fill, back-fill the one it finalises
-        k = len(self.laps) - 1
-        for shifted, source in (
-            (self.shift_caution, self.caution),
-            (self.shift_pit, self.pit),
-            (self.shift_total_pits, self.total_pits),
-        ):
-            shifted.append(shift_fill)
-            if shift_lag and k >= shift_lag:
-                shifted[k - shift_lag] = source[k]
-            elif not shift_lag:
-                shifted[k] = source[k]
+        for shifted, source in _SHIFT_PAIRS:
+            row[shifted] = shift_fill if shift_lag else row[source]
+        self.covariates[k] = [row[name] for name in ALL_COVARIATES]
+        if shift_lag and k >= shift_lag:
+            self.covariates[k - shift_lag, _SHIFTED] = [row[source] for _, source in _SHIFT_PAIRS]
+        self._age_counter += 1.0
+        if caution:
+            self._caution_counter += 1.0
+        self.n = k + 1
 
 
 class LiveFeatureBuilder:
@@ -359,10 +390,10 @@ class LiveFeatureBuilder:
         for record in records:
             car = int(_record_field(record, "car_id"))
             state = self._cars.get(car)
-            if state is not None and state.laps[-1] != lap - 1:
+            if state is not None and state.last_lap != lap - 1:
                 raise ValueError(
                     f"gap in car {car}'s lap records: last saw lap "
-                    f"{state.laps[-1]}, got lap {lap}; a car that misses a "
+                    f"{state.last_lap}, got lap {lap}; a car that misses a "
                     "lap is retired and cannot rejoin the feed"
                 )
             ranks[car] = int(_record_field(record, "rank"))
@@ -395,42 +426,30 @@ class LiveFeatureBuilder:
     def series(self) -> List[CarFeatureSeries]:
         """The feature series of every car observed for >= ``min_laps`` laps.
 
-        Materialised arrays are cached until the next observed lap, so
-        repeated reads between laps (a multi-origin drain, an external
-        monitor) cost nothing.
+        Every array is a fresh copy of the builder's columns, so a
+        returned series never changes as later laps arrive; the list is
+        cached until the next observed lap, so repeated reads between laps
+        (a multi-origin drain, an external monitor) cost nothing.
         """
         if self._series_cache is not None:
             return self._series_cache
         out = []
         for car in sorted(self._cars):
             state = self._cars[car]
-            if len(state.laps) < self.min_laps:
+            n = state.n
+            if n < self.min_laps:
                 continue
-            columns = {
-                "track_status": state.caution,
-                "lap_status": state.pit,
-                "caution_laps": state.caution_laps,
-                "pit_age": state.pit_age,
-                "leader_pit_count": state.leader_pits,
-                "total_pit_count": state.total_pits,
-                "shift_track_status": state.shift_caution,
-                "shift_lap_status": state.shift_pit,
-                "shift_total_pit_count": state.shift_total_pits,
-            }
-            covariates = np.column_stack(
-                [np.asarray(columns[name], dtype=np.float64) for name in ALL_COVARIATES]
-            )
             out.append(
                 CarFeatureSeries(
                     race_id=self.race_id,
                     event=self.event,
                     year=self.year,
                     car_id=car,
-                    laps=np.asarray(state.laps, dtype=np.int64),
-                    rank=np.asarray(state.rank, dtype=np.float64),
-                    lap_time=np.asarray(state.lap_time, dtype=np.float64),
-                    time_behind_leader=np.asarray(state.time_behind_leader, dtype=np.float64),
-                    covariates=covariates,
+                    laps=state.laps[:n].copy(),
+                    rank=state.rank[:n].copy(),
+                    lap_time=state.lap_time[:n].copy(),
+                    time_behind_leader=state.time_behind_leader[:n].copy(),
+                    covariates=state.covariates[:n].copy(),
                 )
             )
         self._series_cache = out

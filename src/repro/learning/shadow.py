@@ -25,6 +25,7 @@ shadow evaluation always runs the float64 reference tier.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -78,7 +79,10 @@ class ShadowReport:
 
         MAE is the deciding metric (lower is better); top1/sign break a
         near-tie in the candidate's favour only when MAE did not regress.
+        A non-finite delta (a NaN or infinite score) never recommends.
         """
+        if not all(math.isfinite(delta) for delta in self.deltas.values()):
+            return False
         if self.deltas["mae"] < 0:
             return True
         if self.deltas["mae"] > 0:

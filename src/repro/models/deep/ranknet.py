@@ -182,15 +182,20 @@ class DeepForecasterBase(RankForecaster):
         ``checkpointing`` passes through to :class:`Trainer`.  The draws
         from ``self.rng`` (window subsampling, then weight initialisation)
         come in a fixed order, so a resumed job replays them identically.
+        Raises ``ValueError``, with the forecaster untouched, when the
+        training series yield no window.
         """
         if warm_start and self.model is None:
             raise RuntimeError(f"{self.name} must be fit before fine-tuning")
+        train_windows, train_batches = self._make_batches(train_series, shuffle=True)
+        if len(train_windows) == 0:
+            raise ValueError(
+                f"{self.name}: the training series yield no window of "
+                f"{self.encoder_length} + {self.decoder_length} laps"
+            )
         # carried warm-up states and converted replicas predate the new weights
         self._drop_fleet_engines()
-        # the model now targets this data's field (a warm start on no data keeps its own)
-        if train_series or not warm_start:
-            self.record_field_size(train_series)
-        _, train_batches = self._make_batches(train_series, shuffle=True)
+        self.record_field_size(train_series)
         val_batches = None
         if val_series:
             _, val_batches = self._make_batches(val_series, shuffle=False)

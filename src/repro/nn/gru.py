@@ -29,7 +29,7 @@ from .activations import sigmoid_dense
 from .kernels import stable_matmul
 from .module import Module, Parameter
 from .precision import RowWorkspace
-from .recurrent import RecurrentStack, _load_rows, _sigmoid_inplace
+from .recurrent import RecurrentStack, _load_products, _load_rows, _sigmoid_inplace
 
 __all__ = ["GRUCell", "GRUDecodeContext", "StackedGRU"]
 
@@ -44,32 +44,42 @@ class GRUDecodeContext:
     running hidden state, the per-step scratch tensors and the
     ``(B*T)``-row buffers of :meth:`GRUCell.sequence_decode`; like
     :class:`~repro.nn.recurrent.LSTMDecodeContext`, :meth:`load` starts a
-    session on the leading rows of those buffers, the row attributes are
-    ``[:rows]`` views valid until the next :meth:`load`, and :meth:`state`
-    copies the state out.
+    session on the leading rows of those buffers and computes the first
+    step's recurrent products (``hw``, ``h_proj``; ``hw_loaded``), once per
+    source row when it gathers rows, the row attributes are ``[:rows]``
+    views valid until the next :meth:`load`, and :meth:`state` copies the
+    state out.
     """
 
     __slots__ = (
-        "dtype", "_rows", "_seq_rows", "h", "gates", "hw", "h_proj", "n", "t1", "t2", "sg_scratch",
+        "cell", "dtype", "_rows", "_seq_rows", "_src_rows",
+        "h", "gates", "hw", "h_proj", "hw_loaded", "n", "t1", "t2", "sg_scratch",
     )
 
     def __init__(self, cell: "GRUCell", dtype=np.float64) -> None:
+        self.cell = cell
         self.dtype = np.dtype(dtype)
         hd = cell.hidden_dim
-        # h, gates, hw, h_proj, n, t1, t2 and the two sigmoid scratch blocks
-        self._rows = RowWorkspace(
-            (hd, 2 * hd, 2 * hd, hd, hd, hd, hd, 2 * hd, 2 * hd), dtype=self.dtype
-        )
+        # h, gates, hw, h_proj, n, t1, t2 and the sigmoid scratch block
+        self._rows = RowWorkspace((hd, 2 * hd, 2 * hd, hd, hd, hd, hd, 2 * hd), dtype=self.dtype)
         # sequence_decode's gate and candidate input projections and outputs
         self._seq_rows = RowWorkspace((2 * hd, hd, hd), dtype=self.dtype)
+        # load's recurrent products on the source rows of a gathering load
+        self._src_rows = RowWorkspace((2 * hd, hd), dtype=self.dtype)
 
     def load(self, h0: np.ndarray, rows: Optional[np.ndarray] = None) -> "GRUDecodeContext":
-        """Start a session from ``h0`` (its rows ``rows``, if given)."""
+        """Start a session from ``h0`` (its rows ``rows``, if given) and
+        compute the first step's ``h @ w_h_gates`` and ``h @ w_h_cand``."""
         n = len(h0) if rows is None else len(rows)
         (self.h, self.gates, self.hw, self.h_proj, self.n,
-         self.t1, self.t2, sg_a, sg_b) = self._rows.take(n)
-        self.sg_scratch = (sg_a, sg_b)
+         self.t1, self.t2, self.sg_scratch) = self._rows.take(n)
         _load_rows(self.h, h0, rows)
+        cell = self.cell
+        _load_products(
+            h0, rows, ((cell.w_h_gates.data, self.hw), (cell.w_h_cand.data, self.h_proj)),
+            self._src_rows,
+        )
+        self.hw_loaded = True
         return self
 
     def state(self) -> np.ndarray:
@@ -154,14 +164,19 @@ class GRUCell(Module):
 
     def _decode_tail(self, ctx: GRUDecodeContext) -> np.ndarray:
         """The recurrent half of a step, given the gate and candidate input
-        projections in ``ctx.gates`` and ``ctx.n``; updates ``h`` in place."""
+        projections in ``ctx.gates`` and ``ctx.n``; updates ``h`` in place.
+        On a session's first step the recurrent products are the ones
+        ``load`` left in ``ctx.hw`` and ``ctx.h_proj``."""
         hd = self.hidden_dim
         gates = ctx.gates
-        stable_matmul(ctx.h, self.w_h_gates.data, out=ctx.hw)
+        if ctx.hw_loaded:
+            ctx.hw_loaded = False
+        else:
+            stable_matmul(ctx.h, self.w_h_gates.data, out=ctx.hw)
+            stable_matmul(ctx.h, self.w_h_cand.data, out=ctx.h_proj)
         gates += ctx.hw
         gates += self.b_gates.data
         sigmoid_dense(gates, out=gates, scratch=ctx.sg_scratch)
-        stable_matmul(ctx.h, self.w_h_cand.data, out=ctx.h_proj)
         # n = tanh(x @ w_x_cand + r * h_proj + b_cand) — identical order
         np.multiply(gates[:, :hd], ctx.h_proj, out=ctx.t1)
         ctx.n += ctx.t1

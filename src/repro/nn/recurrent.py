@@ -49,6 +49,26 @@ def _load_rows(dst: np.ndarray, src: np.ndarray, rows: Optional[np.ndarray]) -> 
         np.take(src, rows, axis=0, out=dst, mode="clip")
 
 
+def _load_products(src, rows, products, workspace: RowWorkspace) -> None:
+    """Write ``h @ w`` into ``dst`` for each ``(w, dst)`` of ``products``,
+    where ``h`` is the state a context loads: ``src``, or its rows
+    ``rows``, gathered.
+
+    With ``rows`` — the decode's lap 2, where every sample of a request
+    starts from the request's state — the products run once per source
+    row, into ``workspace``'s owned rows, and are gathered into ``dst``.
+    ``stable_matmul`` rows do not depend on the rest of the batch, so this
+    is bitwise the product over the gathered rows.
+    """
+    if rows is None:
+        for w, dst in products:
+            stable_matmul(src, w, out=dst)
+        return
+    for (w, dst), buf in zip(products, workspace.take(len(src))):
+        stable_matmul(src, w, out=buf)
+        np.take(buf, rows, axis=0, out=dst, mode="clip")
+
+
 class LSTMDecodeContext:
     """Reusable workspace for one cell's inference kernel.
 
@@ -57,7 +77,9 @@ class LSTMDecodeContext:
     tensor and the ``(B*T)``-row projection and output buffers of
     :meth:`LSTMCell.sequence_decode`.  :meth:`load` starts a session on the
     leading rows of the owned buffers (growing them only past their
-    high-water row count), and :meth:`LSTMCell.step_decode` advances it
+    high-water row count) and computes the first step's recurrent product
+    ``h @ w_h`` into ``hw`` (``hw_loaded``), once per source row when the
+    load gathers rows; :meth:`LSTMCell.step_decode` advances the session
     without allocating, so a long-lived context — the serving engine keeps
     one per layer — touches no fresh memory per session either.
     ``h``/``c`` and the scratch attributes are ``[:rows]`` views, valid
@@ -65,8 +87,8 @@ class LSTMDecodeContext:
     """
 
     __slots__ = (
-        "cell", "dtype", "w_x", "w_h", "bias", "_rows", "_seq_rows",
-        "h", "c", "gates", "hw", "ig", "tanh_c", "sg_scratch",
+        "cell", "dtype", "w_x", "w_h", "bias", "_rows", "_seq_rows", "_src_rows",
+        "h", "c", "gates", "hw", "hw_loaded", "ig", "tanh_c", "sg_scratch",
     )
 
     def __init__(self, cell: "LSTMCell", dtype=np.float64) -> None:
@@ -76,20 +98,21 @@ class LSTMDecodeContext:
         self.w_x = np.empty((cell.input_dim, 4 * hd), dtype=self.dtype)
         self.w_h = np.empty((hd, 4 * hd), dtype=self.dtype)
         self.bias = np.empty(4 * hd, dtype=self.dtype)
-        # h, c, gates, hw, ig, tanh_c and the two sigmoid scratch blocks
-        self._rows = RowWorkspace(
-            (hd, hd, 4 * hd, 4 * hd, hd, hd, 3 * hd, 3 * hd), dtype=self.dtype
-        )
+        # h, c, gates, hw, ig, tanh_c and the sigmoid scratch block
+        self._rows = RowWorkspace((hd, hd, 4 * hd, 4 * hd, hd, hd, 3 * hd), dtype=self.dtype)
         # sequence_decode's input projection and outputs, one row per (b, t)
         self._seq_rows = RowWorkspace((4 * hd, hd), dtype=self.dtype)
+        # load's recurrent product on the source rows of a gathering load
+        self._src_rows = RowWorkspace((4 * hd,), dtype=self.dtype)
 
     def load(self, state: LSTMState, rows: Optional[np.ndarray] = None) -> "LSTMDecodeContext":
         """Start a session from ``state`` (its rows ``rows``, if given).
 
         Re-reads the cell's current weights into the permuted copies — a
         float64 context shares the training parameters, so in-place weight
-        updates are always picked up — and writes the initial ``(h, c)``
-        into the leading rows of the state buffers.
+        updates are always picked up — writes the initial ``(h, c)``
+        into the leading rows of the state buffers, and the first step's
+        ``h @ w_h`` into ``hw``.
         """
         cell = self.cell
         perm = cell._gate_perm
@@ -98,10 +121,11 @@ class LSTMDecodeContext:
         np.take(cell.bias.data, perm, out=self.bias, mode="clip")
         h0, c0 = state
         n = len(h0) if rows is None else len(rows)
-        self.h, self.c, self.gates, self.hw, self.ig, self.tanh_c, sg_a, sg_b = self._rows.take(n)
-        self.sg_scratch = (sg_a, sg_b)
+        self.h, self.c, self.gates, self.hw, self.ig, self.tanh_c, self.sg_scratch = self._rows.take(n)
         _load_rows(self.h, h0, rows)
         _load_rows(self.c, c0, rows)
+        _load_products(h0, rows, ((self.w_h, self.hw),), self._src_rows)
+        self.hw_loaded = True
         return self
 
     def state(self) -> LSTMState:
@@ -217,25 +241,34 @@ class LSTMCell(Module):
 
     def _decode_tail(self, ctx: LSTMDecodeContext) -> np.ndarray:
         """The recurrent half of a step, given the input projection in
-        ``ctx.gates``: adds ``h_prev @ w_h`` and the bias, applies the gate
+        ``ctx.gates``: adds ``h_prev @ w_h`` (the product ``load`` left in
+        ``ctx.hw`` on a session's first step) and the bias, applies the gate
         non-linearities and updates ``(h, c)`` in place."""
         hd = self.hidden_dim
         gates = ctx.gates
+        rows = len(gates)
+        if ctx.hw_loaded:
+            ctx.hw_loaded = False
+        else:
+            stable_matmul(ctx.h, ctx.w_h, out=ctx.hw)
         # same left-to-right accumulation as the reference step:
-        # (x @ w_x + h_prev @ w_h) + bias, merely column-permuted
-        stable_matmul(ctx.h, ctx.w_h, out=ctx.hw)
+        # (x @ w_x + h_prev @ w_h) + bias, merely column-permuted; the bias
+        # pass writes the gates gate-major, (4, rows, H), into the consumed
+        # ``hw`` buffer, so every gate below is one contiguous block and
+        # each elementwise pass runs as a single loop instead of one per row
         gates += ctx.hw
-        gates += ctx.bias
-        sg = gates[:, : 3 * hd]  # [i, f, o] block (one dense pass, no scatter)
-        sigmoid_dense(sg, out=sg, scratch=ctx.sg_scratch)
-        g = gates[:, 3 * hd :]
+        gm = ctx.hw.reshape(4, rows, hd)
+        np.add(gates.reshape(rows, 4, hd).transpose(1, 0, 2), ctx.bias.reshape(4, 1, hd), out=gm)
+        sg = gm[:3]  # [i, f, o] block (one dense pass, no scatter)
+        sigmoid_dense(sg, out=sg, scratch=ctx.sg_scratch.reshape(3, rows, hd))
+        i, f, o, g = gm
         np.tanh(g, out=g)
         # c = f * c_prev + i * g, h = o * tanh(c) — identical operand order
-        np.multiply(gates[:, :hd], g, out=ctx.ig)
-        np.multiply(gates[:, hd : 2 * hd], ctx.c, out=ctx.c)
+        np.multiply(i, g, out=ctx.ig)
+        np.multiply(f, ctx.c, out=ctx.c)
         ctx.c += ctx.ig
         np.tanh(ctx.c, out=ctx.tanh_c)
-        np.multiply(gates[:, 2 * hd : 3 * hd], ctx.tanh_c, out=ctx.h)
+        np.multiply(o, ctx.tanh_c, out=ctx.h)
         return ctx.h
 
     # fused full-sequence path -----------------------------------------

@@ -20,9 +20,13 @@ engine keeps its warm-up and decode workspace between submits, so once
 warm it should fault on almost nothing; a change that brings back
 per-submit scratch shows up there first.
 
+:func:`live_session_ms` times one lap of that carry-mode engine at the
+``live-race`` shape, warm-up and decode apart.
+
 Run as a module (``python -m repro.profiling.decode``) to print the fused
-warm-up/decode times per shape and the fault counts; the ``bench-decode``
-Makefile target and the CI bench-smoke job do exactly that.
+warm-up/decode times per shape, the live-session lap and the fault
+counts; the ``bench-decode`` Makefile target and the CI bench-smoke job
+do exactly that.
 """
 
 from __future__ import annotations
@@ -41,7 +45,13 @@ try:
 except ImportError:  # pragma: no cover - not available on Windows
     resource = None
 
-__all__ = ["DecodeMeasurement", "decode_breakdown", "steady_state_faults", "DECODE_WORKLOADS"]
+__all__ = [
+    "DecodeMeasurement",
+    "decode_breakdown",
+    "live_session_ms",
+    "steady_state_faults",
+    "DECODE_WORKLOADS",
+]
 
 #: (label, n_requests, n_samples, horizon) — the profiled workload shapes
 DECODE_WORKLOADS: Tuple[Tuple[str, int, int, int], ...] = (
@@ -176,46 +186,76 @@ def decode_breakdown(
     return measurements
 
 
-def steady_state_faults(
-    backbone: str = "lstm", mode: str = "carry", warm_laps: int = 3, laps: int = 8,
-    seed: int = 0,
-) -> Optional[float]:
-    """Median minor page faults per submit of one warm engine.
-
-    Runs the serving shape of ``live-race`` (``mode="carry"``) and
-    ``forecast-gateway`` (``mode="exact"``): 33 cars x 50 samples, 2x40
-    backbone, encoder 30, horizon 2.  One long-lived engine forecasts one
-    lap per submit with the origin advancing lap by lap, as a live session
-    does; in exact mode every submit re-runs the whole 29-step warm-up.
-    After ``warm_laps`` uncounted laps the engine's workspace has reached
-    its high-water row counts, so the remaining faults are what every
-    further lap pays.  ``None`` where the ``resource`` module is
-    unavailable.
-    """
-    if resource is None:
-        return None
+def _serving_laps(backbone: str, mode: str, n_origins: int, seed: int):
+    """One long-lived engine at the serving shape and a function that
+    submits lap ``j``: 33 cars x 50 samples, 2x40 backbone, encoder 30,
+    horizon 2, the origin advancing one lap per submit as a live session's
+    does."""
     n_cars, n_samples, horizon, encoder_length, num_covariates = 33, 50, 2, 30, 9
     model = RankSeqModel(
         num_covariates=num_covariates, hidden_dim=40, num_layers=2,
         encoder_length=encoder_length, decoder_length=horizon, rng=seed, backbone=backbone,
     )
-    n_origins = warm_laps + laps
     targets, covariates = _build_workload(
         n_cars, horizon, encoder_length, num_covariates, n_origins, seed
     )
     future = np.zeros((horizon, num_covariates))
     engine = FleetForecaster(model, mode=mode)
     streams = spawn_request_rngs(np.random.default_rng(seed + 1), n_cars * n_origins)
-    faults: List[int] = []
-    for j in range(n_origins):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    def submit(j: int) -> None:
         engine.submit(_lap_requests(
             targets, covariates, encoder_length + j, encoder_length, future, n_samples,
             streams[j * n_cars : (j + 1) * n_cars],
         ))
+
+    return engine, submit
+
+
+def steady_state_faults(
+    backbone: str = "lstm", mode: str = "carry", warm_laps: int = 3, laps: int = 8,
+    seed: int = 0,
+) -> Optional[float]:
+    """Median minor page faults per submit of one warm engine.
+
+    Runs the serving shape (:func:`_serving_laps`) of ``live-race``
+    (``mode="carry"``) and ``forecast-gateway`` (``mode="exact"``); in
+    exact mode every submit re-runs the whole 29-step warm-up.  After
+    ``warm_laps`` uncounted laps the engine's workspace has reached its
+    high-water row counts, so the remaining faults are what every further
+    lap pays.  ``None`` where the ``resource`` module is unavailable.
+    """
+    if resource is None:
+        return None
+    _, submit = _serving_laps(backbone, mode, warm_laps + laps, seed)
+    faults: List[int] = []
+    for j in range(warm_laps + laps):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        submit(j)
         if j >= warm_laps:
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     return float(np.median(faults))
+
+
+def live_session_ms(
+    backbone: str = "lstm", warm_laps: int = 3, laps: int = 20, seed: int = 0
+) -> Tuple[float, float]:
+    """Median warm-up and decode ms per lap of a live session's engine.
+
+    The ``live-race`` shape (:func:`_serving_laps` in ``carry`` mode,
+    consecutive origins): each lap advances every car's cached state by
+    one step, then decodes 33 x 50 trajectories two laps ahead.
+    """
+    engine, submit = _serving_laps(backbone, "carry", warm_laps + laps, seed)
+    warmup: List[float] = []
+    decode: List[float] = []
+    for j in range(warm_laps + laps):
+        engine.reset_timings()
+        submit(j)
+        if j >= warm_laps:
+            warmup.append(engine.timings["warmup_s"])
+            decode.append(engine.timings["decode_s"])
+    return 1e3 * float(np.median(warmup)), 1e3 * float(np.median(decode))
 
 
 def _main() -> None:  # pragma: no cover - exercised by the CI bench smoke job
@@ -226,6 +266,11 @@ def _main() -> None:  # pragma: no cover - exercised by the CI bench smoke job
     print(f"{'workload':<20}{'warmup_ms':>11}{'decode_ms':>11}")
     for row in rows:
         print(f"{row['workload']:<20}{row['warmup_ms']:>11.1f}{row['decode_ms']:>11.1f}")
+    warmup_ms, decode_ms = live_session_ms()
+    print(
+        f"live session 33x50 h2 carry, consecutive origins (median of 20 laps): "
+        f"warmup_ms {warmup_ms:.2f}  decode_ms {decode_ms:.2f}"
+    )
     for mode in ("carry", "exact"):
         faults = steady_state_faults(mode=mode)
         print(

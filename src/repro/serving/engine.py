@@ -22,6 +22,9 @@ Batching strategy
 * In ``carry`` mode the engine additionally caches each car's recurrent
   state per origin and advances it incrementally between consecutive
   origins instead of re-running teacher forcing from the window start.
+  Each round of that warm-up works on whole arrays: one pack of the
+  cache entries' states, one ``export_state`` of the advanced states, and
+  cache entries sliced from that one export.
   The target scale is frozen per car when its cache entry is created, so
   carried states are self-consistent; forecasts therefore match a
   from-scratch replay *with that frozen scale* exactly, but may differ
@@ -49,6 +52,12 @@ The Monte-Carlo decode loop runs on one fused, allocation-free path:
 * **first lap once per request** — all samples of a request enter lap 1
   with the same state, target and covariates, so lap 1 steps one row per
   request and only the head's ``(mu, sigma)`` is repeated over the samples;
+* **lap 2's recurrent products once per request** — every sample of a
+  request also starts lap 2 from the request's lap-1 state, so loading
+  those states into the sample rows (``driver.load(states, rows=...)``)
+  computes each layer's ``h @ w_h`` (the GRU's gate and candidate
+  products) on one row per request and gathers them into the sample rows;
+  only lap 2's input projection runs per sample;
 * **a workspace that outlives the submit** — the driver owns one context
   per layer (decode scratch plus the warm-up's ``(B*T)``-row projection and
   output buffers) and the engine the sampled-target and step-input rows,
@@ -130,6 +139,11 @@ def _dedupe_warmups(
         owners.append(slot)
     stats["warmup_unique"] += len(uniques)
     return owners, uniques
+
+
+def _pack_entries(entries: Sequence[CachedWarmup]) -> np.ndarray:
+    """The packed states of cache entries side by side on the batch axis."""
+    return np.concatenate([entry.packed_state for entry in entries], axis=-2)
 
 
 class FleetForecaster:
@@ -393,20 +407,38 @@ class _RecurrentBackend:
 
         n_slots = len(uniques)
         target_dim = self.model.target_dim
-        num_cov = self.model.num_covariates
         scales = np.empty((n_slots, target_dim))
         z_last = np.empty((n_slots, target_dim))
-        # preallocated packed-state buffer for the whole group: each slot's
-        # state is written straight into its batch column (the batch axis of
-        # ``export_state`` is -2 for both backbones), replacing the old
-        # per-slot list + final ``np.concatenate`` assembly
+        # the group's packed states; every slot's state is written into its
+        # batch column (the batch axis of ``export_state`` is -2 for both
+        # backbones)
         packed_all = stack_module.export_state(
             stack_module.zero_state(n_slots, dtype=self.dtype)
         )
 
+        def settle(slots, slot_scales, states, slot_z_last) -> None:
+            """Write one batch of fresh warm-ups into ``slots`` and cache
+            each cacheable one as a batch-1 slice of a single export."""
+            packed = stack_module.export_state(states)
+            scales[slots] = slot_scales
+            z_last[slots] = slot_z_last
+            packed_all[..., slots, :] = packed
+            for row, slot in enumerate(slots):
+                request = uniques[slot]
+                if request.key is not None and request.origin is not None:
+                    cache.put(
+                        request.key,
+                        CachedWarmup(
+                            origin=request.origin,
+                            scale=slot_scales[row],
+                            packed_state=packed[..., row : row + 1, :],
+                            z_last=slot_z_last[row],
+                        ),
+                    )
+
         for round_slots in rounds:
             full: List[int] = []
-            reuse: List[int] = []
+            reuse: List[Tuple[int, CachedWarmup]] = []
             advance: Dict[int, List[Tuple[int, CachedWarmup]]] = {}
             for slot in round_slots:
                 request = uniques[slot]
@@ -419,78 +451,38 @@ class _RecurrentBackend:
                     continue
                 delta = request.origin - entry.origin
                 if delta == 0:
-                    reuse.append(slot)
-                    scales[slot] = entry.scale
-                    z_last[slot] = entry.z_last
-                    packed_all[..., slot : slot + 1, :] = entry.packed_state
+                    reuse.append((slot, entry))
                 elif 0 < delta <= request.length:
                     advance.setdefault(delta, []).append((slot, entry))
                 else:
                     full.append(slot)  # gap too large (or origin went backwards)
 
+            if reuse:
+                slots = [slot for slot, _ in reuse]
+                scales[slots] = [entry.scale for _, entry in reuse]
+                z_last[slots] = [entry.z_last for _, entry in reuse]
+                packed_all[..., slots, :] = _pack_entries([entry for _, entry in reuse])
+
             if full:
                 f_scales, f_states, f_z_last = self._full_warmup([uniques[s] for s in full])
-                for row, slot in enumerate(full):
-                    scales[slot] = f_scales[row]
-                    z_last[slot] = f_z_last[row]
-                    packed = stack_module.export_state(
-                        slice_states(f_states, np.array([row]))
-                    )
-                    packed_all[..., slot : slot + 1, :] = packed
-                    request = uniques[slot]
-                    if request.key is not None and request.origin is not None:
-                        cache.put(
-                            request.key,
-                            CachedWarmup(
-                                origin=request.origin,
-                                scale=f_scales[row].copy(),
-                                packed_state=packed,
-                                z_last=f_z_last[row].copy(),
-                            ),
-                        )
+                settle(full, f_scales, f_states, f_z_last)
 
             for delta, slot_entries in advance.items():
                 slots = [slot for slot, _ in slot_entries]
-                k = len(slot_entries)
-                # preallocated per-round buffers instead of np.stack /
-                # np.concatenate over per-entry arrays
-                frozen = np.empty((k, target_dim), dtype=np.float64)
-                z_prev = np.empty((k, target_dim), dtype=np.float64)
-                adv_packed = stack_module.export_state(
-                    stack_module.zero_state(k, dtype=self.dtype)
-                )
-                # step j consumes [z_{j-1}, cov_j]; fuse the delta new laps
-                x = np.empty((k, delta, target_dim + num_cov), dtype=np.float64)
-                for row, (slot, entry) in enumerate(slot_entries):
-                    request = uniques[slot]
-                    frozen[row] = entry.scale
-                    adv_packed[..., row : row + 1, :] = entry.packed_state
-                    x[row, 0, :target_dim] = entry.z_last
-                    if delta > 1:
-                        x[row, 1:, :target_dim] = (
-                            request.target[-delta:-1] / entry.scale
-                        )
-                    x[row, :, target_dim:] = request.history_covariates[-delta:]
-                    z_prev[row] = request.target[-1] / entry.scale
-                states = stack_module.import_state(adv_packed, dtype=self.dtype)
+                entries = [entry for _, entry in slot_entries]
+                frozen = np.stack([entry.scale for entry in entries])
+                # the delta new laps on the frozen scale; step j consumes
+                # [z_{j-1}, cov_j], the last one is the next z_last
+                scaled = np.stack([uniques[s].target[-delta:] for s in slots]) / frozen[:, None, :]
+                x = np.empty((len(slots), delta, target_dim + self.model.num_covariates))
+                x[:, 0, :target_dim] = [entry.z_last for entry in entries]
+                x[:, 1:, :target_dim] = scaled[:, :-1]
+                x[:, :, target_dim:] = [uniques[s].history_covariates[-delta:] for s in slots]
+                states = stack_module.import_state(_pack_entries(entries), dtype=self.dtype)
                 _, states = self.driver.forward_sequence(x, states)
                 self.engine._stats["warmup_steps"] += delta
                 cache.carries += len(slots)
-                for row, slot in enumerate(slots):
-                    request = uniques[slot]
-                    scales[slot] = frozen[row]
-                    z_last[slot] = z_prev[row]
-                    packed = stack_module.export_state(slice_states(states, np.array([row])))
-                    packed_all[..., slot : slot + 1, :] = packed
-                    cache.put(
-                        request.key,
-                        CachedWarmup(
-                            origin=request.origin,
-                            scale=frozen[row].copy(),
-                            packed_state=packed,
-                            z_last=z_prev[row].copy(),
-                        ),
-                    )
+                settle(slots, frozen, states, scaled[:, -1])
 
         return owners, scales, stack_module.import_state(packed_all, dtype=self.dtype), z_last
 
@@ -629,7 +621,8 @@ class _RecurrentBackend:
         cov_all = np.ascontiguousarray(
             np.repeat(future[:, 1:, :], counts, axis=0).transpose(1, 0, 2), dtype=dtype
         )
-        # each request's lap-1 state goes straight into its sample rows
+        # each request's lap-1 state goes straight into its sample rows, and
+        # lap 2's recurrent products are computed once per request
         self.driver.load(states, rows=np.repeat(np.arange(len(counts)), counts))
         for h in range(1, horizon):
             x_buf[:, :target_dim] = z

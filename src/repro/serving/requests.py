@@ -66,6 +66,8 @@ class ForecastRequest:
             raise ValueError("history_covariates must be 2-D (L, C)")
         if self.future_covariates.ndim != 2:
             raise ValueError("future_covariates must be 2-D (H, C)")
+        if self.future_covariates.shape[0] < 1:
+            raise ValueError("future_covariates must cover a horizon of at least 1 lap")
         if self.history_covariates.shape[0] != target.shape[0]:
             raise ValueError(
                 "history covariates misaligned with history target: "

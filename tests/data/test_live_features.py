@@ -123,3 +123,42 @@ def test_missing_record_field_is_an_error():
     builder = LiveFeatureBuilder()
     with pytest.raises(ValueError, match="rank"):
         builder.observe_lap(1, [{"car_id": 1, "lap_time": 90.0}])
+
+
+def test_series_matches_batch_build_at_every_lap_and_never_changes():
+    """Every lap's ``series()`` equals ``build_race_features`` over the race
+    so far, and an array handed out once stays as it was while later laps
+    back-fill the shift features (the race has pit stops and cautions, so
+    the back-filled values differ from the fill)."""
+    track = replace(track_for_year("Indy500", 2018), total_laps=80, num_cars=8)
+    race = RaceSimulator(track, event="Indy500", year=2018, seed=3).run()
+    assert any(s.covariates[:, -3:].any() for s in build_race_features(race))
+    builder = _builder_for(race)
+    handed_out = []
+    for lap, records in race.iter_laps():
+        builder.observe_lap(lap, records)
+        series = builder.series()
+        _assert_series_equal(series, build_race_features(_truncated(race, lap)))
+        assert all(a.flags.owndata for s in series for a in _arrays(s))  # fresh, not views
+        handed_out.append([(s, [a.copy() for a in _arrays(s)]) for s in series])
+    for snapshot in handed_out:
+        for s, copies in snapshot:
+            for array, copy in zip(_arrays(s), copies):
+                assert array.tobytes() == copy.tobytes()
+
+
+def test_columns_grow_past_their_initial_capacity():
+    """A feed longer than the columns' first capacity still equals the
+    batch build, at the end and at a lap right after a growth."""
+    track = replace(track_for_year("Indy500", 2018), total_laps=140, num_cars=4)
+    long_race = RaceSimulator(track, event="Indy500", year=2018, seed=5).run()
+    builder = _builder_for(long_race)
+    for lap, records in long_race.iter_laps():
+        builder.observe_lap(lap, records)
+        if lap == 70:
+            _assert_series_equal(builder.series(), build_race_features(_truncated(long_race, lap)))
+    _assert_series_equal(builder.series(), build_race_features(long_race))
+
+
+def _arrays(s):
+    return (s.laps, s.rank, s.lap_time, s.time_behind_leader, s.covariates)

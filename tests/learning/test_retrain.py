@@ -133,3 +133,21 @@ def test_retrain_job_saves_the_same_artifact_as_fit_and_fine_tune(
         data_fingerprint=window.fingerprint,
     )
     assert tuned_job["sha256"] == tuned["sha256"]
+
+
+def test_job_over_a_window_without_training_windows_writes_no_artifact(
+    tmp_path, accumulator, window
+):
+    """The window's 45-lap races cannot fill one 60 + 2-lap window: the job
+    fails with ValueError instead of saving an untrained model."""
+    store = ArtifactStore(str(tmp_path / "store"))
+    job = RetrainJob(
+        store, accumulator, window.window_id, "empty",
+        family="deepar", config={**TINY, "encoder_length": 60},
+        job_dir=str(tmp_path / "job"),
+    )
+    with pytest.raises(ValueError, match="no window"):
+        job.run()
+    with pytest.raises(ArtifactNotFoundError):
+        store.load_model("empty")
+    assert store.catalog() == []

@@ -96,3 +96,11 @@ def test_recommendation_rules():
     assert report(2.0, 1.0).recommend is False  # higher MAE loses
     assert report(1.0, 1.0).recommend is True  # tie, no regression elsewhere
     assert report(1.0, 1.0, top1_c=0.4).recommend is False  # tie, top1 regressed
+    nan, inf = float("nan"), float("inf")
+    assert report(nan, 1.0).recommend is False  # NaN MAE: no tie-break
+    assert report(1.0, nan).recommend is False
+    assert report(1.0, 2.0, top1_c=nan).recommend is False
+    assert report(1.0, 2.0, sign_k=nan).recommend is False
+    assert report(1.0, inf).recommend is False
+    assert report(-inf, 1.0).recommend is False
+    assert report(nan, nan).to_doc()["recommend"] is False

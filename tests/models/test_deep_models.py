@@ -223,9 +223,47 @@ def test_ranknet_variants_end_to_end(tiny_series, variant):
         assert model.model.target_dim == 3
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: DeepARForecaster(**_tiny_kwargs()),
+     lambda: RankNetForecaster(variant="mlp", **_tiny_kwargs()),
+     lambda: TransformerForecaster(**_tiny_kwargs())],
+    ids=["deepar", "ranknet-mlp", "transformer"],
+)
+def test_fit_without_training_windows_raises_before_any_init(tiny_series, make):
+    """No series, or series too short for one window, is a ValueError —
+    not a "fitted" model of untrained weights and a NaN loss."""
+    model = make()
+    state = rng_state(model.rng)
+    for train in ([], [_short(tiny_series[0], 10)]):
+        with pytest.raises(ValueError, match="no window"):
+            model.fit(train)
+        assert model.model is None and model.history_ is None
+        assert model.field_size is None
+        assert getattr(model, "pit_model", None) is None
+        assert rng_state(model.rng) == state
+    with pytest.raises(ValueError, match="no window"):
+        model.fit(tiny_series[:6]).fine_tune([_short(tiny_series[0], 10)])
+
+
+def _short(series, laps):
+    from dataclasses import replace
+
+    return replace(series, laps=series.laps[:laps], rank=series.rank[:laps],
+                   lap_time=series.lap_time[:laps],
+                   time_behind_leader=series.time_behind_leader[:laps],
+                   covariates=series.covariates[:laps])
+
+
 def test_ranknet_invalid_variant():
     with pytest.raises(ValueError):
         RankNetForecaster(variant="magic")
+
+
+def test_forecast_with_an_empty_horizon_is_a_value_error(tiny_series):
+    model = DeepARForecaster(**_tiny_kwargs()).fit(tiny_series[:6])
+    with pytest.raises(ValueError, match="horizon"):
+        model.forecast(tiny_series[8], origin=30, horizon=0)
 
 
 def test_ranknet_forecast_requires_fit(tiny_series):

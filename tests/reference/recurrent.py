@@ -8,7 +8,9 @@ cells' ``step_decode`` kernel: unpermuted gate columns, one masked
 share the stack's parameters, so parity tests compare the shipped kernel
 against them byte for byte on every precision tier.  ``forward_sequence``
 steps the same body lap by lap, which lets :func:`reference_forecaster`
-run a whole per-lap engine (``reference/decode.py``) on the reference.
+run a whole per-lap engine (``reference/decode.py``) on the reference;
+:class:`ReferenceDriver` puts it behind the engine driver's session API,
+so the fused decode loop can run on it at every precision tier.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from repro.nn import StackedGRU, StackedLSTM, stable_matmul
 from repro.nn.activations import sigmoid
+from repro.nn.inference import slice_states
 from repro.nn.precision import working_array
 from repro.serving import FleetForecaster
 
@@ -95,6 +98,37 @@ def reference_stepper(stack, dtype=np.float64) -> _StepReference:
     if isinstance(stack, StackedGRU):
         return GRUStepReference(stack, dtype=dtype)
     raise TypeError(f"unsupported recurrent stack: {type(stack).__name__}")
+
+
+class ReferenceDriver:
+    """The masked-sigmoid reference behind the engine driver's session API
+    (``load`` / ``step_decode`` / ``states``), on any precision tier.
+
+    ``load(states, rows)`` gathers the rows up front, so every step —
+    lap 2 included — runs the reference's full per-row products."""
+
+    def __init__(self, stack, dtype=np.float64) -> None:
+        self.reference = reference_stepper(stack, dtype=dtype)
+        self._states: List = []
+
+    def zero_state(self, batch_size: int):
+        return self.reference.zero_state(batch_size)
+
+    def forward_sequence(self, x: np.ndarray, states: Optional[Sequence] = None):
+        return self.reference.forward_sequence(x, states)
+
+    def step(self, x: np.ndarray, states: Sequence):
+        return self.reference.step(x, states)
+
+    def load(self, states: Sequence, rows: Optional[np.ndarray] = None) -> None:
+        self._states = list(states) if rows is None else slice_states(states, rows)
+
+    def step_decode(self, x: np.ndarray) -> np.ndarray:
+        h, self._states = self.reference.step(x, self._states)
+        return h
+
+    def states(self) -> List:
+        return slice_states(self._states, slice(None))
 
 
 def reference_forecaster(model, **kwargs) -> FleetForecaster:

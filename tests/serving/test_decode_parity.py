@@ -128,10 +128,35 @@ def test_sigmoid_dense_bitwise_matches_masked_sigmoid():
         np.testing.assert_array_equal(sigmoid_dense(x.copy()), sigmoid(x))
         # in-place with preallocated scratch
         y = x.copy()
-        scratch = (np.empty_like(y), np.empty_like(y))
-        res = sigmoid_dense(y, out=y, scratch=scratch)
+        res = sigmoid_dense(y, out=y, scratch=np.empty_like(y))
         assert res is y
         np.testing.assert_array_equal(y, sigmoid(x))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_dense_bitwise_on_special_values(dtype):
+    """``max(m, e)`` is the old ``m + (1 - m) * e`` numerator on every
+    input: signed zeros, infinities, subnormals and the exp under/overflow
+    edges agree bit for bit with the masked sigmoid, ``out`` aliasing ``x``
+    or not; NaN stays NaN."""
+    tiny = np.finfo(dtype).tiny
+    special = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, tiny / 4, -tiny / 4,
+               745.0, -745.0, 746.0, -746.0, 88.0, -88.0, 104.0, -104.0]
+    rng = np.random.default_rng(1)
+    x = np.concatenate([np.array(special), rng.normal(size=20_000) * 30]).astype(dtype)
+    expected = sigmoid(x).tobytes()
+    assert sigmoid(x).dtype == dtype
+    assert sigmoid_dense(x).tobytes() == expected
+    y = x.copy()
+    assert sigmoid_dense(y, out=y, scratch=np.empty_like(y)) is y
+    assert y.tobytes() == expected
+    block = x[:4000].reshape(40, 100)
+    strided = block[:, :60]  # a gate-block view: rows strided, as in the kernels
+    aliased = block.copy()[:, :60]
+    sigmoid_dense(aliased, out=aliased, scratch=np.empty(aliased.shape, dtype=dtype))
+    assert aliased.tobytes() == sigmoid(strided).tobytes()
+    nan = sigmoid_dense(np.array([np.nan, -np.nan, 1.0], dtype=dtype))
+    assert np.isnan(nan[:2]).all() and nan[2] == sigmoid(np.array([1.0], dtype=dtype))[0]
 
 
 @pytest.mark.parametrize("backbone", ["lstm", "gru"])
@@ -167,6 +192,35 @@ def test_step_decode_matches_inference_step_loop(backbone):
             packed = stack.export_state(states).tobytes()
             assert stack.export_state(driver.states()).tobytes() == packed, precision
             assert stack.export_state(step_states).tobytes() == packed, precision
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32", "int8"])
+@pytest.mark.parametrize("backbone", ["lstm", "gru"])
+def test_gathering_load_matches_reference_step_on_gathered_rows(backbone, precision):
+    """``load(states, rows)`` computes the first step's recurrent products
+    on the source rows and gathers them; stepping equals the masked
+    reference stepping the gathered states, byte for byte, and so do the
+    later steps, which compute their products on every row again."""
+    model = randomize_biases(make_model(backbone, hidden_dim=40))
+    dtype = compute_dtype(precision)
+    stack = convert_module(model.lstm, precision)
+    reference = reference_stepper(stack, dtype=dtype)
+    rng = np.random.default_rng(7)
+    _, sources = reference.forward_sequence(rng.normal(size=(5, 6, 1 + N_COV)))
+    rows = np.repeat(np.arange(5), [3, 1, 40, 7, 2])  # unequal sample counts
+    driver = StackInference(stack, dtype=dtype)
+    for _ in range(2):  # the second session reuses the grown workspace
+        driver.load(sources, rows=rows)
+        states = [tuple(part[rows] for part in s) if isinstance(s, tuple) else s[rows]
+                  for s in sources]
+        for _ in range(3):
+            x = rng.normal(size=(len(rows), 1 + N_COV))
+            expected, states = reference.step(x, states)
+            got = driver.step_decode(np.ascontiguousarray(x, dtype=dtype))
+            assert got.tobytes() == expected.tobytes(), precision
+        assert stack.export_state(driver.states()).tobytes() == (
+            stack.export_state(states).tobytes()
+        )
 
 
 @pytest.mark.parametrize("batch", [1, 8, 33])
@@ -210,9 +264,9 @@ def test_decode_contexts_do_not_mutate_the_caller_states(backbone):
     _, warm = driver.forward_sequence(rng.normal(size=(4, 6, 1 + N_COV)), states)
     _, stepped = driver.step(rng.normal(size=(4, 1 + N_COV)), warm)
     np.testing.assert_array_equal(stack.export_state(states), before)
-    buffers = [buf for ctx in driver.ctxs for owner in (ctx._rows, ctx._seq_rows)
+    buffers = [buf for ctx in driver.ctxs for owner in (ctx._rows, ctx._seq_rows, ctx._src_rows)
                for buf in owner._buffers]
-    assert len(buffers) == len(driver.ctxs) * (10 if backbone == "lstm" else 12)
+    assert len(buffers) == len(driver.ctxs) * (9 if backbone == "lstm" else 11)
     for returned in (warm, stepped, driver.states()):
         arrays = [a for s in returned for a in (s if isinstance(s, tuple) else (s,))]
         assert not any(np.shares_memory(a, buf) for a in arrays for buf in buffers)

@@ -238,6 +238,8 @@ def test_invalid_requests_are_rejected():
         ForecastRequest(good_t, np.zeros((9, N_COV)), np.zeros((2, N_COV)))
     with pytest.raises(ValueError):  # bad n_samples
         ForecastRequest(good_t, good_c, np.zeros((2, N_COV)), n_samples=0)
+    with pytest.raises(ValueError, match="horizon"):  # empty horizon
+        ForecastRequest(good_t, good_c, np.zeros((0, N_COV)))
     with pytest.raises(ValueError):  # bad mode
         FleetForecaster(model, mode="approximate")
     with pytest.raises(TypeError):  # unsupported backbone

@@ -4,14 +4,18 @@ The engine steps lap 1 on one row per request and repeats only the head's
 ``(mu, sigma)`` over the samples.  ``reference/decode.py`` keeps the
 all-rows loop it replaced; on float64, float32 and int8 the two must
 return the same sample bytes.  The per-lap decode reference covers
-float64 only, so this is the low tiers' sole reference.  The model draws
-random recurrent biases, so a reordered bias addition changes bits.
+float64 only, so the low tiers are also run through the fused loop on
+the masked-sigmoid reference kernels (``reference/recurrent.py``), whose
+lap 2 computes the recurrent products on every sample row rather than
+once per request.  The model draws random recurrent biases, so a
+reordered bias addition changes bits.
 """
 
 import numpy as np
 import pytest
 
 from reference.decode import all_rows_forecaster, randomize_biases
+from reference.recurrent import ReferenceDriver
 from repro.models.deep.rankmodel import RankSeqModel
 from repro.serving import FleetForecaster, ForecastRequest, spawn_request_rngs
 
@@ -74,4 +78,28 @@ def test_first_lap_once_per_request_matches_all_rows_reference(
     for a, b in zip(got, expected):
         assert a.dtype == b.dtype == np.float64
         assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["mixed-counts", "shared-rng"])
+@pytest.mark.parametrize("horizon", [2, 3])
+@pytest.mark.parametrize("precision", ["float64", "float32", "int8"])
+@pytest.mark.parametrize("mode", ["exact", "carry"])
+@pytest.mark.parametrize("backbone", ["lstm", "gru"])
+def test_lap_two_products_once_per_request_match_masked_reference(
+    backbone, mode, precision, horizon, layout
+):
+    """Lap 2's ``h @ w_h`` (and the GRU's ``h_proj``) run on one row per
+    request and are gathered to the sample rows; the masked reference runs
+    them on every row.  Unequal sample counts and a shared warm-up slot
+    (car 0 twice, different future covariates) keep the gather honest."""
+    counts, shared_rng = LAYOUTS[layout]
+    model = randomize_biases(make_model(backbone))
+    got = run(FleetForecaster(model, mode=mode, precision=precision),
+              horizon, counts, shared_rng)
+    reference = FleetForecaster(model, mode=mode, precision=precision)
+    backend = reference._backend
+    backend.driver = ReferenceDriver(backend.stack_module, dtype=backend.dtype)
+    expected = run(reference, horizon, counts, shared_rng)
+    for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()

@@ -265,6 +265,33 @@ def test_unknown_models_fail_the_same_in_both_modes(fresh_store, race, tiny_seri
             gateway.close()
 
 
+def test_empty_horizon_is_a_malformed_request_in_both_modes(fresh_store, tiny_series):
+    """A request whose future covariates have no row asks for a zero-lap
+    forecast: the wire decode refuses it (400 ``malformed_request``) in
+    either mode, before any engine sees it."""
+    series = tiny_series[0]
+    forecaster = ArtifactStore(fresh_store).load_model("deepar")
+    request = ForecastClient.request(
+        "deepar",
+        forecaster._history_target(series, 20),
+        forecaster._history_covariates(series, 20),
+        forecaster._future_covariates(series, 20, 2),
+        n_samples=3,
+        rng=0,
+    )
+    body = wire.forecast_batch_to_wire([request])
+    future = wire.decode_array(body["requests"][0]["request"]["future_covariates"])
+    body["requests"][0]["request"]["future_covariates"] = wire.encode_array(future[:0])
+    for mode in MODES:
+        gateway = _gateway(fresh_store, mode)
+        try:
+            status, document = gateway.handle("POST", "/v1/forecast", body)
+            assert (status, document["error"]["code"]) == (400, "malformed_request"), mode
+            assert "horizon" in document["error"]["message"]
+        finally:
+            gateway.close()
+
+
 def test_lru_eviction_order_is_identical_in_both_modes(fresh_store, tiny_series):
     """One residency policy: a fresh load, a load of a resident model and a
     forecast each make the model most recently used, in either mode."""

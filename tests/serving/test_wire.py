@@ -130,12 +130,17 @@ def test_one_dimensional_history_target_round_trips_to_column():
     np.testing.assert_array_equal(clone.target, request.target)
 
 
-def test_empty_future_covariates_round_trip():
-    request = _request(horizon=0, rng=2)
-    assert request.horizon == 0
-    clone = wire.request_from_wire(wire.request_to_wire(request))
-    assert clone.horizon == 0
-    assert clone.future_covariates.shape == request.future_covariates.shape
+def test_empty_future_covariates_refused():
+    """A zero-lap horizon is no forecast: refused at construction, and on
+    the wire as ``malformed_request``, not an engine ``IndexError``."""
+    with pytest.raises(ValueError, match="horizon"):
+        _request(horizon=0, rng=2)
+    document = wire.request_to_wire(_request(rng=2))
+    future = wire.decode_array(document["future_covariates"])
+    document["future_covariates"] = wire.encode_array(future[:0])
+    with pytest.raises(WireError, match="horizon") as excinfo:
+        wire.request_from_wire(document)
+    assert excinfo.value.code == "malformed_request"
 
 
 def test_request_without_rng_refused_when_required():
