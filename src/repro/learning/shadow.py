@@ -33,7 +33,7 @@ import numpy as np
 
 from ..data.features import build_race_features
 from ..evaluation.metrics import mae, sign_accuracy, top1_accuracy
-from ..serving.requests import NamedForecastRequest
+from ..serving.requests import NamedForecastRequest, fold_forecasts
 
 __all__ = ["ShadowEvaluator", "ShadowReport", "derive_task_seed"]
 
@@ -168,25 +168,23 @@ class ShadowEvaluator:
             for origin in origins:
                 # one batch per origin, both models' requests interleaved —
                 # the service fans them out into one engine pass per model
-                named: List[NamedForecastRequest] = []
+                groups: List[List[NamedForecastRequest]] = []
                 cars: List[int] = []
                 for series in series_list:
                     task_seed = derive_task_seed(
                         seed, series.race_id, series.car_id, origin
                     )
                     for model in (candidate, champion):
-                        forecaster = handles[model].forecaster
-                        # sampled covariates (RankNet-MLP's pit plans) draw
-                        # from the task's stream too, never the model's own
-                        future = forecaster._future_covariates(
-                            series, origin, self.horizon, rng=np.random.default_rng(task_seed)
+                        requests = handles[model].forecaster._forecast_requests(
+                            series, origin, self.horizon, self.n_samples, task_seed
                         )
-                        request = forecaster._fleet_request(
-                            series, origin, future, self.n_samples, task_seed
+                        groups.append(
+                            [NamedForecastRequest(model=model, request=r) for r in requests]
                         )
-                        named.append(NamedForecastRequest(model=model, request=request))
                     cars.append(int(series.car_id))
-                results = service.submit(named)
+                results = fold_forecasts(
+                    groups, service.submit([named for group in groups for named in group])
+                )
                 point: Dict[str, List[float]] = {candidate: [], champion: []}
                 for index, series in enumerate(series_list):
                     truth_final.append(float(series.rank[origin + self.horizon]))

@@ -80,13 +80,9 @@ def _named_batch(forecaster, series, model: str) -> List:
     from ..serving.requests import NamedForecastRequest
 
     return [
-        NamedForecastRequest(
-            model,
-            forecaster._fleet_request(
-                series, 20 + i, forecaster._future_covariates(series, 20 + i, 2), 7, seed
-            ),
-        )
+        NamedForecastRequest(model, request)
         for i, seed in enumerate(_SEEDS)
+        for request in forecaster._forecast_requests(series, 20 + i, 2, 7, seed)
     ]
 
 

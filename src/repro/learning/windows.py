@@ -36,6 +36,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..artifacts import fingerprint_series
 from ..data.features import build_race_features
 from ..simulation.telemetry import LapRecord, RaceTelemetry
@@ -107,6 +109,20 @@ def records_from_lap_log(lap_log: Sequence[Tuple[int, Sequence]]) -> List[LapRec
                 )
             )
     return records
+
+
+def _refuse_non_finite(telemetry: RaceTelemetry) -> None:
+    """Raise ``ValueError`` naming the first record with a NaN/inf lap value."""
+    for name in ("lap_time", "elapsed_time", "time_behind_leader"):
+        values = getattr(telemetry, name)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"race {telemetry.race_id!r}, car {int(telemetry.car_id[i])}, "
+                f"lap {int(telemetry.lap[i])}: non-finite {name} ({values[i]}); "
+                "refusing to accumulate the race"
+            )
 
 
 def _generic_track(event: str, num_laps: int, num_cars: int) -> TrackSpec:
@@ -216,8 +232,10 @@ class TelemetryAccumulator:
         Returns the index entry (with its ``key`` and ``new`` flag).  The
         dedup key combines the race id with the content fingerprint, so a
         retried session drain never double-counts a race while two distinct
-        runnings of the same event stay distinct.
+        runnings of the same event stay distinct.  A race with a NaN or
+        infinite lap time, elapsed time or gap is refused (``ValueError``).
         """
+        _refuse_non_finite(telemetry)
         fingerprint = fingerprint_series(build_race_features(telemetry))
         key = f"{telemetry.race_id}-{fingerprint}"
         existing = self._index["races"].get(key)

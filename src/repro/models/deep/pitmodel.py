@@ -239,27 +239,29 @@ def plan_future_covariates(
 ) -> np.ndarray:
     """Roll the race-status covariates forward using sampled pit stops.
 
-    TrackStatus is assumed green for the whole horizon (as in Algorithm 2 of
-    the paper: "set future TrackStatus to zero"); LapStatus spikes at the
-    sampled pit laps; PitAge/CautionLaps evolve deterministically given the
-    sampled pits; the race-level context features are unknown and set to 0.
+    The first PitModel query is the observed origin lap, with the features
+    it was trained on (:meth:`PitModelMLP._features_at`).  TrackStatus is
+    assumed green over the horizon (Algorithm 2 of the paper: "set future
+    TrackStatus to zero"); LapStatus spikes at the sampled pit laps;
+    PitAge/CautionLaps evolve deterministically given the sampled pits;
+    the race-level context features are unknown and set to 0.
     """
     plan = np.zeros((horizon, len(ALL_COVARIATES)), dtype=np.float64)
     idx = {name: ALL_COVARIATES.index(name) for name in ALL_COVARIATES}
 
-    pit_age = float(series.covariate("pit_age")[origin])
-    caution_laps = float(series.covariate("caution_laps")[origin])
-    rank_now = float(series.rank[origin])
+    # [caution_laps, pit_age, track_status, rank, total_pit_count]
+    features = pit_model._features_at(series, origin)
+    caution_laps, pit_age, _, rank_now, pit_count = (float(v) for v in features)
 
     # sample the lap of the next pit, then keep sampling stint lengths
-    features = np.array([caution_laps, pit_age, 0.0, rank_now, 0.0])
     next_pit_offset = int(pit_model.sample_laps_to_pit(features, 1, rng=rng)[0, 0])
     pit_offsets: List[int] = []
     offset = next_pit_offset
     while offset <= horizon:
         pit_offsets.append(offset)
-        # after a pit the age resets; sample the following stint length
-        features = np.array([0.0, 0.0, 0.0, rank_now, 0.0])
+        # at the stop lap: the car's own stop joins the field's pit count,
+        # pit age and caution laps reset, the future track is green
+        features = np.array([0.0, 0.0, 0.0, rank_now, pit_count + 1.0])
         stint = int(pit_model.sample_laps_to_pit(features, 1, rng=rng)[0, 0])
         offset += max(stint, 1)
 

@@ -27,13 +27,13 @@ import numpy as np
 
 from ...data.features import CarFeatureSeries
 from ...data.loader import BatchLoader
-from ...data.schema import ALL_COVARIATES, FeatureSpec
+from ...data.schema import ALL_COVARIATES, FeatureSpec, covariate_indices
 from ...data.windows import make_windows
 from ...nn import Adam, Trainer, TrainingHistory
 from ...nn.checkpoint import restore_rng, rng_state
 from ...nn.precision import DEFAULT_PRECISION, normalize_precision
 from ...serving.engine import FleetForecaster
-from ...serving.requests import ForecastRequest, spawn_request_rngs
+from ...serving.requests import ForecastRequest, fold_forecasts, spawn_request_rngs
 from ..base import ProbabilisticForecast, RankForecaster, clip_rank
 from .pitmodel import PitModelMLP
 from .rankmodel import RankSeqModel
@@ -94,6 +94,8 @@ class DeepForecasterBase(RankForecaster):
         self._fleet_engines: Dict[Tuple[str, str], FleetForecaster] = {}
         self.history_: Optional[TrainingHistory] = None
         self.uses_race_status = self.feature_spec.num_covariates > 0
+        # the columns _select keeps, computed once per forecaster
+        self._covariate_index = list(covariate_indices(self.feature_spec.covariate_names()))
 
     # ------------------------------------------------------------------
     # model construction (overridden by the Transformer variant)
@@ -292,11 +294,9 @@ class DeepForecasterBase(RankForecaster):
         return cov
 
     def _select(self, covariates: np.ndarray) -> np.ndarray:
-        names = self.feature_spec.covariate_names()
-        if not names:
+        if not self._covariate_index:
             return np.zeros(covariates.shape[:-1] + (0,), dtype=np.float64)
-        idx = [ALL_COVARIATES.index(n) for n in names]
-        return covariates[..., idx]
+        return covariates[..., self._covariate_index]
 
     def _future_covariates(
         self,
@@ -308,14 +308,38 @@ class DeepForecasterBase(RankForecaster):
         """Covariates over the horizon; default: unknown in the future -> zeros.
 
         A variant that samples them (RankNet-MLP's pit plans) draws from
-        ``rng``, default the model's own stream: served requests pass
-        their own stream, so they never draw from shared state.
+        ``rng``, default the model's own stream.
         """
         return np.zeros((horizon, self.feature_spec.num_covariates), dtype=np.float64)
 
     def _plans_per_forecast(self) -> int:
         """Sampled future-covariate plans one forecast averages over."""
         return 1
+
+    def _forecast_requests(
+        self,
+        series: CarFeatureSeries,
+        origin: int,
+        horizon: int,
+        n_samples: int,
+        rng,
+        key: Optional[tuple] = None,
+    ) -> List[ForecastRequest]:
+        """The engine requests of one forecast (fold their results with
+        :func:`~repro.serving.requests.fold_forecasts`), under one rule:
+        the sampled covariate plans draw from ``rng`` (Generator or int
+        seed); with one plan ``rng`` also drives the samples, with k > 1
+        each plan gets ``max(n_samples // k, 1)``, plan j's drawn from the
+        j-th child of ``rng.spawn(k)``."""
+        rng = np.random.default_rng(rng)
+        plans = self._plans_per_forecast()
+        futures = [self._future_covariates(series, origin, horizon, rng=rng) for _ in range(plans)]
+        streams = [rng] if plans == 1 else rng.spawn(plans)
+        per_plan = n_samples if plans == 1 else max(n_samples // plans, 1)
+        return [
+            self._fleet_request(series, origin, future, per_plan, stream, key)
+            for future, stream in zip(futures, streams)
+        ]
 
     def forecast(
         self,
@@ -328,13 +352,10 @@ class DeepForecasterBase(RankForecaster):
             raise RuntimeError(f"{self.name} must be fit before forecasting")
         if origin < 1 or origin >= len(series):
             raise IndexError(f"origin {origin} out of range")
-        if self._plans_per_forecast() > 1:
-            return self.forecast_fleet([(series, origin, horizon)], n_samples=n_samples)[0]
         # exact whatever fleet_mode says, and on the forecaster's own stream
         # (forecast_fleet spawns children), so consecutive calls continue it
-        future_cov = self._future_covariates(series, origin, horizon)
-        request = self._fleet_request(series, origin, future_cov, n_samples, self.rng)
-        samples = clip_rank(self.fleet_engine("exact").submit([request])[0])
+        requests = self._forecast_requests(series, origin, horizon, n_samples, self.rng)
+        samples = clip_rank(fold_forecasts([requests], self.fleet_engine("exact").submit(requests))[0])
         return ProbabilisticForecast(
             samples=samples, origin=origin, race_id=series.race_id, car_id=series.car_id
         )
@@ -414,31 +435,20 @@ class DeepForecasterBase(RankForecaster):
         for series, origin, _ in tasks:
             if origin < 1 or origin >= len(series):
                 raise IndexError(f"origin {origin} out of range")
-        # several plans per task split the sample budget, one request each;
         # the plans of one task share their warm-up (same key + origin)
-        plans = self._plans_per_forecast()
-        per_plan = max(n_samples // plans, 1) if plans > 1 else n_samples
-        slots = [
-            (series, int(origin), int(horizon))
-            for series, origin, horizon in tasks
-            for _ in range(plans)
+        groups = [
+            self._forecast_requests(series, origin, horizon, n_samples, rng)
+            for (series, origin, horizon), rng in zip(tasks, spawn_request_rngs(self.rng, len(tasks)))
         ]
-        rngs = spawn_request_rngs(self.rng, len(slots))
-        requests = [
-            self._fleet_request(
-                series, origin, self._future_covariates(series, origin, horizon), per_plan, rng
-            )
-            for (series, origin, horizon), rng in zip(slots, rngs)
-        ]
-        results = self.fleet_engine().submit(requests)
+        results = self.fleet_engine().submit([r for group in groups for r in group])
         return [
             ProbabilisticForecast(
-                samples=clip_rank(np.vstack(results[i * plans : (i + 1) * plans])),
+                samples=clip_rank(samples),
                 origin=int(origin),
                 race_id=series.race_id,
                 car_id=series.car_id,
             )
-            for i, (series, origin, _) in enumerate(tasks)
+            for (series, origin, _), samples in zip(tasks, fold_forecasts(groups, results))
         ]
 
 

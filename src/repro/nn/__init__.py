@@ -61,7 +61,7 @@ from .module import Module, Parameter
 from .optimizers import SGD, Adam, Optimizer, clip_grad_norm
 from .recurrent import LSTMCell, StackedLSTM
 from .schedulers import EarlyStopping, ReduceLROnPlateau, StepDecay
-from .trainer import Trainer, TrainingHistory
+from .trainer import NonFiniteLossError, Trainer, TrainingHistory
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -127,6 +127,7 @@ __all__ = [
     "EarlyStopping",
     "ReduceLROnPlateau",
     "StepDecay",
+    "NonFiniteLossError",
     "Trainer",
     "TrainingHistory",
 ]

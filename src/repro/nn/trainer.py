@@ -24,7 +24,11 @@ from .module import Module
 from .optimizers import Adam, Optimizer, clip_grad_norm
 from .schedulers import EarlyStopping, ReduceLROnPlateau
 
-__all__ = ["TrainableModel", "TrainingHistory", "Trainer"]
+__all__ = ["NonFiniteLossError", "TrainableModel", "TrainingHistory", "Trainer"]
+
+
+class NonFiniteLossError(ValueError):
+    """An epoch's training or validation loss is NaN or infinite."""
 
 
 class TrainableModel(Protocol):
@@ -223,6 +227,13 @@ class Trainer:
                 val_loss = float(np.mean(val_losses)) if val_losses else train_loss
             else:
                 val_loss = train_loss
+            # refused before the epoch is recorded or checkpointed, so no
+            # NaN-poisoned weights reach a checkpoint or an artifact
+            if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+                raise NonFiniteLossError(
+                    f"epoch {epoch}: non-finite loss (train {train_loss}, val {val_loss}); "
+                    "check the training data for NaN or infinite values"
+                )
 
             history.train_loss.append(train_loss)
             history.val_loss.append(val_loss)

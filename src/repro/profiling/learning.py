@@ -63,13 +63,9 @@ def _batch(forecaster, series, model: str):
     from ..serving.requests import NamedForecastRequest
 
     return [
-        NamedForecastRequest(
-            model,
-            forecaster._fleet_request(
-                series, 20 + i, forecaster._future_covariates(series, 20 + i, 2), 7, 11 + i
-            ),
-        )
+        NamedForecastRequest(model, request)
         for i in range(3)
+        for request in forecaster._forecast_requests(series, 20 + i, 2, 7, 11 + i)
     ]
 
 

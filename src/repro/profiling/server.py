@@ -103,18 +103,11 @@ def build_serving_fixture(root: str, seed: int = 5):
 def _request_batch(forecaster, series, n_requests: int, n_samples: int, horizon: int):
     origins = [16 + (i % 24) for i in range(n_requests)]
     return [
-        NamedForecastRequest(
-            MODEL_NAME,
-            forecaster._fleet_request(
-                series,
-                origin,
-                forecaster._future_covariates(series, origin, horizon),
-                n_samples,
-                1000 + i,
-                key=(series.race_id, series.car_id, i),
-            ),
-        )
+        NamedForecastRequest(MODEL_NAME, request)
         for i, origin in enumerate(origins)
+        for request in forecaster._forecast_requests(
+            series, origin, horizon, n_samples, 1000 + i, key=(series.race_id, series.car_id, i)
+        )
     ]
 
 

@@ -291,17 +291,17 @@ class ScenarioEngine:
             )
         # imported here: the feature pipeline must not burden sim-only runs
         from ..data.features import build_race_features
-        from ..serving.requests import NamedForecastRequest
+        from ..serving.requests import NamedForecastRequest, fold_forecasts
 
         fc = spec.forecast
         forecaster = self._resolve(fc.model)
-        if not hasattr(forecaster, "_fleet_request"):
+        if not hasattr(forecaster, "_forecast_requests"):
             raise ScenarioError(
                 f"model {fc.model!r} cannot serve scenario forecasts "
                 "(needs a fleet-batched deep forecaster)"
             )
         series_list = build_race_features(race)
-        requests: List[NamedForecastRequest] = []
+        groups: List[List[NamedForecastRequest]] = []
         meta: List[Tuple[int, object]] = []
         for origin in fc.origins:
             for series in series_list:
@@ -310,29 +310,28 @@ class ScenarioEngine:
                 request_seed = derive_seed(
                     seed, spec.name, job.label, "forecast", origin, int(series.car_id)
                 )
-                # sampled covariates (RankNet-MLP's pit plans) draw from the
-                # request's seed too, never from the resident model's stream
-                future = forecaster._future_covariates(
-                    series, origin, fc.horizon, rng=np.random.default_rng(request_seed)
-                )
-                request = forecaster._fleet_request(
+                requests = forecaster._forecast_requests(
                     series,
                     origin,
-                    future,
+                    fc.horizon,
                     fc.n_samples,
                     request_seed,
                     key=(series.race_id, int(series.car_id)),
                 )
-                requests.append(
-                    NamedForecastRequest(model=fc.model, precision=fc.precision, request=request)
+                groups.append(
+                    [
+                        NamedForecastRequest(model=fc.model, precision=fc.precision, request=r)
+                        for r in requests
+                    ]
                 )
                 meta.append((origin, series))
-        outcomes = self._submit(requests)
-        per_origin: Dict[int, List[float]] = {}
-        for (origin, series), outcome in zip(meta, outcomes):
+        outcomes = self._submit([named for group in groups for named in group])
+        for outcome in outcomes:
             if isinstance(outcome, BaseException):
                 raise outcome
-            predicted = float(np.mean(np.asarray(outcome)[:, -1]))
+        per_origin: Dict[int, List[float]] = {}
+        for (origin, series), samples in zip(meta, fold_forecasts(groups, outcomes)):
+            predicted = float(np.mean(np.asarray(samples)[:, -1]))
             actual = float(series.rank[origin + fc.horizon - 1])
             per_origin.setdefault(origin, []).append(abs(predicted - actual))
         origins = sorted(per_origin)

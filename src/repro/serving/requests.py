@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional
+from typing import Hashable, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["ForecastRequest", "NamedForecastRequest", "spawn_request_rngs"]
+__all__ = ["ForecastRequest", "NamedForecastRequest", "fold_forecasts", "spawn_request_rngs"]
 
 
 @dataclass
@@ -147,3 +147,14 @@ def spawn_request_rngs(root: np.random.Generator, n: int) -> List[np.random.Gene
     exact same random numbers for each request.
     """
     return list(root.spawn(n)) if n else []
+
+
+def fold_forecasts(groups: Sequence[Sequence], results: Sequence) -> List[np.ndarray]:
+    """One sample array per forecast: ``groups`` holds each forecast's
+    requests, ``results`` their concatenation's outcomes in order; a
+    forecast's plans stack on the sample axis."""
+    bounds = np.cumsum([0] + [len(group) for group in groups])
+    return [
+        results[a] if b == a + 1 else np.vstack(results[a:b])
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]

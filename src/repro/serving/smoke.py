@@ -76,13 +76,9 @@ def _fit_store(root: str):
 
 def _named_batch(forecaster, series) -> List:
     return [
-        NamedForecastRequest(
-            MODEL_NAME,
-            forecaster._fleet_request(
-                series, 20 + i, forecaster._future_covariates(series, 20 + i, 2), 7, seed
-            ),
-        )
+        NamedForecastRequest(MODEL_NAME, request)
         for i, seed in enumerate(_FORECAST_SEEDS)
+        for request in forecaster._forecast_requests(series, 20 + i, 2, 7, seed)
     ]
 
 

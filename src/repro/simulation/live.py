@@ -29,7 +29,7 @@ import numpy as np
 from ..data.features import DEFAULT_MIN_LAPS, DEFAULT_SHIFT_LAG, CarFeatureSeries
 from ..nn.precision import normalize_precision
 from ..serving.engine import FleetForecaster
-from ..serving.requests import ForecastRequest, spawn_request_rngs
+from ..serving.requests import fold_forecasts, spawn_request_rngs
 from ..serving.sessions import RaceSession
 from .telemetry import RaceTelemetry
 
@@ -64,39 +64,27 @@ class LiveRaceForecaster:
         return self.forecaster.fleet_engine(mode="carry", precision=self.precision)
 
     # ------------------------------------------------------------------
-    def _requests_at(
-        self, series_list: List[CarFeatureSeries], origin: int
-    ) -> Tuple[List[int], List[ForecastRequest]]:
-        fc = self.forecaster
-        eligible = [
-            s for s in series_list if self.min_history <= origin < len(s) - 1
-        ]
-        streams = spawn_request_rngs(self.rng, len(eligible))
-        # a sampled plan (RankNet-MLP) draws from the request's own stream,
-        # so a session's forecasts never depend on the resident model's state
-        requests = [
-            fc._fleet_request(
-                series,
-                origin,
-                fc._future_covariates(series, origin, self.horizon, rng=stream),
-                self.n_samples,
-                stream,
-            )
-            for series, stream in zip(eligible, streams)
-        ]
-        return [s.car_id for s in eligible], requests
-
     def forecast_at(
         self, series_list: List[CarFeatureSeries], origin: int
     ) -> Dict[int, np.ndarray]:
         """Fleet forecast for one origin: ``car_id -> (n_samples, horizon)``."""
-        car_ids, requests = self._requests_at(series_list, origin)
-        if not requests:
+        eligible = [
+            s for s in series_list if self.min_history <= origin < len(s) - 1
+        ]
+        if not eligible:
             return {}
-        results = self.engine.submit(requests)
+        # each car's forecast runs on its own stream, never the resident
+        # model's, so a session's forecasts do not depend on the model's state
+        groups = [
+            self.forecaster._forecast_requests(
+                series, origin, self.horizon, self.n_samples, stream
+            )
+            for series, stream in zip(eligible, spawn_request_rngs(self.rng, len(eligible)))
+        ]
+        results = self.engine.submit([r for group in groups for r in group])
         return {
-            car_id: np.clip(samples, 1.0, 33.0)
-            for car_id, samples in zip(car_ids, results)
+            series.car_id: np.clip(samples, 1.0, 33.0)
+            for series, samples in zip(eligible, fold_forecasts(groups, results))
         }
 
     def open_session(

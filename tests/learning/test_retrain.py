@@ -1,10 +1,15 @@
 """Retraining jobs: state journal, guards, and kill+resume bit-exactness."""
 
+import os
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.artifacts import ArtifactNotFoundError, ArtifactStore
-from repro.learning import RetrainJob
+from repro.learning import RetrainJob, TrainingWindow
 from repro.learning.retrain import make_forecaster
+from repro.nn import NonFiniteLossError
 
 TINY = {
     "encoder_length": 12,
@@ -151,3 +156,22 @@ def test_job_over_a_window_without_training_windows_writes_no_artifact(
     with pytest.raises(ArtifactNotFoundError):
         store.load_model("empty")
     assert store.catalog() == []
+
+
+def test_a_nan_rank_fails_the_job_before_any_checkpoint_or_artifact(
+    tmp_path, accumulator, window, monkeypatch
+):
+    poisoned = [replace(series, rank=series.rank.copy()) for series in window.train_series()]
+    poisoned[0].rank[15] = np.nan
+    monkeypatch.setattr(TrainingWindow, "train_series", lambda self: poisoned)
+    store = ArtifactStore(str(tmp_path / "store"))
+    job_dir = str(tmp_path / "job")
+    job = RetrainJob(
+        store, accumulator, window.window_id, "cand-nan",
+        family="deepar", config={**TINY, "max_train_windows": 4000}, job_dir=job_dir,
+    )
+    with pytest.raises(NonFiniteLossError, match="non-finite loss"):
+        job.run()
+    with pytest.raises(ArtifactNotFoundError):
+        store.load_model("cand-nan")
+    assert os.listdir(job_dir) == [RetrainJob.JOB_STATE_NAME]  # no trainer checkpoint

@@ -1,5 +1,9 @@
 """Telemetry accumulator: ingest idempotency, fingerprints, window splits."""
 
+import copy
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.learning import TelemetryAccumulator
@@ -95,3 +99,27 @@ def test_session_drain_without_a_catalogued_track_gets_a_generic_spec(
     assert entry["new"] is True
     assert entry["event"] == "Backyard-Oval"
     assert entry["cars"] == 8
+
+
+def test_a_race_with_a_non_finite_lap_value_is_refused(tmp_path, learn_races):
+    race = copy.copy(learn_races[0])
+    race.lap_time = race.lap_time.copy()
+    row = 40
+    race.lap_time[row] = np.nan
+    acc = TelemetryAccumulator(str(tmp_path / "acc"))
+    message = f"race '{race.race_id}', car {race.car_id[row]}, lap {race.lap[row]}"
+    with pytest.raises(ValueError, match=message):
+        acc.add_race(race)
+    assert len(acc) == 0
+
+
+def test_a_session_with_a_non_finite_gap_is_refused(tmp_path, learn_races):
+    race = learn_races[0]
+    lap_log = [(lap, list(records)) for lap, records in race.iter_laps()]
+    lap, records = lap_log[5]
+    records[2] = replace(records[2], time_behind_leader=float("inf"))
+    acc = TelemetryAccumulator(str(tmp_path / "acc"))
+    message = f"race '{race.race_id}', car {records[2].car_id}, lap {lap}"
+    with pytest.raises(ValueError, match=message):
+        acc.add_session(lap_log, event=race.event, year=race.year, track=race.track)
+    assert len(acc) == 0

@@ -1,5 +1,7 @@
 """Tests for the deep sequence models (RankSeqModel, PitModel, RankNet, Transformer)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.models import (
     plan_future_covariates,
 )
 from repro.models.base import clip_rank
+from repro.nn import NonFiniteLossError
 from repro.nn.checkpoint import rng_from_state, rng_state
 from repro.nn.gradcheck import numerical_gradient, relative_error
 from repro.serving import FleetForecaster, ForecastRequest
@@ -23,8 +26,6 @@ from repro.simulation import RaceSimulator, track_for_year
 
 @pytest.fixture(scope="module")
 def tiny_series():
-    from dataclasses import replace
-
     track = replace(track_for_year("Indy500", 2018), total_laps=90, num_cars=12)
     race = RaceSimulator(track, event="Indy500", year=2017, seed=11).run()
     return build_race_features(race)
@@ -192,6 +193,34 @@ def test_plan_future_covariates_properties(tiny_series):
         assert plan[p, age_col] == 0.0
 
 
+def test_plan_queries_the_pitmodel_with_the_observed_origin_lap(tiny_series, monkeypatch):
+    # the origin lap is observed: its caution, track status and pit count
+    # are the features the PitModel was trained on, not zeros
+    pit = PitModelMLP(hidden=(8,), epochs=2, seed=0)
+    pit.fit(tiny_series[:6])
+    queries = []
+    sample = pit.sample_laps_to_pit
+
+    def spy(features, n_samples, rng=None):
+        queries.append(np.array(features, dtype=np.float64))
+        return sample(features, n_samples, rng=rng)
+
+    monkeypatch.setattr(pit, "sample_laps_to_pit", spy)
+    # an origin lap under caution, with two cars of the field pitting
+    origin = 30
+    covariates = tiny_series[0].covariates.copy()
+    for name, value in (("track_status", 1.0), ("caution_laps", 3.0), ("total_pit_count", 2.0)):
+        covariates[origin, ALL_COVARIATES.index(name)] = value
+    s = replace(tiny_series[0], covariates=covariates)
+    plan_future_covariates(pit, s, origin=origin, horizon=40, rng=np.random.default_rng(1))
+    assert len(queries) > 1  # the 40-lap horizon holds a sampled stop
+    np.testing.assert_array_equal(queries[0], pit._features_at(s, origin))
+    # after a sampled stop: the car's own stop joins the lap's pit count,
+    # pit age and caution laps reset, the future track is green
+    for query in queries[1:]:
+        np.testing.assert_array_equal(query, [0.0, 0.0, 0.0, s.rank[origin], 3.0])
+
+
 # ----------------------------------------------------------------------
 # forecaster wrappers (smoke-level, tiny configs)
 # ----------------------------------------------------------------------
@@ -246,9 +275,15 @@ def test_fit_without_training_windows_raises_before_any_init(tiny_series, make):
         model.fit(tiny_series[:6]).fine_tune([_short(tiny_series[0], 10)])
 
 
-def _short(series, laps):
-    from dataclasses import replace
+def test_fit_refuses_a_nan_rank_in_the_training_series(tiny_series):
+    poisoned = [replace(s, rank=s.rank.copy()) for s in tiny_series[:3]]
+    poisoned[1].rank[20] = np.nan
+    model = DeepARForecaster(**{**_tiny_kwargs(), "max_train_windows": 4000})
+    with pytest.raises(NonFiniteLossError, match="epoch 0"):
+        model.fit(poisoned)
 
+
+def _short(series, laps):
     return replace(series, laps=series.laps[:laps], rank=series.rank[:laps],
                    lap_time=series.lap_time[:laps],
                    time_behind_leader=series.time_behind_leader[:laps],
