@@ -25,7 +25,8 @@ manifest's ``sha256`` between an interrupted-then-resumed job and an
 uninterrupted one.
 
 Job state is journaled to ``<job_dir>/job.json`` (``running`` ->
-``interrupted`` -> ``completed``), which is what the CLI's ``--resume``
+``interrupted`` -> ``completed``, or ``failed`` with the exception's type
+and message when training raises), which is what the CLI's ``--resume``
 flag checks before re-entering a job directory.
 """
 
@@ -185,16 +186,26 @@ class RetrainJob:
             max_epochs = min(int(stop_after_epochs), total_epochs)
         self._write_state("running", epochs=total_epochs, max_epochs=max_epochs)
 
-        forecaster._train(
-            self.window.train_series(),
-            warm_start=warm_start,
-            epochs=total_epochs,
-            max_epochs=max_epochs,
-            checkpoint_dir=self.job_dir,
-            resume=self.resume,
-            checkpoint_every=1,
-            checkpoint_rng=forecaster.rng,
-        )
+        try:
+            forecaster._train(
+                self.window.train_series(),
+                warm_start=warm_start,
+                epochs=total_epochs,
+                max_epochs=max_epochs,
+                checkpoint_dir=self.job_dir,
+                resume=self.resume,
+                checkpoint_every=1,
+                checkpoint_rng=forecaster.rng,
+            )
+        except Exception as exc:
+            # a dead job must not read as one still in progress
+            self._write_state(
+                "failed",
+                epochs=total_epochs,
+                max_epochs=max_epochs,
+                error={"type": type(exc).__name__, "message": str(exc)},
+            )
+            raise
 
         if max_epochs < total_epochs:
             record = {

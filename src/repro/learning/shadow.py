@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -81,13 +81,25 @@ class ShadowReport:
         near-tie in the candidate's favour only when MAE did not regress.
         A non-finite delta (a NaN or infinite score) never recommends.
         """
-        if not all(math.isfinite(delta) for delta in self.deltas.values()):
-            return False
+        return self._decision()[0]
+
+    @property
+    def reason(self) -> str:
+        """Why :attr:`recommend` is what it is, in a few words."""
+        return self._decision()[1]
+
+    def _decision(self) -> Tuple[bool, str]:
+        non_finite = [name for name, delta in self.deltas.items() if not math.isfinite(delta)]
+        if non_finite:
+            return False, f"non-finite delta in {', '.join(non_finite)}"
         if self.deltas["mae"] < 0:
-            return True
+            return True, "MAE improved"
         if self.deltas["mae"] > 0:
-            return False
-        return self.deltas["top1"] >= 0 and self.deltas["sign"] >= 0
+            return False, "MAE regressed"
+        regressed = [name for name in ("top1", "sign") if self.deltas[name] < 0]
+        if regressed:
+            return False, f"MAE tied, {' and '.join(regressed)} regressed"
+        return True, "MAE tied, top1 and sign did not regress"
 
     def to_doc(self) -> dict:
         return {
@@ -100,6 +112,7 @@ class ShadowReport:
             "scores": {name: dict(values) for name, values in self.scores.items()},
             "deltas": dict(self.deltas),
             "recommend": self.recommend,
+            "reason": self.reason,
         }
 
 

@@ -93,31 +93,104 @@ def read_npz(path) -> Tuple[Dict[str, np.ndarray], dict]:
 # RNG stream round-trips
 # ----------------------------------------------------------------------
 def rng_state(rng: np.random.Generator) -> dict:
-    """JSON-safe snapshot of a ``Generator`` stream (bit-generator state)."""
-    return rng.bit_generator.state
+    """JSON-safe snapshot of a ``Generator`` stream.
+
+    The bit-generator state fixes the stream's next draws; the
+    ``seed_seq`` record (entropy as decimal strings, spawn key, pool size
+    and children spawned so far) fixes the child streams a later
+    ``rng.spawn`` derives, which the bit-generator state does not hold.
+    """
+    state = rng.bit_generator.state
+    seed_seq = rng.bit_generator.seed_seq
+    if isinstance(seed_seq, np.random.SeedSequence):
+        state["seed_seq"] = {
+            "entropy": _entropy_to_json(seed_seq.entropy),
+            "spawn_key": [int(k) for k in seed_seq.spawn_key],
+            "pool_size": int(seed_seq.pool_size),
+            "n_children_spawned": int(seed_seq.n_children_spawned),
+        }
+    return state
+
+
+def _entropy_to_json(entropy):
+    # 128-bit OS entropy overflows a JSON number in most readers
+    if isinstance(entropy, (int, np.integer)):
+        return str(int(entropy))
+    return [str(int(word)) for word in entropy]
+
+
+def _seed_seq_from(record: dict) -> np.random.SeedSequence:
+    if not isinstance(record, dict):
+        raise ValueError("rng seed_seq record must be a JSON object")
+    entropy = record["entropy"]
+    entropy = int(entropy) if isinstance(entropy, str) else [int(word) for word in entropy]
+    return np.random.SeedSequence(
+        entropy,
+        spawn_key=tuple(int(k) for k in record["spawn_key"]),
+        pool_size=int(record["pool_size"]),
+        n_children_spawned=int(record["n_children_spawned"]),
+    )
+
+
+def _lineage(seed_seq: np.random.SeedSequence) -> tuple:
+    """What identifies a seed sequence, apart from how many children it spawned."""
+    return _entropy_to_json(seed_seq.entropy), tuple(seed_seq.spawn_key), seed_seq.pool_size
+
+
+def _position(state: dict) -> dict:
+    """The bit-generator part of an :func:`rng_state` snapshot."""
+    return {key: value for key, value in state.items() if key != "seed_seq"}
 
 
 def rng_from_state(state: dict) -> np.random.Generator:
-    """Rebuild a ``Generator`` producing the exact continuation of ``state``."""
+    """Rebuild a ``Generator`` producing the exact continuation of ``state``.
+
+    A snapshot with a ``seed_seq`` record also spawns the original's
+    children; one without it gets a fresh seed sequence, as it always did.
+    """
     name = state["bit_generator"]
     try:
         bit_generator_cls = getattr(np.random, name)
     except AttributeError as exc:
         raise ValueError(f"unknown bit generator {name!r}") from exc
-    bit_generator = bit_generator_cls()
-    bit_generator.state = state
+    record = state.get("seed_seq")
+    bit_generator = bit_generator_cls(None if record is None else _seed_seq_from(record))
+    bit_generator.state = _position(state)
     return np.random.Generator(bit_generator)
 
 
 def restore_rng(rng: np.random.Generator, state: dict) -> np.random.Generator:
-    """Restore ``state`` into an existing ``Generator`` in place."""
+    """Restore ``state`` into an existing ``Generator`` in place.
+
+    A Generator's seed sequence cannot be replaced, so a snapshot with a
+    ``seed_seq`` record must come from the same sequence (same entropy,
+    spawn key and pool size); the stream then spawns (and discards) the
+    children it is behind, so its next ``spawn`` matches the original's.
+    """
     if rng.bit_generator.state["bit_generator"] != state["bit_generator"]:
         raise ValueError(
             f"bit generator mismatch: stream is "
             f"{rng.bit_generator.state['bit_generator']!r}, "
             f"state is {state['bit_generator']!r}"
         )
-    rng.bit_generator.state = state
+    record = state.get("seed_seq")
+    if record is not None:
+        saved = _seed_seq_from(record)
+        current = rng.bit_generator.seed_seq
+        if not isinstance(current, np.random.SeedSequence) or _lineage(current) != _lineage(saved):
+            raise ValueError(
+                "seed sequence mismatch: the snapshot comes from a stream with "
+                "different entropy, spawn key or pool size"
+            )
+        behind = saved.n_children_spawned - current.n_children_spawned
+        if behind < 0:
+            raise ValueError(
+                f"stream has spawned {current.n_children_spawned} children, the "
+                f"snapshot only {saved.n_children_spawned}: a spawn cannot be undone"
+            )
+        if behind:
+            current.spawn(behind)
+    rng.bit_generator.state = _position(state)
     return rng
 
 

@@ -1,7 +1,7 @@
 """Chaos harness for the serving tier (``make bench-chaos`` / ``make chaos``).
 
 Runs the real ``repro-serve`` **subprocess** under a deterministic fault
-schedule and gates three resilience guarantees end to end:
+schedule and gates four resilience guarantees end to end:
 
 1. **Retry byte-identity** — a forecast issued through a retrying client
    while the gateway injects a 5xx, drops a response after executing it,
@@ -16,21 +16,26 @@ schedule and gates three resilience guarantees end to end:
 3. **Bounded overload** — concurrent callers past the admission bound are
    shed with structured ``429 overloaded`` envelopes; retrying clients
    must all complete, and no call may exceed the latency ceiling.
+4. **Lap replay** (both profiles) — a session lap whose response is lost
+   after the gateway applied it is retried under the same
+   ``idempotency_key``; the session (not the gateway's idempotency
+   cache, which never holds lap documents) replays it, and the streamed
+   forecasts stay bitwise equal to a fault-free in-process session.
 
 The ``workers`` profile (``make chaos-workers``) runs the same server
 with ``workers: true`` — every model a supervised forked subprocess — and
-gates the worker-pool guarantees instead:
+gates the worker-pool guarantees instead (plus the lap-replay gate):
 
-4. **Worker-kill failover** — the replica serving a live session is
+5. **Worker-kill failover** — the replica serving a live session is
    SIGKILLed mid-race by a server-side ``kill_worker`` fault; the
    supervisor restarts it, replays the session journal into the fresh
    process, and the streamed forecasts stay bitwise equal to an
    uncrashed in-process run.
-5. **Hang detection** — a ``hang_worker`` fault SIGSTOPs the replica; the
+6. **Hang detection** — a ``hang_worker`` fault SIGSTOPs the replica; the
    heartbeat deadline escalates to SIGKILL, and a retrying client's
    forecast through the restart window is byte-identical to the
    in-process submission.
-6. **Gateway kill** — the gateway itself is SIGKILLed; every replica
+7. **Gateway kill** — the gateway itself is SIGKILLed; every replica
    (the current one was forked after the port was bound) must exit within
    two heartbeat deadlines, and the port must be free to bind at once.
 
@@ -97,6 +102,13 @@ WORKER_FAULT_PLAN = {
         {"kind": "hang_worker", "route": r"POST /v1/forecast", "at": 0, "model": MODEL_NAME},
     ]
 }
+
+#: client-side fault of the lap-replay gate: the response to the
+#: lap-``KILL_AT_LAP`` post (laps start at 1, so the 0-based ordinal is
+#: ``KILL_AT_LAP - 1``) is lost after the gateway applied the lap
+LAP_DROP = FaultSpec(
+    kind="drop", route=r"POST /v1/sessions/.*/lap", at=KILL_AT_LAP - 1, when="after"
+)
 
 #: the workers profile's heartbeat deadline (``heartbeat_timeout_s``)
 WORKER_HEARTBEAT_TIMEOUT_S = 1.0
@@ -165,6 +177,19 @@ def _emissions_equal(
             if not np.array_equal(got_cars[car_id], expected_cars[car_id]):
                 return False
     return True
+
+
+def _in_process_stream(directory: str, race) -> List[Tuple[int, dict]]:
+    """The fault-free reference: the race replayed through the in-process
+    :class:`~repro.simulation.live.LiveRaceForecaster` with the chaos session's settings."""
+    live = LiveRaceForecaster(
+        ArtifactStore(directory).load_model(MODEL_NAME),
+        horizon=_SESSION["horizon"],
+        n_samples=_SESSION["n_samples"],
+        min_history=_SESSION["min_history"],
+        rng=_SESSION["rng"],
+    )
+    return list(live.stream(race, start=_SESSION["start"], stop=_SESSION["stop"]))
 
 
 def _gate_retry_identity(directory: str, port: int, series) -> bool:
@@ -239,14 +264,7 @@ def _gate_crash_recovery(directory: str, config_path: str, process, port: int, r
             streamed.extend(resumed.lap(lap, laps[lap]))
     streamed.extend(resumed.close())
 
-    live = LiveRaceForecaster(
-        ArtifactStore(directory).load_model(MODEL_NAME),
-        horizon=_SESSION["horizon"],
-        n_samples=_SESSION["n_samples"],
-        min_history=_SESSION["min_history"],
-        rng=_SESSION["rng"],
-    )
-    reference = list(live.stream(race, start=_SESSION["start"], stop=_SESSION["stop"]))
+    reference = _in_process_stream(directory, race)
     if not _emissions_equal(streamed, reference):
         print("FAIL: recovered session forecasts differ from the in-process stream")
         return False, process, port
@@ -265,6 +283,46 @@ def _gate_crash_recovery(directory: str, config_path: str, process, port: int, r
         f"car-forecasts) byte-identically across the SIGKILL"
     )
     return True, process, port
+
+
+def _gate_lap_replay(directory: str, port: int, race) -> bool:
+    """Gate 4: a lap whose response was lost replays from its session, bitwise."""
+    client = ForecastClient(port=port, retry=RETRY, faults=FaultPlan([LAP_DROP]))
+    cache_before = client.health()["idempotency"]
+    session = client.open_session(
+        MODEL_NAME, event=race.event, year=race.year, delay=4, **_SESSION
+    )
+    streamed: List[Tuple[int, dict]] = []
+    laps = list(race.iter_laps())
+    for lap, records in laps:
+        streamed.extend(session.lap(lap, records))
+    observed = next(
+        s["laps_observed"] for s in client.sessions() if s["session"] == session.session_id
+    )
+    streamed.extend(session.close())
+    cache = client.health()["idempotency"]
+
+    if client.faults.fired != 1:
+        print(f"FAIL: the lap-response drop fired {client.faults.fired} times, not once")
+        return False
+    if not _emissions_equal(streamed, _in_process_stream(directory, race)):
+        print("FAIL: the session with a retried lap differs from the fault-free stream")
+        return False
+    if observed != len(laps):
+        print(f"FAIL: {len(laps)} laps posted but the session observed {observed}")
+        return False
+    # only the keyed open was stored, and no lap retry was a cache hit
+    stored = cache["stored"] - cache_before["stored"]
+    hits = cache["hits"] - cache_before["hits"]
+    if (stored, hits) != (1, 0):
+        print(f"FAIL: laps reached the idempotency cache (stored={stored}, hits={hits})")
+        return False
+    print(
+        f"OK: lap {KILL_AT_LAP}'s lost response was replayed by its session; "
+        f"{len(streamed)} origins bitwise equal to the fault-free stream, "
+        f"no lap document cached"
+    )
+    return True
 
 
 def _gate_bounded_overload(directory: str, port: int, series, workers: int) -> bool:
@@ -323,7 +381,7 @@ def _worker_entry(client: ForecastClient):
 
 
 def _gate_worker_kill_failover(directory: str, port: int, race) -> bool:
-    """Gate 4: a SIGKILLed replica's live session fails over byte-identically."""
+    """Gate 5: a SIGKILLed replica's live session fails over byte-identically."""
     client = ForecastClient(port=port, retry=RETRY)
     entry, _ = _worker_entry(client)
     if entry is None or entry["state"] != "live":
@@ -339,14 +397,7 @@ def _gate_worker_kill_failover(directory: str, port: int, race) -> bool:
         streamed.extend(session.lap(lap, records))
     streamed.extend(session.close())
 
-    live = LiveRaceForecaster(
-        ArtifactStore(directory).load_model(MODEL_NAME),
-        horizon=_SESSION["horizon"],
-        n_samples=_SESSION["n_samples"],
-        min_history=_SESSION["min_history"],
-        rng=_SESSION["rng"],
-    )
-    reference = list(live.stream(race, start=_SESSION["start"], stop=_SESSION["stop"]))
+    reference = _in_process_stream(directory, race)
     if not _emissions_equal(streamed, reference):
         print("FAIL: session forecasts across the worker kill differ from the clean run")
         return False
@@ -379,7 +430,7 @@ def _gate_worker_kill_failover(directory: str, port: int, race) -> bool:
 
 
 def _gate_worker_hang_heartbeat(directory: str, port: int, series) -> bool:
-    """Gate 5: a SIGSTOPped replica misses heartbeats, is killed, and recovers."""
+    """Gate 6: a SIGSTOPped replica misses heartbeats, is killed, and recovers."""
     service = ForecastService(ArtifactStore(directory))
     forecaster = service.load(MODEL_NAME).forecaster
     reference = service.submit(_named_batch(forecaster, series))
@@ -451,7 +502,7 @@ def kill_gateway(process, client: ForecastClient, deadline_s: float):
 
 
 def _gate_gateway_kill(process, port: int) -> bool:
-    """Gate 6: a SIGKILLed gateway takes its replicas and its port with it."""
+    """Gate 7: a SIGKILLed gateway takes its replicas and its port with it."""
     deadline_s = 2 * WORKER_HEARTBEAT_TIMEOUT_S
     pids, orphans, port_free = kill_gateway(process, ForecastClient(port=port), deadline_s)
     if not pids:
@@ -484,6 +535,8 @@ def _run_core(args, race, series) -> int:
             return 1
         if not _gate_bounded_overload(args.dir, port, series[0], args.overload_workers):
             return 1
+        if not _gate_lap_replay(args.dir, port, race):
+            return 1
         print("chaos harness: all gates passed")
         return 0
     finally:
@@ -499,6 +552,8 @@ def _run_workers(args, race, series) -> int:
         if not _gate_worker_kill_failover(args.dir, port, race):
             return 1
         if not _gate_worker_hang_heartbeat(args.dir, port, series[0]):
+            return 1
+        if not _gate_lap_replay(args.dir, port, race):
             return 1
         if not _gate_gateway_kill(process, port):
             return 1
@@ -516,8 +571,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--profile",
         choices=("core", "workers"),
         default="core",
-        help="gate set: 'core' (retry/crash/overload) or 'workers' "
-        "(worker-kill failover + hang detection); default core",
+        help="gate set: 'core' (retry/crash/lap replay/overload) or 'workers' "
+        "(worker-kill failover, hang detection, lap replay, gateway kill); "
+        "default core",
     )
     parser.add_argument(
         "--overload-workers",

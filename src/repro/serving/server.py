@@ -610,7 +610,8 @@ class ForecastGateway:
         ``429 overloaded`` past the bound), are refused while the gateway
         drains, and participate in idempotent replay: a request carrying
         an ``idempotency_key`` the gateway already answered gets the
-        stored document back without re-executing.
+        stored document back without re-executing.  Session laps skip the
+        cache: the session is their one replay authority.
         """
         bound = getattr(self, f"_handle_{handler}")
         if handler not in self._WORK_HANDLERS:
@@ -619,6 +620,11 @@ class ForecastGateway:
         key = None
         if isinstance(body, dict):
             key = validate_idempotency_key(body.get("idempotency_key"))
+            if handler == "session_lap":
+                # the session replays a duplicate lap from its emission
+                # log (RaceSession.apply_lap): caching the lap document
+                # too would keep every lap's answer twice
+                key = None
             cached = self.idempotency.get(key)
             if cached is not None:
                 status, document = cached

@@ -170,8 +170,12 @@ def test_a_nan_rank_fails_the_job_before_any_checkpoint_or_artifact(
         store, accumulator, window.window_id, "cand-nan",
         family="deepar", config={**TINY, "max_train_windows": 4000}, job_dir=job_dir,
     )
-    with pytest.raises(NonFiniteLossError, match="non-finite loss"):
+    with pytest.raises(NonFiniteLossError, match="non-finite loss") as excinfo:
         job.run()
     with pytest.raises(ArtifactNotFoundError):
         store.load_model("cand-nan")
+    assert store.catalog() == []
     assert os.listdir(job_dir) == [RetrainJob.JOB_STATE_NAME]  # no trainer checkpoint
+    state = job.state()
+    assert state["status"] == "failed"
+    assert state["error"] == {"type": "NonFiniteLossError", "message": str(excinfo.value)}

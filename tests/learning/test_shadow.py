@@ -104,3 +104,21 @@ def test_recommendation_rules():
     assert report(1.0, inf).recommend is False
     assert report(-inf, 1.0).recommend is False
     assert report(nan, nan).to_doc()["recommend"] is False
+
+
+def test_the_report_says_why_it_does_not_recommend():
+    def report(cand, champ):
+        return ShadowReport(
+            candidate="cand", champion="champ", seed=0, races=["r"], tasks=1,
+            scores={"cand": cand, "champ": champ},
+        )
+
+    scores = {"mae": 1.0, "top1": 0.5, "sign": 0.5}
+    doc = report({**scores, "mae": float("nan")}, scores).to_doc()
+    assert (doc["recommend"], doc["reason"]) == (False, "non-finite delta in mae")
+    doc = report({**scores, "top1": float("inf")}, {**scores, "mae": 2.0}).to_doc()
+    assert (doc["recommend"], doc["reason"]) == (False, "non-finite delta in top1")
+    assert report({**scores, "mae": 2.0}, scores).reason == "MAE regressed"
+    assert report(scores, {**scores, "mae": 2.0}).reason == "MAE improved"
+    tied = report({**scores, "sign": 0.4}, scores)
+    assert (tied.recommend, tied.reason) == (False, "MAE tied, sign regressed")

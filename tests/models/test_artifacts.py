@@ -94,6 +94,34 @@ def test_fleet_forecasts_round_trip_byte_identical(tiny_series):
         np.testing.assert_array_equal(a.samples, b.samples)
 
 
+def test_round_trip_after_a_fleet_spawn_keeps_the_next_fleet_forecast(tiny_series):
+    """``forecast_fleet`` spawns one child stream per task; the artifact
+    snapshots the seed sequence's spawn count, so a clone taken after a
+    spawn derives the same next children as the original."""
+    model = RankNetForecaster(variant="oracle", **DEEP_KWARGS)
+    model.fit(tiny_series[:6], None)
+    tasks = [(tiny_series[0], 20, 4), (tiny_series[1], 25, 4)]
+    model.forecast_fleet(tasks, n_samples=6)
+    clone = from_artifact(model.to_artifact())
+    for a, b in zip(
+        model.forecast_fleet(tasks, n_samples=6), clone.forecast_fleet(tasks, n_samples=6)
+    ):
+        assert a.samples.tobytes() == b.samples.tobytes()
+
+
+def test_round_trip_after_an_mlp_forecast_keeps_the_next_forecast(tiny_series):
+    """A RankNet-MLP forecast spawns its pit plans' children from the
+    model's stream; the round trip after one keeps the next forecast."""
+    model = RankNetForecaster(variant="mlp", **DEEP_KWARGS)
+    model.fit(tiny_series[:6], None)
+    series = tiny_series[0]
+    model.forecast(series, 20, 4, n_samples=10)
+    clone = from_artifact(model.to_artifact())
+    original = model.forecast(series, 25, 4, n_samples=10)
+    restored = clone.forecast(series, 25, 4, n_samples=10)
+    assert original.samples.tobytes() == restored.samples.tobytes()
+
+
 def test_pitmodel_artifact_round_trip(tiny_series):
     pit = PitModelMLP(hidden=(8,), epochs=3, seed=7)
     pit.fit(tiny_series[:6])

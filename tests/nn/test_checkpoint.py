@@ -1,5 +1,7 @@
 """Tests for the npz+meta checkpoint layer and bit-exact Trainer resume."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,49 @@ def test_rng_state_round_trip_continues_stream():
     expected = rng.standard_normal(8)
     clone = rng_from_state(state)
     np.testing.assert_array_equal(clone.standard_normal(8), expected)
+
+
+def _children(rng, n=3):
+    return [child.bit_generator.state for child in rng.spawn(n)]
+
+
+def test_rng_state_round_trip_spawns_the_same_children():
+    rng = np.random.default_rng(123)
+    rng.spawn(2)
+    rng.standard_normal(3)
+    state = json.loads(json.dumps(rng_state(rng)))  # the wire and artifact form
+    clone, twin = rng_from_state(state), rng_from_state(state)
+    expected = _children(rng)
+    assert _children(clone) == expected
+    assert _children(twin) == expected
+
+
+def test_restore_rng_catches_up_on_spawned_children():
+    rng = np.random.default_rng(5)
+    rng.spawn(4)
+    state = rng_state(rng)
+    fresh = restore_rng(np.random.default_rng(5), state)
+    assert _children(fresh) == _children(rng)
+
+
+def test_restore_rng_refuses_another_seed_sequence():
+    state = rng_state(np.random.default_rng(5))
+    with pytest.raises(ValueError, match="seed sequence mismatch"):
+        restore_rng(np.random.default_rng(6), state)
+    spawned = np.random.default_rng(5)
+    spawned.spawn(1)
+    with pytest.raises(ValueError, match="cannot be undone"):
+        restore_rng(spawned, state)
+
+
+def test_snapshots_without_a_seed_sequence_restore_the_stream_position():
+    rng = np.random.default_rng(8)
+    rng.standard_normal(3)
+    state = rng.bit_generator.state  # the snapshot format before seed_seq
+    expected = rng.standard_normal(4)
+    np.testing.assert_array_equal(rng_from_state(state).standard_normal(4), expected)
+    other = restore_rng(np.random.default_rng(1), state)
+    np.testing.assert_array_equal(other.standard_normal(4), expected)
 
 
 def test_restore_rng_rejects_bit_generator_mismatch():
@@ -170,7 +215,7 @@ def test_save_load_checkpoint_restores_all_components(tmp_path):
     opt2 = Adam(model2.parameters(), lr=1e-3)
     sched2 = ReduceLROnPlateau(opt2, patience=1)
     stop2 = EarlyStopping(patience=2)
-    rng2 = np.random.default_rng(0)
+    rng2 = np.random.default_rng(9)  # a fresh stream of the same seed, as on resume
     result = load_checkpoint(
         path, model=model2, optimizer=opt2, scheduler=sched2,
         early_stopping=stop2, rng=rng2,

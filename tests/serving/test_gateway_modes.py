@@ -6,9 +6,11 @@ strategy sweep, forecasts and unknown models — runs through a
 with the same status, the same error ``code`` and the same float64
 sample bytes.  The rollback tests pin down that a failed session open or
 close leaves no registration, pin, worker-side session or journal
-behind, in either mode.
+behind, in either mode.  The replay tests pin down that the session,
+not the gateway's idempotency cache, answers a retried lap.
 """
 
+import json
 import os
 import shutil
 from dataclasses import replace
@@ -19,6 +21,7 @@ from repro.artifacts import ArtifactStore
 from repro.data import build_race_features
 from repro.models import CurRankForecaster, DeepARForecaster, RankNetForecaster
 from repro.serving import ForecastClient, wire
+from repro.serving.engine import FleetForecaster
 from repro.serving.journal import SessionJournal
 from repro.serving.server import ForecastGateway, ServerConfig
 from repro.serving.sessions import RaceSession
@@ -104,6 +107,19 @@ def _open_document(race, model="deepar", **overrides):
 def _lap_document(lap, records):
     return wire.envelope(
         "session-lap", lap=int(lap), records=[wire.lap_record_to_wire(r) for r in records]
+    )
+
+
+def _deepar_request(store_root, series):
+    """A 3-sample, horizon-2 ``deepar`` request from lap 20 of ``series``."""
+    forecaster = ArtifactStore(store_root).load_model("deepar")
+    return ForecastClient.request(
+        "deepar",
+        forecaster._history_target(series, 20),
+        forecaster._history_covariates(series, 20),
+        forecaster._future_covariates(series, 20, 2),
+        n_samples=3,
+        rng=0,
     )
 
 
@@ -269,16 +285,7 @@ def test_empty_horizon_is_a_malformed_request_in_both_modes(fresh_store, tiny_se
     """A request whose future covariates have no row asks for a zero-lap
     forecast: the wire decode refuses it (400 ``malformed_request``) in
     either mode, before any engine sees it."""
-    series = tiny_series[0]
-    forecaster = ArtifactStore(fresh_store).load_model("deepar")
-    request = ForecastClient.request(
-        "deepar",
-        forecaster._history_target(series, 20),
-        forecaster._history_covariates(series, 20),
-        forecaster._future_covariates(series, 20, 2),
-        n_samples=3,
-        rng=0,
-    )
+    request = _deepar_request(fresh_store, tiny_series[0])
     body = wire.forecast_batch_to_wire([request])
     future = wire.decode_array(body["requests"][0]["request"]["future_covariates"])
     body["requests"][0]["request"]["future_covariates"] = wire.encode_array(future[:0])
@@ -295,16 +302,7 @@ def test_empty_horizon_is_a_malformed_request_in_both_modes(fresh_store, tiny_se
 def test_lru_eviction_order_is_identical_in_both_modes(fresh_store, tiny_series):
     """One residency policy: a fresh load, a load of a resident model and a
     forecast each make the model most recently used, in either mode."""
-    series = tiny_series[0]
-    forecaster = ArtifactStore(fresh_store).load_model("deepar")
-    request = ForecastClient.request(
-        "deepar",
-        forecaster._history_target(series, 20),
-        forecaster._history_covariates(series, 20),
-        forecaster._future_covariates(series, 20, 2),
-        n_samples=3,
-        rng=0,
-    )
+    request = _deepar_request(fresh_store, tiny_series[0])
     forecast = ("POST", "/v1/forecast", wire.forecast_batch_to_wire([request]))
     stages = [
         (["deepar", forecast, "naive", "oracle"], ["naive", "oracle"]),
@@ -395,5 +393,104 @@ def test_failed_journal_open_rolls_the_session_back(fresh_store, race, mode, mon
         status, _ = gateway.handle("DELETE", f"/v1/sessions/{opened['session']}", {"drain": True})
         assert status == 200
         assert _pinned(gateway) == []
+    finally:
+        gateway.close()
+
+
+# ----------------------------------------------------------------------
+# one replay authority per request kind: the session replays laps
+# ----------------------------------------------------------------------
+def _log_engine_stats(monkeypatch, path):
+    """Every engine submit appends its engine's counters to ``path``.
+
+    Patched before the gateway exists, so forked worker replicas append
+    to the same file: a lap that ran the engine again would add a line.
+    """
+    submit = FleetForecaster.submit
+
+    def logged(self, requests):
+        results = submit(self, requests)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(self.stats, sort_keys=True) + "\n")
+        return results
+
+    monkeypatch.setattr(FleetForecaster, "submit", logged)
+
+
+def _keyed_lap(sid, lap, records):
+    return {**_lap_document(lap, records), "idempotency_key": f"{sid}-lap-{lap}"}
+
+
+def _laps_observed(gateway, sid):
+    _, listing = gateway.handle("GET", "/v1/sessions", None)
+    return next(s["laps_observed"] for s in listing["sessions"] if s["session"] == sid)
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_a_keyed_lap_retry_is_replayed_by_the_session(
+    fresh_store, race, mode, monkeypatch, tmp_path
+):
+    """A retried keyed lap reaches the session, which answers it from its
+    emission log: same result bytes, ``replayed: true``, no engine work."""
+    log = tmp_path / "engine-stats.jsonl"
+    _log_engine_stats(monkeypatch, str(log))
+    gateway = _gateway(fresh_store, mode)
+    try:
+        sid = gateway.handle("POST", "/v1/sessions", _open_document(race))[1]["session"]
+        laps = list(race.iter_laps())[:20]
+        for lap, records in laps:
+            status, first = gateway.handle(
+                "POST", f"/v1/sessions/{sid}/lap", _keyed_lap(sid, lap, records)
+            )
+            assert status == 200 and first["replayed"] is False
+        assert first["results"], "the last lap must emit forecasts"
+        engine_log = log.read_text()
+        assert engine_log, "the session's laps ran the engine"
+        observed = _laps_observed(gateway, sid)
+
+        lap, records = laps[-1]
+        status, retried = gateway.handle(
+            "POST", f"/v1/sessions/{sid}/lap", _keyed_lap(sid, lap, records)
+        )
+        assert status == 200
+        assert retried["replayed"] is True
+        assert retried["results"] == first["results"]
+        assert _samples(retried) == _samples(first)
+        assert log.read_text() == engine_log  # warmup_steps/decode_steps unchanged
+        assert _laps_observed(gateway, sid) == observed
+        assert gateway.idempotency.stats["hits"] == 0
+
+        # once the session is closed nothing replays its laps
+        assert gateway.handle("DELETE", f"/v1/sessions/{sid}", {"drain": False})[0] == 200
+        status, gone = gateway.handle(
+            "POST", f"/v1/sessions/{sid}/lap", _keyed_lap(sid, lap, records)
+        )
+        assert (status, gone["error"]["code"]) == (404, "unknown_session")
+    finally:
+        gateway.close()
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_keyed_laps_stay_out_of_the_idempotency_cache(fresh_store, race, tiny_series, mode):
+    """Thirty keyed laps leave only the keyed open and forecast cached, and
+    a keyed forecast retry is still answered from the cache."""
+    request = _deepar_request(fresh_store, tiny_series[0])
+    forecast = wire.forecast_batch_to_wire([request], idempotency_key="forecast-1")
+    gateway = _gateway(fresh_store, mode)
+    try:
+        opened = {**_open_document(race), "idempotency_key": "open-1"}
+        sid = gateway.handle("POST", "/v1/sessions", opened)[1]["session"]
+        for lap, records in list(race.iter_laps())[:30]:
+            assert gateway.handle(
+                "POST", f"/v1/sessions/{sid}/lap", _keyed_lap(sid, lap, records)
+            )[0] == 200
+        assert len(gateway.idempotency) == 1
+
+        status, answered = gateway.handle("POST", "/v1/forecast", forecast)
+        assert status == 200
+        status, retried = gateway.handle("POST", "/v1/forecast", forecast)
+        assert status == 200 and retried is answered
+        assert gateway.idempotency.stats["hits"] == 1
+        assert len(gateway.idempotency) == 2
     finally:
         gateway.close()
