@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ...data.features import CarFeatureSeries
-from ...nn.checkpoint import rng_from_state, rng_state
+from ...nn.checkpoint import restore_rng, rng_state
 from ..base import ProbabilisticForecast, RankForecaster, clip_rank
 from .forest import RandomForestRegressor
 from .gbm import GradientBoostingRegressor
@@ -147,8 +147,7 @@ class PointwiseMLForecaster(RankForecaster):
             key[len(prefix) :]: value for key, value in arrays.items() if key.startswith(prefix)
         }
         self.regressor.load_artifact_state(state["regressor"], reg_arrays)
-        # no seed in the config: the saved stream is rebuilt, seed sequence and all
-        self.rng = rng_from_state(state["rng"])
+        restore_rng(self.rng, state["rng"])
         self.fitted_ = True
 
     def forecast(

@@ -119,16 +119,31 @@ def _entropy_to_json(entropy):
     return [str(int(word)) for word in entropy]
 
 
+#: SeedSequence mixes its pool in pool_size**2 steps without releasing the
+#: GIL, so a snapshot (which may arrive over the wire) is held to a small pool
+_MAX_POOL_SIZE = 64
+
+
 def _seed_seq_from(record: dict) -> np.random.SeedSequence:
     if not isinstance(record, dict):
         raise ValueError("rng seed_seq record must be a JSON object")
     entropy = record["entropy"]
-    entropy = int(entropy) if isinstance(entropy, str) else [int(word) for word in entropy]
+    words = [entropy] if isinstance(entropy, str) else list(entropy)
+    words = [int(word) for word in words]
+    spawn_key = tuple(int(k) for k in record["spawn_key"])
+    pool_size = int(record["pool_size"])
+    n_children = int(record["n_children_spawned"])
+    if min(words + list(spawn_key), default=0) < 0:
+        raise ValueError("rng seed_seq entropy and spawn key must be non-negative")
+    if not 4 <= pool_size <= _MAX_POOL_SIZE:
+        raise ValueError(f"rng seed_seq pool_size must be in [4, {_MAX_POOL_SIZE}], got {pool_size}")
+    if not 0 <= n_children < 2**32:
+        raise ValueError(f"rng seed_seq n_children_spawned out of range: {n_children}")
     return np.random.SeedSequence(
-        entropy,
-        spawn_key=tuple(int(k) for k in record["spawn_key"]),
-        pool_size=int(record["pool_size"]),
-        n_children_spawned=int(record["n_children_spawned"]),
+        words[0] if isinstance(entropy, str) else words,
+        spawn_key=spawn_key,
+        pool_size=pool_size,
+        n_children_spawned=n_children,
     )
 
 

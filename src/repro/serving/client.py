@@ -25,8 +25,7 @@ half of the fault-tolerance story —
   is a short stall on the client, never an error surfaced to the caller;
 * retried POSTs carry ``idempotency_key``s, so a request whose response
   was lost (not its execution) is answered from the server's replay cache
-  (a lap: from its session's emission log) — the retried result is
-  byte-identical to the single-send result;
+  — the retried result is byte-identical to the single-send result;
 * ``deadline_ms`` rides along as the server-side budget of each request;
 * :meth:`ForecastClient.run_scenario_iter` resumes a torn NDJSON stream
   from the last received event (``resume_from``) instead of starting

@@ -23,8 +23,7 @@ building blocks, all deterministic where randomness is involved:
   carrying an ``idempotency_key`` the gateway has already answered gets
   the stored response document back, byte for byte, without re-running
   the engine (safe because per-request RNG transport already makes the
-  first execution deterministic).  Session laps bypass it: the session
-  itself replays a duplicate lap.
+  first execution deterministic).
 
 Everything takes an injectable ``clock`` so tests drive state machines
 without sleeping.
@@ -438,12 +437,8 @@ class IdempotencyCache:
     original — which is exactly the retry contract the chaos harness
     gates.
 
-    One replay authority per request kind: the cache holds forecast,
-    strategy-sweep, session-open and session-close answers, which nothing
-    else can replay.  Session laps never enter it — the session replays a
-    duplicate lap from its own emission log, in both gateway modes and
-    across journal failover, so caching lap documents here would only
-    keep every lap's answer twice.
+    One replay authority per request kind: session laps never enter the
+    cache (see ``ForecastGateway._execute``).
     """
 
     def __init__(self, capacity: int = 1024) -> None:

@@ -610,8 +610,7 @@ class ForecastGateway:
         ``429 overloaded`` past the bound), are refused while the gateway
         drains, and participate in idempotent replay: a request carrying
         an ``idempotency_key`` the gateway already answered gets the
-        stored document back without re-executing.  Session laps skip the
-        cache: the session is their one replay authority.
+        stored document back without re-executing.
         """
         bound = getattr(self, f"_handle_{handler}")
         if handler not in self._WORK_HANDLERS:

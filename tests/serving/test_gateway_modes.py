@@ -13,8 +13,10 @@ not the gateway's idempotency cache, answers a retried lap.
 import json
 import os
 import shutil
+import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.artifacts import ArtifactStore
@@ -295,6 +297,27 @@ def test_empty_horizon_is_a_malformed_request_in_both_modes(fresh_store, tiny_se
             status, document = gateway.handle("POST", "/v1/forecast", body)
             assert (status, document["error"]["code"]) == (400, "malformed_request"), mode
             assert "horizon" in document["error"]["message"]
+        finally:
+            gateway.close()
+
+
+def test_an_oversized_seed_sequence_pool_is_a_fast_malformed_request(fresh_store, tiny_series):
+    """An RNG state whose seed-sequence record asks for a 200,000-word pool
+    is refused with 400 ``malformed_request`` before numpy mixes it (which
+    would hold the GIL for minutes), in either mode."""
+    request = _deepar_request(fresh_store, tiny_series[0])
+    body = wire.forecast_batch_to_wire([request])
+    rng = wire.rng_to_wire(np.random.default_rng(0))
+    rng["state"]["seed_seq"]["pool_size"] = 200_000
+    body["requests"][0]["request"]["rng"] = rng
+    for mode in MODES:
+        gateway = _gateway(fresh_store, mode)
+        try:
+            started = time.monotonic()
+            status, document = gateway.handle("POST", "/v1/forecast", body)
+            assert (status, document["error"]["code"]) == (400, "malformed_request"), mode
+            assert "pool_size" in document["error"]["message"]
+            assert time.monotonic() - started < 5.0, mode
         finally:
             gateway.close()
 

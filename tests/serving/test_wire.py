@@ -105,6 +105,21 @@ def test_rng_required_and_malformed():
         wire.rng_from_wire({"state": {"bit_generator": "NoSuchBitGen"}})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("pool_size", 200_000), ("pool_size", 2), ("n_children_spawned", -1), ("spawn_key", [-1])],
+)
+def test_rng_state_with_an_out_of_range_seed_sequence_is_malformed(field, value):
+    """A seed-sequence record is checked before numpy builds it: a huge
+    pool would mix for minutes holding the GIL, a negative child count
+    would only fail at the first spawn."""
+    spec = wire.rng_to_wire(np.random.default_rng(7))
+    spec["state"]["seed_seq"][field] = value
+    with pytest.raises(WireError, match="seed_seq") as excinfo:
+        wire.rng_from_wire(spec)
+    assert excinfo.value.code == "malformed_request"
+
+
 # ----------------------------------------------------------------------
 # forecast requests
 # ----------------------------------------------------------------------
