@@ -217,11 +217,6 @@ class ArtifactStore:
         self._refresh_aliases()
         return {alias: entry["target"] for alias, entry in sorted(self._aliases.items())}
 
-    def alias_entry(self, alias: str) -> dict:
-        """The full alias record ({} when unregistered)."""
-        self._refresh_aliases()
-        return dict(self._aliases.get(alias, {}))
-
     def is_alias(self, name: str) -> bool:
         self._refresh_aliases()
         return name in self._aliases

@@ -148,10 +148,6 @@ class TrainingWindow:
     holdout_keys: List[str]
     accumulator: "TelemetryAccumulator" = field(repr=False)
 
-    @property
-    def num_races(self) -> int:
-        return len(self.train_keys) + len(self.holdout_keys)
-
     def train_races(self) -> List[RaceTelemetry]:
         return [self.accumulator.race(key) for key in self.train_keys]
 

@@ -195,18 +195,6 @@ class RankForecaster(abc.ABC):
             for series, origin, horizon in tasks
         ]
 
-    def forecast_many(
-        self,
-        series: CarFeatureSeries,
-        origins: Sequence[int],
-        horizon: int,
-        n_samples: int = 100,
-    ) -> List[ProbabilisticForecast]:
-        """Forecasts for several origins of the same series (convenience)."""
-        return self.forecast_fleet(
-            [(series, int(o), int(horizon)) for o in origins], n_samples=n_samples
-        )
-
     # ------------------------------------------------------------------
     # artifact protocol
     # ------------------------------------------------------------------

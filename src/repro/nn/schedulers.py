@@ -108,10 +108,6 @@ class EarlyStopping:
         self.num_bad_epochs += 1
         return self.num_bad_epochs >= self.patience
 
-    @property
-    def should_stop(self) -> bool:
-        return self.num_bad_epochs >= self.patience
-
     def state_dict(self) -> dict:
         return {
             "best": self.best,

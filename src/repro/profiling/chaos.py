@@ -12,7 +12,7 @@ schedule and gates four resilience guarantees end to end:
    restarted on the same store; it must rebuild the live session from its
    write-ahead journal, replay a re-posted duplicate lap identically, and
    produce byte-identical forecasts for every remaining lap (reference:
-   the in-process :class:`~repro.simulation.live.LiveRaceForecaster`).
+   the race replayed in process by :func:`~repro.serving.sessions.replay_race`).
 3. **Bounded overload** — concurrent callers past the admission bound are
    shed with structured ``429 overloaded`` envelopes; retrying clients
    must all complete, and no call may exceed the latency ceiling.
@@ -71,7 +71,7 @@ from ..serving.smoke import (
     _spawn_server,
 )
 from ..serving.service import ForecastService
-from ..simulation.live import LiveRaceForecaster
+from ..serving.sessions import replay_race
 
 #: lap at which the gateway is SIGKILLed (inside the emitting window)
 KILL_AT_LAP = 20
@@ -180,16 +180,9 @@ def _emissions_equal(
 
 
 def _in_process_stream(directory: str, race) -> List[Tuple[int, dict]]:
-    """The fault-free reference: the race replayed through the in-process
-    :class:`~repro.simulation.live.LiveRaceForecaster` with the chaos session's settings."""
-    live = LiveRaceForecaster(
-        ArtifactStore(directory).load_model(MODEL_NAME),
-        horizon=_SESSION["horizon"],
-        n_samples=_SESSION["n_samples"],
-        min_history=_SESSION["min_history"],
-        rng=_SESSION["rng"],
-    )
-    return list(live.stream(race, start=_SESSION["start"], stop=_SESSION["stop"]))
+    """The fault-free reference: the race replayed in process by
+    :func:`~repro.serving.sessions.replay_race` with the chaos session's settings."""
+    return list(replay_race(ArtifactStore(directory).load_model(MODEL_NAME), race, **_SESSION))
 
 
 def _gate_retry_identity(directory: str, port: int, series) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Hashable, List, Optional, Sequence
 
@@ -77,7 +78,7 @@ class ForecastRequest:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.origin is not None:
-            self.origin = int(self.origin)
+            self.origin = _origin_lap(self.origin)
 
     # ------------------------------------------------------------------
     @property
@@ -102,6 +103,17 @@ class ForecastRequest:
         if self.key is not None and self.origin is not None:
             return (self.key, self.origin, self.length)
         return id(self)
+
+
+def _origin_lap(origin) -> int:
+    """``origin`` as a lap index; a bool, a non-integral or a negative value
+    is refused rather than rounded into some other lap."""
+    integral = isinstance(origin, numbers.Integral) or (
+        isinstance(origin, numbers.Real) and float(origin).is_integer()
+    )
+    if isinstance(origin, (bool, np.bool_)) or not integral or origin < 0:
+        raise ValueError(f"origin must be a non-negative integer lap, got {origin!r}")
+    return int(origin)
 
 
 @dataclass

@@ -1,29 +1,30 @@
 """Server-side live-race sessions: stream laps in, get fleet forecasts out.
 
-A :class:`RaceSession` is the stateful core behind the gateway's
-``/v1/sessions`` API and behind
-:meth:`repro.simulation.live.LiveRaceForecaster.stream`: a timing-feed
-client posts one lap of telemetry at a time
-(:meth:`RaceSession.observe_lap`) instead of re-sending whole lap
+A :class:`RaceSession` is the one live-session object: it owns a race's
+state and answers the per-origin question for it.  It is the stateful
+core behind the gateway's ``/v1/sessions`` API and behind
+:func:`replay_race`: a timing-feed client posts one lap of telemetry at a
+time (:meth:`RaceSession.observe_lap`) instead of re-sending whole lap
 histories, and the session keeps everything incremental on the server —
 
 * features are grown lap by lap through
   :class:`~repro.data.features.LiveFeatureBuilder`, whose output is
   byte-identical to rebuilding :func:`~repro.data.features.build_race_features`
   from scratch over the telemetry seen so far;
-* forecasts run through the live forecaster's **carry-mode** fleet engine,
+* forecasts run through the forecaster's **carry-mode** fleet engine
+  (:meth:`RaceSession.forecast_at`, the whole field as one fleet batch),
   so consecutive origins advance each car's recurrent warm-up state by one
   teacher-forcing step instead of replaying the history window;
 * a forecast origin ``O`` is emitted as soon as its features are *final* —
   once lap ``O + 1 + delay`` has been observed — which is what makes a
-  lap-streamed session bitwise equal to replaying the finished race
-  through ``LiveRaceForecaster.stream``.
+  lap-streamed session bitwise equal to a :func:`replay_race` of the
+  finished race.
 
 ``delay`` defaults to the feature pipeline's forward-shift lag (the Fig. 7
 shift features look ``shift_lag`` laps ahead).  Forecasters that condition
 on *future* covariates taken from the series (the RankNet oracle variant)
 additionally need the horizon to be final: use ``delay = shift_lag +
-horizon`` for those (``LiveRaceForecaster.stream`` always does).
+horizon`` for those (:func:`replay_race` always does).
 
 :class:`SessionManager` is the gateway's registry of open sessions: id
 allocation, per-session locks for the threaded HTTP server, and bounded
@@ -36,13 +37,16 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..data.features import DEFAULT_MIN_LAPS, DEFAULT_SHIFT_LAG, LiveFeatureBuilder
+from ..data.features import DEFAULT_MIN_LAPS, DEFAULT_SHIFT_LAG, CarFeatureSeries, LiveFeatureBuilder
+from ..nn.precision import normalize_precision
+from . import wire
+from .requests import fold_forecasts, spawn_request_rngs
 
-__all__ = ["RaceSession", "SessionManager", "ManagedSession", "build_live_session", "session_counters"]
+__all__ = ["RaceSession", "SessionManager", "ManagedSession", "build_live_session", "replay_race", "session_counters"]
 
 
 class RaceSession:
@@ -50,25 +54,40 @@ class RaceSession:
 
     Parameters
     ----------
-    live:
-        A :class:`~repro.simulation.live.LiveRaceForecaster` (duck-typed:
-        anything with ``forecast_at(series_list, origin)``, ``min_history``
-        and ``horizon``).  The session owns no model state of its own — it
-        owns the *race* state: the streamed telemetry, the incremental
-        feature builder, and the next origin cursor.
+    forecaster:
+        A fitted deep forecaster.  The session owns no model state of its
+        own — it owns the *race* state: the streamed telemetry, the
+        incremental feature builder, the next origin cursor and the RNG
+        its forecasts draw from.
+    horizon, n_samples:
+        Laps forecast per origin and Monte-Carlo samples per car.
+    min_history:
+        Laps a car must have run before it is forecast; also the earliest
+        origin.
+    rng:
+        The session's stream (a Generator or a seed): each origin spawns
+        one child per eligible car from it.
+    precision:
+        The engine's precision tier.
     delay:
         Laps to hold back before forecasting an origin, so its features are
         final (>= the feature pipeline's ``shift_lag``); origin ``O`` is
         emitted once lap ``O + 1 + delay`` has been observed.
     start, stop, stride:
-        Origin window, matching ``LiveRaceForecaster.stream``:  origins run
-        from ``max(start, min_history)`` to ``stop`` inclusive in steps of
+        Origin window, matching :func:`replay_race`:  origins run from
+        ``max(start, min_history)`` to ``stop`` inclusive in steps of
         ``stride``; ``stop=None`` keeps the session open-ended.
     """
 
     def __init__(
         self,
-        live,
+        forecaster,
+        *,
+        horizon: int = 2,
+        n_samples: int = 50,
+        min_history: int = 10,
+        rng: np.random.Generator | int | None = None,
+        precision: str = "float64",
         event: str = "live",
         year: int = 0,
         race_id: Optional[str] = None,
@@ -79,15 +98,21 @@ class RaceSession:
         min_laps: int = DEFAULT_MIN_LAPS,
         shift_lag: int = DEFAULT_SHIFT_LAG,
     ) -> None:
-        self.live = live
+        if getattr(forecaster, "model", None) is None:
+            raise ValueError("the forecaster must be fitted before live serving")
+        self.forecaster = forecaster
+        self.horizon = int(horizon)
+        self.n_samples = int(n_samples)
+        self.min_history = int(min_history)
+        self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        self.precision = normalize_precision(precision)
         self.delay = int(shift_lag if delay is None else delay)
         if self.delay < shift_lag:
             raise ValueError(
                 f"delay must be >= the feature shift lag ({shift_lag}): an origin's "
                 f"shift covariates are only final {shift_lag} laps later"
             )
-        min_history = int(live.min_history)
-        self._next_origin = min_history if start is None else max(int(start), min_history)
+        self._next_origin = self.min_history if start is None else max(int(start), self.min_history)
         self._stop = None if stop is None else int(stop)
         self._stride = max(int(stride), 1)
         self._builder = LiveFeatureBuilder(
@@ -114,6 +139,29 @@ class RaceSession:
         # a separate offline telemetry export.
         self.lap_log: List[Tuple[int, list]] = []
 
+    @property
+    def engine(self):
+        """The carry-mode engine, resolved through the forecaster on every
+        access so a re-fit or fine-tune never leaves stale weights/states."""
+        return self.forecaster.fleet_engine(mode="carry", precision=self.precision)
+
+    def forecast_at(self, series_list: List[CarFeatureSeries], origin: int) -> Dict[int, np.ndarray]:
+        """Fleet forecast for one origin: ``car_id -> (n_samples, horizon)``."""
+        eligible = [s for s in series_list if self.min_history <= origin < len(s) - 1]
+        if not eligible:
+            return {}
+        # each car's forecast runs on its own stream, never the resident
+        # model's, so a session's forecasts do not depend on the model's state
+        groups = [
+            self.forecaster._forecast_requests(series, origin, self.horizon, self.n_samples, stream)
+            for series, stream in zip(eligible, spawn_request_rngs(self.rng, len(eligible)))
+        ]
+        results = self.engine.submit([r for group in groups for r in group])
+        return {
+            series.car_id: np.clip(samples, 1.0, 33.0)
+            for series, samples in zip(eligible, fold_forecasts(groups, results))
+        }
+
     # ------------------------------------------------------------------
     @property
     def latest_lap(self) -> int:
@@ -133,7 +181,7 @@ class RaceSession:
         Each returned item is ``(origin, {car_id: (n_samples, horizon)})``
         — usually zero or one per lap.  Origins whose whole-field forecast
         is empty (no eligible cars yet) are consumed silently, exactly as
-        ``LiveRaceForecaster.stream`` skips them.
+        :func:`replay_race` skips them.
         """
         self._builder.observe_lap(lap, records)
         self.laps_observed += 1
@@ -184,14 +232,14 @@ class RaceSession:
         immediately.  An open-ended session (``stop=None``) drains up to
         the last origin whose whole forecast horizon stays inside the
         observed feed — the same ``max_len - horizon - 1`` bound
-        ``LiveRaceForecaster.stream`` uses, so a drained session never
+        :func:`replay_race` uses, so a drained session never
         emits an origin a full-race replay would not.  ``drain=False``
         ends the feed without forecasting the held-back origins.
         """
         if not drain:
             return []
         if self._stop is None:
-            limit = self.latest_lap - int(self.live.horizon) - 1
+            limit = self.latest_lap - self.horizon - 1
         else:
             limit = self._stop
         return self._drain(final=True, limit=limit)
@@ -211,7 +259,7 @@ class RaceSession:
                 # one materialisation per drain: the feature arrays cannot
                 # change between origins while no new lap arrives
                 series_list = self._builder.series()
-            forecasts = self.live.forecast_at(series_list, origin)
+            forecasts = self.forecast_at(series_list, origin)
             self._next_origin = origin + self._stride
             if forecasts:
                 self.forecasts_emitted += 1
@@ -365,19 +413,13 @@ def build_live_session(document: dict, forecaster) -> RaceSession:
     coercion errors surface as ``ValueError``/``TypeError`` for the caller
     to map onto wire errors.
     """
-    from ..simulation.live import LiveRaceForecaster
-    from . import wire
-
-    live = LiveRaceForecaster(
+    return RaceSession(
         forecaster,
         horizon=int(document.get("horizon", 2)),
         n_samples=int(document.get("n_samples", 50)),
         min_history=int(document.get("min_history", 10)),
         rng=wire.rng_from_wire(document.get("rng"), required=True),
         precision=wire.precision_from_wire(document, kind="session-open"),
-    )
-    return RaceSession(
-        live,
         event=str(document.get("event", "live")),
         year=int(document.get("year", 0)),
         delay=document.get("delay"),
@@ -385,3 +427,57 @@ def build_live_session(document: dict, forecaster) -> RaceSession:
         stop=document.get("stop"),
         stride=int(document.get("stride", 1)),
     )
+
+
+def replay_race(
+    forecaster,
+    race,
+    *,
+    horizon: int = 2,
+    n_samples: int = 50,
+    min_history: int = 10,
+    rng: np.random.Generator | int | None = None,
+    precision: str = "float64",
+    start: Optional[int] = None,
+    stop: Optional[int] = None,
+    stride: int = 1,
+) -> Iterator[Tuple[int, Dict[int, np.ndarray]]]:
+    """Yield ``(origin, {car_id: samples})`` lap by lap over a finished race.
+
+    ``race`` (a :class:`~repro.simulation.telemetry.RaceTelemetry`) is
+    replayed as a timing feed through a :class:`RaceSession` — one lap of
+    records at a time, features grown incrementally, forecasts emitted as
+    soon as they are final.  Because the engine runs in ``carry`` mode,
+    consecutive origins only cost one incremental warm-up step per car.
+    The session is held back ``shift_lag + horizon`` laps so the replayed
+    results also match forecasters that read *future* covariates from the
+    series (the RankNet oracle variant).  Origins run from
+    ``max(start, min_history)`` to ``stop`` (default: the last origin whose
+    horizon stays inside the longest car's laps).
+    """
+    lengths = [
+        n
+        for n in (len(race.car_laps(car)) for car in race.car_ids())
+        if n >= DEFAULT_MIN_LAPS
+    ]
+    if not lengths:
+        return
+    max_len = max(lengths)
+    session = RaceSession(
+        forecaster,
+        horizon=horizon,
+        n_samples=n_samples,
+        min_history=min_history,
+        rng=rng,
+        precision=precision,
+        event=race.event,
+        year=race.year,
+        race_id=race.race_id,
+        delay=DEFAULT_SHIFT_LAG + int(horizon),
+        start=start,
+        stop=max_len - int(horizon) - 1 if stop is None else min(int(stop), max_len - 2),
+        stride=stride,
+    )
+    for lap, records in race.iter_laps():
+        yield from session.observe_lap(lap, records)
+    yield from session.finish()

@@ -14,8 +14,8 @@ in-process test server), and then drives it with the stdlib
    scheduler) must be byte-identical to submitting the same seeded
    requests to an in-process :class:`~repro.serving.ForecastService`;
 2. a live race streamed lap by lap through ``/v1/sessions`` must be
-   byte-identical to replaying the same race through an in-process
-   :class:`~repro.simulation.live.LiveRaceForecaster`.
+   byte-identical to replaying the same race in process with
+   :func:`~repro.serving.sessions.replay_race`.
 
 Exit status is non-zero on any mismatch — this is the on-the-wire version
 of the artifact smoke's reload guarantee.
@@ -39,10 +39,10 @@ from ..artifacts import ArtifactStore
 from ..data.features import build_race_features
 from ..models import DeepARForecaster
 from ..simulation import RaceSimulator, track_for_year
-from ..simulation.live import LiveRaceForecaster
 from .client import ForecastClient
 from .requests import NamedForecastRequest
 from .service import ForecastService
+from .sessions import replay_race
 
 MODEL_NAME = "smoke-deepar"
 _LISTEN_RE = re.compile(r"listening on http://[^:]+:(\d+)")
@@ -146,14 +146,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             streamed.extend(session.lap(lap, records))
         streamed.extend(session.close())
 
-        live = LiveRaceForecaster(
-            ArtifactStore(args.dir).load_model(MODEL_NAME),
-            horizon=_SESSION["horizon"],
-            n_samples=_SESSION["n_samples"],
-            min_history=_SESSION["min_history"],
-            rng=_SESSION["rng"],
+        reference = list(
+            replay_race(ArtifactStore(args.dir).load_model(MODEL_NAME), race, **_SESSION)
         )
-        reference = list(live.stream(race, start=_SESSION["start"], stop=_SESSION["stop"]))
         if [o for o, _ in streamed] != [o for o, _ in reference]:
             print("FAIL: session emitted different origins than the in-process stream")
             return 1

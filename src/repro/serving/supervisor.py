@@ -387,7 +387,9 @@ class WorkerSupervisor:
         )
 
     def _exchange(self, handle: WorkerHandle, op: str, body: dict, timeout_s) -> dict:
-        conn = handle.work
+        # the op is bound to the replica it is sent to: a restart puts a new
+        # process and new pipes on ``handle``, and this op must not wait on them
+        conn, process = handle.work, handle.process
         handle.frame_id += 1
         frame_id = handle.frame_id
         try:
@@ -395,7 +397,7 @@ class WorkerSupervisor:
                 json.dumps({"id": frame_id, "op": op, "body": body}).encode("utf-8")
             )
         except (OSError, ValueError, AttributeError) as exc:
-            self._declare_dead(handle, f"work pipe closed on send ({exc})")
+            self._replica_died(handle, process, f"work pipe closed on send ({exc})")
             raise RuntimeError(
                 f"worker for model {handle.model!r} died before accepting {op!r}"
             ) from exc
@@ -413,17 +415,15 @@ class WorkerSupervisor:
                     )
                 step = min(step, remaining)
             try:
-                has_data = conn.poll(step)
-            except (OSError, EOFError):
-                has_data = False
-            if has_data:
-                try:
-                    raw = conn.recv_bytes()
-                except (EOFError, OSError) as exc:
-                    self._declare_dead(handle, "work pipe closed mid-request")
-                    raise RuntimeError(
-                        f"worker for model {handle.model!r} died executing {op!r}"
-                    ) from exc
+                raw = conn.recv_bytes() if conn.poll(step) else None
+            except (OSError, EOFError) as exc:
+                # a closed (restart already under way) or reset pipe: the
+                # replica this op was sent to is gone
+                self._replica_died(handle, process, "work pipe closed mid-request")
+                raise RuntimeError(
+                    f"worker for model {handle.model!r} died executing {op!r}"
+                ) from exc
+            if raw is not None:
                 reply = json.loads(raw.decode("utf-8"))
                 if reply.get("id") != frame_id:
                     continue  # stale reply from an op abandoned at its deadline
@@ -443,17 +443,21 @@ class WorkerSupervisor:
                     status=int(error.get("status", reply.get("status", 500))),
                     detail=error.get("detail"),
                 )
-            process = handle.process
             if process is not None and not process.is_alive():
                 try:
                     if conn.poll(0):  # a reply raced the death — read it
                         continue
                 except (OSError, EOFError):
                     pass
-                self._declare_dead(handle, "process exited mid-request")
+                self._replica_died(handle, process, "process exited mid-request")
                 raise RuntimeError(
                     f"worker for model {handle.model!r} died executing {op!r}"
                 )
+
+    def _replica_died(self, handle: WorkerHandle, process, reason: str) -> None:
+        """Declare ``handle`` dead unless a restart already replaced ``process``."""
+        if handle.process is process:
+            self._declare_dead(handle, reason)
 
     # ------------------------------------------------------------------
     # spawning / heartbeats / restarts

@@ -25,19 +25,7 @@ from .telemetry import CarLaps, LapRecord, RaceTelemetry
 from .track import EVENT_YEARS, TRACKS, TrackSpec, list_events, track_for_year
 
 
-def __getattr__(name: str):
-    # lazy: ``live`` pulls in the feature pipeline and the serving engine,
-    # which themselves import this package (telemetry) — importing it here
-    # eagerly would create a cycle during package initialisation.
-    if name == "LiveRaceForecaster":
-        from .live import LiveRaceForecaster
-
-        return LiveRaceForecaster
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "LiveRaceForecaster",
     "CautionEvent",
     "CautionGenerator",
     "DriverProfile",

@@ -24,7 +24,8 @@ from repro.scenarios import ScenarioEngine, parse_scenario
 from repro.scenarios.spec import derive_seed
 from repro.serving import FleetForecaster, ForecastService
 from repro.serving.requests import fold_forecasts
-from repro.simulation import LiveRaceForecaster, RaceSimulator, track_for_year
+from repro.serving.sessions import RaceSession
+from repro.simulation import RaceSimulator, track_for_year
 
 TINY = dict(
     encoder_length=12,
@@ -119,8 +120,8 @@ def test_fold_stacks_plans_and_passes_one_request_results_through():
 def test_live_session_mlp_forecast_is_k_plans_of_the_request_stream(store, series):
     mlp = store.load_model("mlp")
     origin, horizon = 20, 2
-    live = LiveRaceForecaster(mlp, horizon=horizon, n_samples=N_SAMPLES, min_history=12, rng=5)
-    served = live.forecast_at(series, origin)
+    session = RaceSession(mlp, horizon=horizon, n_samples=N_SAMPLES, min_history=12, rng=5)
+    served = session.forecast_at(series, origin)
     eligible = [s for s in series if 12 <= origin < len(s) - 1]
     assert sorted(served) == sorted(s.car_id for s in eligible)
     streams = np.random.default_rng(5).spawn(len(eligible))

@@ -18,7 +18,8 @@ from repro.learning import ShadowEvaluator
 from repro.models import DeepARForecaster, RankNetForecaster
 from repro.scenarios import ScenarioEngine, parse_scenario
 from repro.serving import ForecastService
-from repro.simulation import LiveRaceForecaster, RaceSimulator, track_for_year
+from repro.serving.sessions import replay_race
+from repro.simulation import RaceSimulator, track_for_year
 
 TINY = dict(
     encoder_length=12,
@@ -63,11 +64,11 @@ def digest(payload: bytes) -> str:
 
 @pytest.mark.parametrize("model", sorted(SESSION_DIGESTS))
 def test_live_session_bytes_are_pinned(store, race, model):
-    live = LiveRaceForecaster(
-        store.load_model(model), horizon=3, n_samples=6, min_history=12, rng=5
-    )
     h = hashlib.sha256()
-    for origin, forecasts in live.stream(race, start=14, stop=30, stride=3):
+    for origin, forecasts in replay_race(
+        store.load_model(model), race, horizon=3, n_samples=6, min_history=12, rng=5,
+        start=14, stop=30, stride=3,
+    ):
         h.update(str(origin).encode())
         for car in sorted(forecasts):
             h.update(str(car).encode() + forecasts[car].tobytes())

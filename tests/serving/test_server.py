@@ -13,7 +13,8 @@ from repro.data import build_race_features
 from repro.models import CurRankForecaster, DeepARForecaster, RankNetForecaster
 from repro.serving import ForecastClient, ForecastService, ServerError
 from repro.serving.server import ForecastGateway, ForecastServer, ServerConfig
-from repro.simulation import LiveRaceForecaster, RaceSimulator, track_for_year
+from repro.serving.sessions import replay_race
+from repro.simulation import RaceSimulator, track_for_year
 from repro.strategy import PitStrategyOptimizer
 
 DEEP_KWARGS = dict(
@@ -262,8 +263,11 @@ def test_lap_streamed_session_matches_in_process_stream(client, server, store_ro
     streamed.extend(session.close())
 
     reference_model = ArtifactStore(store_root).load_model("deepar")
-    live = LiveRaceForecaster(reference_model, horizon=2, n_samples=5, min_history=12, rng=0)
-    reference = list(live.stream(race, start=14, stop=40))
+    reference = list(
+        replay_race(
+            reference_model, race, horizon=2, n_samples=5, min_history=12, rng=0, start=14, stop=40
+        )
+    )
 
     assert [origin for origin, _ in streamed] == [origin for origin, _ in reference]
     for (origin, got), (_, expected) in zip(streamed, reference):

@@ -7,8 +7,8 @@ import pytest
 
 from repro.data import build_race_features
 from repro.models import DeepARForecaster
-from repro.serving.sessions import SessionManager
-from repro.simulation import LiveRaceForecaster, RaceSimulator, track_for_year
+from repro.serving.sessions import RaceSession, SessionManager, replay_race
+from repro.simulation import RaceSimulator, track_for_year
 
 
 @pytest.fixture(scope="module")
@@ -22,11 +22,15 @@ def race_and_forecaster():
     return race, series, forecaster
 
 
-def _live(forecaster, seed=0, **kwargs):
-    kwargs.setdefault("horizon", 2)
-    kwargs.setdefault("n_samples", 5)
-    kwargs.setdefault("min_history", 12)
-    return LiveRaceForecaster(forecaster, rng=seed, **kwargs)
+SETTINGS = {"horizon": 2, "n_samples": 5, "min_history": 12}
+
+
+def _session(forecaster, seed=0, **kwargs):
+    return RaceSession(forecaster, rng=seed, **SETTINGS, **kwargs)
+
+
+def _replay(forecaster, race, seed=0, **kwargs):
+    return replay_race(forecaster, race, rng=seed, **SETTINGS, **kwargs)
 
 
 def _assert_forecasts_equal(got, reference):
@@ -41,9 +45,8 @@ def test_lap_streamed_session_matches_full_feature_replay(race_and_forecaster):
     """The acceptance gate: streaming laps == forecast_at over the finished race."""
     race, series, forecaster = race_and_forecaster
 
-    live = _live(forecaster, seed=0)
-    session = live.open_session(
-        event=race.event, year=race.year, race_id=race.race_id, delay=4, start=14
+    session = _session(
+        forecaster, seed=0, event=race.event, year=race.year, race_id=race.race_id, delay=4, start=14
     )
     streamed = []
     for lap, records in race.iter_laps():
@@ -51,12 +54,12 @@ def test_lap_streamed_session_matches_full_feature_replay(race_and_forecaster):
     streamed.extend(session.finish())
 
     forecaster.fleet_engine("carry").reset_cache()
-    reference_live = _live(forecaster, seed=0)
+    reference_session = _session(forecaster, seed=0)
     reference = []
-    # the open-ended session drains to the stream bound: the last origin
+    # the open-ended session drains to the replay bound: the last origin
     # whose whole horizon stays inside the feed (num_laps - horizon - 1)
-    for origin in range(14, race.num_laps - reference_live.horizon):
-        forecasts = reference_live.forecast_at(series, origin)
+    for origin in range(14, race.num_laps - reference_session.horizon):
+        forecasts = reference_session.forecast_at(series, origin)
         if forecasts:
             reference.append((origin, forecasts))
 
@@ -66,14 +69,13 @@ def test_lap_streamed_session_matches_full_feature_replay(race_and_forecaster):
 
 def test_stream_is_the_session_core_and_respects_stride(race_and_forecaster):
     race, _, forecaster = race_and_forecaster
-    live = _live(forecaster, seed=1)
-    origins = [origin for origin, _ in live.stream(race, start=14, stop=24, stride=5)]
+    origins = [origin for origin, _ in _replay(forecaster, race, seed=1, start=14, stop=24, stride=5)]
     assert origins == [14, 19, 24]
 
 
 def test_session_emits_nothing_before_the_delay(race_and_forecaster):
     race, _, forecaster = race_and_forecaster
-    session = _live(forecaster, seed=2).open_session(delay=4, start=14)
+    session = _session(forecaster, seed=2, delay=4, start=14)
     feed = race.iter_laps()
     emitted = []
     for _ in range(18):  # laps 1..18 < start + 1 + delay = 19
@@ -87,12 +89,12 @@ def test_session_emits_nothing_before_the_delay(race_and_forecaster):
 def test_session_rejects_delay_below_shift_lag(race_and_forecaster):
     _, _, forecaster = race_and_forecaster
     with pytest.raises(ValueError, match="shift lag"):
-        _live(forecaster).open_session(delay=1)
+        _session(forecaster, delay=1)
 
 
 def test_session_rejects_out_of_order_laps(race_and_forecaster):
     race, _, forecaster = race_and_forecaster
-    session = _live(forecaster).open_session()
+    session = _session(forecaster)
     feed = race.iter_laps()
     lap, records = next(feed)
     session.observe_lap(lap, records)
@@ -102,7 +104,7 @@ def test_session_rejects_out_of_order_laps(race_and_forecaster):
 
 def test_session_stop_bounds_the_origins(race_and_forecaster):
     race, _, forecaster = race_and_forecaster
-    session = _live(forecaster, seed=3).open_session(start=14, stop=16, delay=4)
+    session = _session(forecaster, seed=3, start=14, stop=16, delay=4)
     emitted = []
     for lap, records in race.iter_laps():
         emitted.extend(session.observe_lap(lap, records))
@@ -112,28 +114,28 @@ def test_session_stop_bounds_the_origins(race_and_forecaster):
 
 def test_open_ended_finish_respects_the_stream_horizon_bound(race_and_forecaster):
     """Draining a stop=None session must not emit origins whose forecast
-    horizon extends past the observed feed — the same bound stream uses."""
+    horizon extends past the observed feed — the same bound replay_race uses."""
     race, _, forecaster = race_and_forecaster
-    session = _live(forecaster, seed=4).open_session(
-        event=race.event, year=race.year, race_id=race.race_id, start=14
+    session = _session(
+        forecaster, seed=4, event=race.event, year=race.year, race_id=race.race_id, start=14
     )
     emitted = []
     for lap, records in race.iter_laps():
         emitted.extend(session.observe_lap(lap, records))
     emitted.extend(session.finish())
-    streamed = list(_live(forecaster, seed=4).stream(race, start=14))
+    streamed = list(_replay(forecaster, race, seed=4, start=14))
     assert [origin for origin, _ in emitted] == [origin for origin, _ in streamed]
 
 
 def test_session_manager_lifecycle(race_and_forecaster):
     race, _, forecaster = race_and_forecaster
     manager = SessionManager(limit=2)
-    first = manager.open(_live(forecaster).open_session(), model="deepar")
-    second = manager.open(_live(forecaster).open_session(), model="deepar")
+    first = manager.open(_session(forecaster), model="deepar")
+    second = manager.open(_session(forecaster), model="deepar")
     assert len(manager) == 2
     assert manager.get(first.session_id) is first
     with pytest.raises(RuntimeError, match="session limit"):
-        manager.open(_live(forecaster).open_session(), model="deepar")
+        manager.open(_session(forecaster), model="deepar")
     described = manager.describe()
     assert {d["session"] for d in described} == {first.session_id, second.session_id}
     assert manager.close(first.session_id) is first

@@ -5,6 +5,7 @@ Every test runs real forked worker processes against a tiny fitted store;
 deterministically (a replica never "earns back" its budget mid-test).
 """
 
+import multiprocessing
 import time
 from dataclasses import replace
 
@@ -16,14 +17,16 @@ from repro.data import build_race_features
 from repro.models import CurRankForecaster, DeepARForecaster
 from repro.serving import ForecastClient, ForecastService
 from repro.serving.resilience import OverloadedError, WorkerRestartingError
+from repro.serving.sessions import replay_race
 from repro.serving.supervisor import (
     FAILED,
     LIVE,
     RaceSessionProxy,
+    WorkerHandle,
     WorkerSupervisor,
 )
 from repro.serving.wire import rng_to_wire
-from repro.simulation import LiveRaceForecaster, RaceSimulator, track_for_year
+from repro.simulation import RaceSimulator, track_for_year
 
 DEEP_KWARGS = dict(
     encoder_length=12,
@@ -222,6 +225,49 @@ def test_restart_budget_exhaustion_marks_the_replica_failed(store_root):
         sup.close()
 
 
+class _LiveProcess:
+    def is_alive(self):
+        return True
+
+
+class _RestartedAfterSend:
+    """A work pipe whose replica is replaced right after an op is sent: the
+    restart closes the pipe and puts a new, live process on the handle."""
+
+    def __init__(self, handle, replacement):
+        self._conn, self.peer = multiprocessing.Pipe()
+        self._handle, self._replacement = handle, replacement
+
+    def send_bytes(self, payload):
+        self._conn.send_bytes(payload)
+        self._conn.close()
+        self._handle.process = self._replacement
+
+    def poll(self, timeout):
+        return self._conn.poll(timeout)
+
+    def recv_bytes(self):
+        return self._conn.recv_bytes()
+
+
+def test_exchange_fails_when_a_restart_replaces_its_replica(tmp_path):
+    """An op waits on the replica it was sent to, not on the handle's next one."""
+    sup = WorkerSupervisor(str(tmp_path))
+    handle = WorkerHandle("naive")
+    handle.process = _LiveProcess()
+    handle.work = pipe = _RestartedAfterSend(handle, _LiveProcess())
+    started = time.monotonic()
+    try:
+        # the deadline only bounds a regression: an exchange that polls the
+        # closed pipe and checks the new replica would spin until it passes
+        with pytest.raises(RuntimeError, match="died executing"):
+            sup._exchange(handle, "describe", {}, timeout_s=5.0)
+        assert time.monotonic() - started < 0.2  # within one poll step
+    finally:
+        pipe.peer.close()
+        sup.close()
+
+
 # ----------------------------------------------------------------------
 # worker-resident sessions
 # ----------------------------------------------------------------------
@@ -253,14 +299,18 @@ def test_session_proxy_accepts_raw_lap_records(supervisor, store_root, race):
     streamed.extend(proxy.finish())
     assert proxy.laps_observed > 0
 
-    live = LiveRaceForecaster(
-        ArtifactStore(store_root).load_model("deepar"),
-        horizon=2,
-        n_samples=5,
-        min_history=12,
-        rng=0,
+    reference = list(
+        replay_race(
+            ArtifactStore(store_root).load_model("deepar"),
+            race,
+            horizon=2,
+            n_samples=5,
+            min_history=12,
+            rng=0,
+            start=14,
+            stop=20,
+        )
     )
-    reference = list(live.stream(race, start=14, stop=20))
     assert [origin for origin, _ in streamed] == [origin for origin, _ in reference]
     for (origin, got), (_, expected) in zip(streamed, reference):
         for car_id in set(got) | set(expected):

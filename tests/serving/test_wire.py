@@ -176,6 +176,11 @@ def test_request_missing_fields_and_bad_shapes():
     bad["history_covariates"] = wire.encode_array(np.zeros(3))  # 1-D: invalid
     with pytest.raises(WireError, match="invalid forecast request"):
         wire.request_from_wire(bad)
+    # an origin is a lap index: never rounded, cast from a bool or a string
+    for origin in (2.5, True, "3", -1):
+        with pytest.raises(WireError, match="origin") as excinfo:
+            wire.request_from_wire(dict(document, origin=origin))
+        assert excinfo.value.code == "malformed_request"
 
 
 def test_named_batch_round_trip_and_guards():

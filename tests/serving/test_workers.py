@@ -24,8 +24,9 @@ from repro.profiling.chaos import kill_gateway
 from repro.serving import ForecastClient, ForecastService
 from repro.serving.resilience import RetryPolicy, WorkerRestartingError
 from repro.serving.server import ForecastGateway, ForecastServer, ServerConfig
+from repro.serving.sessions import replay_race
 from repro.serving.smoke import _spawn_server
-from repro.simulation import LiveRaceForecaster, RaceSimulator, track_for_year
+from repro.simulation import RaceSimulator, track_for_year
 
 DEEP_KWARGS = dict(
     encoder_length=12,
@@ -247,11 +248,12 @@ def test_http_session_resumes_byte_identically_across_worker_kill(
         streamed.extend(session.lap(lap, records))
     streamed.extend(session.close())
 
-    live = LiveRaceForecaster(
-        ArtifactStore(store_root).load_model("deepar"),
-        horizon=2, n_samples=5, min_history=12, rng=0,
+    reference = list(
+        replay_race(
+            ArtifactStore(store_root).load_model("deepar"), race,
+            horizon=2, n_samples=5, min_history=12, rng=0, start=14, stop=30,
+        )
     )
-    reference = list(live.stream(race, start=14, stop=30))
     assert [origin for origin, _ in streamed] == [origin for origin, _ in reference]
     for (origin, got), (_, expected) in zip(streamed, reference):
         for car_id in set(got) | set(expected):

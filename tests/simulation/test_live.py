@@ -1,4 +1,4 @@
-"""Tests for the live-race fleet forecasting streamer."""
+"""Tests for live-race fleet forecasting: ``RaceSession.forecast_at`` and ``replay_race``."""
 
 from dataclasses import replace
 
@@ -7,7 +7,8 @@ import pytest
 
 from repro.data import build_race_features
 from repro.models import DeepARForecaster, RankNetForecaster
-from repro.simulation import LiveRaceForecaster, RaceSimulator, track_for_year
+from repro.serving.sessions import RaceSession, replay_race
+from repro.simulation import RaceSimulator, track_for_year
 
 
 @pytest.fixture(scope="module")
@@ -24,13 +25,13 @@ def race_and_forecaster():
 def test_live_forecaster_requires_fitted_model():
     unfitted = DeepARForecaster(encoder_length=12, decoder_length=2, hidden_dim=8, epochs=1)
     with pytest.raises(ValueError):
-        LiveRaceForecaster(unfitted)
+        RaceSession(unfitted)
 
 
 def test_forecast_at_returns_whole_field(race_and_forecaster):
     _, series, forecaster = race_and_forecaster
-    live = LiveRaceForecaster(forecaster, horizon=2, n_samples=6, min_history=12, rng=0)
-    forecasts = live.forecast_at(series, origin=20)
+    session = RaceSession(forecaster, horizon=2, n_samples=6, min_history=12, rng=0)
+    forecasts = session.forecast_at(series, origin=20)
     eligible = [s.car_id for s in series if 12 <= 20 < len(s) - 1]
     assert sorted(forecasts) == sorted(eligible)
     for samples in forecasts.values():
@@ -40,10 +41,12 @@ def test_forecast_at_returns_whole_field(race_and_forecaster):
 
 def test_stream_carries_states_between_laps(race_and_forecaster):
     race, _, forecaster = race_and_forecaster
-    live = LiveRaceForecaster(forecaster, horizon=2, n_samples=5, min_history=12, rng=0)
-    origins = [origin for origin, _ in live.stream(race, start=14, stop=20)]
+    replayed = replay_race(
+        forecaster, race, horizon=2, n_samples=5, min_history=12, rng=0, start=14, stop=20
+    )
+    origins = [origin for origin, _ in replayed]
     assert origins == list(range(14, 21))
-    stats = live.engine.stats
+    stats = forecaster.fleet_engine(mode="carry").stats
     # after the first lap every car advances incrementally (1 step per lap)
     assert stats["cache_carries"] > 0
     assert stats["warmup_steps"] < stats["requests"] * 11  # << full replays
@@ -51,31 +54,33 @@ def test_stream_carries_states_between_laps(race_and_forecaster):
 
 def test_stream_respects_stride(race_and_forecaster):
     race, _, forecaster = race_and_forecaster
-    live = LiveRaceForecaster(forecaster, horizon=2, n_samples=4, min_history=12, rng=0)
-    origins = [origin for origin, _ in live.stream(race, start=14, stop=24, stride=5)]
+    replayed = replay_race(
+        forecaster, race, horizon=2, n_samples=4, min_history=12, rng=0, start=14, stop=24, stride=5
+    )
+    origins = [origin for origin, _ in replayed]
     assert origins == [14, 19, 24]
 
 
 def test_fine_tune_invalidates_live_carried_states(race_and_forecaster):
     race, series, forecaster = race_and_forecaster
-    live = LiveRaceForecaster(forecaster, horizon=2, n_samples=4, min_history=12, rng=1)
-    live.forecast_at(series, origin=20)
-    assert live.engine.stats["cache_entries"] > 0
+    session = RaceSession(forecaster, horizon=2, n_samples=4, min_history=12, rng=1)
+    session.forecast_at(series, origin=20)
+    assert session.engine.stats["cache_entries"] > 0
     forecaster.fine_tune(series[:2], epochs=1)
     # the carried warm-up states were computed under the old weights
-    assert live.engine.stats["cache_entries"] == 0
+    assert session.engine.stats["cache_entries"] == 0
 
 
 def test_refit_rebinds_live_engine_to_new_model(race_and_forecaster):
     _, series, forecaster = race_and_forecaster
-    live = LiveRaceForecaster(forecaster, horizon=2, n_samples=4, min_history=12, rng=2)
-    engine_before = live.engine
+    session = RaceSession(forecaster, horizon=2, n_samples=4, min_history=12, rng=2)
+    engine_before = session.engine
     forecaster.fit(series[:3])
     # the engine resolves through the forecaster, so a re-fit swaps in a
     # fresh engine bound to the new model instead of serving stale weights
-    assert live.engine is not engine_before
-    assert live.engine.model is forecaster.model
-    assert live.forecast_at(series, origin=20)  # still serves forecasts
+    assert session.engine is not engine_before
+    assert session.engine.model is forecaster.model
+    assert session.forecast_at(series, origin=20)  # still serves forecasts
 
 
 def test_identical_mlp_sessions_on_one_model_emit_identical_forecasts(race_and_forecaster):
@@ -88,8 +93,11 @@ def test_identical_mlp_sessions_on_one_model_emit_identical_forecasts(race_and_f
     mlp.fit(series[:4])
 
     def run():
-        live = LiveRaceForecaster(mlp, horizon=8, n_samples=4, min_history=12, rng=5)
-        return list(live.stream(race, start=14, stop=30, stride=4))
+        return list(
+            replay_race(
+                mlp, race, horizon=8, n_samples=4, min_history=12, rng=5, start=14, stop=30, stride=4
+            )
+        )
 
     first, second = run(), run()
     assert [origin for origin, _ in first] == [origin for origin, _ in second]

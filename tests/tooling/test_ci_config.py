@@ -97,6 +97,16 @@ def test_test_job_runs_serving_gateway_smoke():
     assert any("repro.serving.smoke" in line for line in lines)
 
 
+def test_chaos_steps_are_bounded_in_time():
+    # a hung chaos gate fails the job in minutes, not at the runner's 6 h limit
+    steps = load_workflow()["jobs"]["tests"]["steps"]
+    chaos = [step for step in steps if "repro.profiling.chaos" in step.get("run", "")]
+    assert len(chaos) == 2
+    assert any("--profile workers" in step["run"] for step in chaos)
+    for step in chaos:
+        assert 0 < step.get("timeout-minutes", 0) <= 10, step["name"]
+
+
 def test_bench_smoke_job_runs_serving_breakdown():
     lines = job_run_lines(load_workflow()["jobs"]["bench-smoke"])
     assert any("repro.profiling.server" in line for line in lines)
