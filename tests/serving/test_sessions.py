@@ -92,6 +92,11 @@ def test_session_rejects_delay_below_shift_lag(race_and_forecaster):
         _session(forecaster, delay=1)
 
 
+def test_session_refuses_an_unfitted_forecaster():
+    with pytest.raises(ValueError, match="must be fitted"):
+        _session(DeepARForecaster(encoder_length=12, decoder_length=2))
+
+
 def test_session_rejects_out_of_order_laps(race_and_forecaster):
     race, _, forecaster = race_and_forecaster
     session = _session(forecaster)
